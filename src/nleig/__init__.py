@@ -19,6 +19,7 @@ from .errors import (
     MonotonicityViolationError,
     NleigError,
     NonPositiveTailError,
+    NumericalOverflowError,
     OddPointCountError,
     SymbolPoleError,
     UnderResolvedError,
@@ -29,7 +30,6 @@ from .grid import (
     Grid,
     Profile,
     cone_check,
-    convolve,
     inner_product,
     l2_norm,
     make_grid,
@@ -79,11 +79,10 @@ from .solver import (
 from .asymptotics import (
     BlowUpBounded,
     DecayReport,
+    FamilyResult,
     HighEnergyGridPolicy,
-    HighEnergyResult,
     HighEnergyRow,
     KdvGridPolicy,
-    KdvResult,
     KdvRow,
     check_kdv_assumption,
     decay_rate_theory,

@@ -14,7 +14,7 @@ Three regimes are covered:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -176,6 +176,65 @@ def decay_report(
 
 
 # ---------------------------------------------------------------------------
+# solution families: one solve per point of a descending sweep
+
+
+@dataclass(frozen=True)
+class FamilyResult:
+    """Rows, predictor constants, solutions and failure strings of a family
+    sweep.  The lists run in point order; a point whose solve raised has
+    solution None, and a point that converged has failure None."""
+
+    rows: list
+    predictors: dict
+    solutions: list[Solution | None]
+    failures: list[str | None]
+
+
+def _descending(values, name: str, valid, condition: str) -> list[float]:
+    points = [float(v) for v in values]
+    if not points:
+        raise EmptyResultError(f"{name} list is empty")
+    if not all(valid(p) for p in points):
+        raise ValueError(f"{name} values must {condition}")
+    if any(b >= a for a, b in zip(points, points[1:])):
+        raise ValueError(f"{name} values must be strictly descending")
+    return points
+
+
+def _solve_family(nl, points, row_type, point, measure, predictors,
+                  tol_residual, max_iter) -> FamilyResult:
+    """Solve at each point and record one row_type(*head, sigma, *measured)
+    row.  point(p) returns (head, kernel, K, initial profile); measure(p,
+    kernel, solution) returns the row's remaining fields for a converged
+    solve.  A solve that raises gives a NaN row; one that does not converge
+    gives a NaN row that keeps its sigma.  Either way the sweep continues."""
+    rows, solutions, failures = [], [], []
+    for p in points:
+        head, kernel, K, init = point(p)
+        cfg = SolverConfig(K=K, tol_residual=tol_residual, max_iter=max_iter,
+                           init_profile=init, record_trace=False)
+        try:
+            sol = solve(cfg, kernel, nl)
+        except Exception as exc:  # per-point isolation: the sweep continues
+            sol, sigma, failure = None, float("nan"), f"{type(exc).__name__}: {exc}"
+        else:
+            sigma, failure = sol.sigma, None
+            if not sol.converged:
+                failure = (f"no convergence in {max_iter} iterations "
+                           f"(residual {sol.residual:.3g})")
+        if failure is None:
+            measured = measure(p, kernel, sol)
+        else:
+            measured = [float("nan")] * (len(fields(row_type)) - len(head) - 1)
+        rows.append(row_type(*head, sigma, *measured))
+        solutions.append(sol)
+        failures.append(failure)
+    return FamilyResult(rows=rows, predictors=predictors, solutions=solutions,
+                        failures=failures)
+
+
+# ---------------------------------------------------------------------------
 # shallow-water (small K) limit
 
 
@@ -264,14 +323,6 @@ class KdvRow:
     profile_err: float  # L2 distance of the rescaled U to the limit wave
 
 
-@dataclass(frozen=True)
-class KdvResult:
-    rows: list[KdvRow]
-    predictors: dict
-    solutions: list[Solution | None]
-    failures: list[str | None]
-
-
 def kdv_experiment(
     spec: KernelSpec,
     nl: Nonlinearity,
@@ -279,17 +330,11 @@ def kdv_experiment(
     policy: KdvGridPolicy | None = None,
     tol_residual: float = 1e-10,
     max_iter: int = 300_000,
-) -> KdvResult:
+) -> FamilyResult:
     """Sweep K = eps^3 downward and compare against the shallow-water
     predictions; each eps gets its own grid from the policy and an initial
     profile seeded with the predicted limit wave."""
-    eps_values = [float(e) for e in eps_list]
-    if not eps_values:
-        raise EmptyResultError("eps list is empty")
-    if any(not 0 < e for e in eps_values):
-        raise ValueError("eps values must be positive")
-    if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
-        raise ValueError("eps values must be strictly descending")
+    eps_values = _descending(eps_list, "eps", lambda e: 0 < e, "be positive")
     policy = policy or KdvGridPolicy()
 
     probe_grid = policy.grid_for(eps_values[0], spec.length_scale)
@@ -317,41 +362,20 @@ def kdv_experiment(
         "symbol_bound_constant": c_const,
     }
 
-    rows, solutions, failures = [], [], []
-    for eps in eps_values:
+    def point(eps):
         grid = policy.grid_for(eps, spec.length_scale)
-        kernel = spec.build(grid)
         init = Profile(grid, eps**2 * kdv_profile(kappa1, kappa2, eps * grid.nodes))
-        cfg = SolverConfig(
-            K=eps**3,
-            tol_residual=tol_residual,
-            max_iter=max_iter,
-            init_profile=init,
-            record_trace=False,
-        )
-        try:
-            sol = solve(cfg, kernel, nl)
-        except Exception as exc:
-            rows.append(KdvRow(eps, float("nan"), float("nan"), float("nan")))
-            solutions.append(None)
-            failures.append(f"{type(exc).__name__}: {exc}")
-            continue
-        if not sol.converged:
-            rows.append(KdvRow(eps, sol.sigma, float("nan"), float("nan")))
-            solutions.append(sol)
-            failures.append(
-                f"no convergence in {max_iter} iterations (residual {sol.residual:.3g})"
-            )
-            continue
+        return (eps,), spec.build(grid), eps**3, init
+
+    def measure(eps, kernel, sol):
+        grid = kernel.grid
         d_ratio = (sol.sigma - nl.alpha) / eps**2
         limit = kdv_profile(kappa1, kappa2, eps * grid.nodes)
         diff = sol.U.samples / eps**2 - limit
-        profile_err = float(np.sqrt(eps * grid.spacing * np.dot(diff, diff)))
-        rows.append(KdvRow(eps, sol.sigma, d_ratio, profile_err))
-        solutions.append(sol)
-        failures.append(None)
-    return KdvResult(rows=rows, predictors=predictors, solutions=solutions,
-                     failures=failures)
+        return d_ratio, float(np.sqrt(eps * grid.spacing * np.dot(diff, diff)))
+
+    return _solve_family(nl, eps_values, KdvRow, point, measure, predictors,
+                         tol_residual, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +431,6 @@ class HighEnergyRow:
     sup_err: float  # sup |U - a/a(0)|
 
 
-@dataclass(frozen=True)
-class HighEnergyResult:
-    rows: list[HighEnergyRow]
-    predictors: dict
-    solutions: list[Solution | None]
-    failures: list[str | None]
-
-
 def high_energy_experiment(
     spec: KernelSpec,
     m: float,
@@ -422,76 +438,41 @@ def high_energy_experiment(
     policy: HighEnergyGridPolicy | None = None,
     tol_residual: float = 1e-10,
     max_iter: int = 300_000,
-) -> HighEnergyResult:
+) -> FamilyResult:
     """Sweep K = (1 - delta) K_max downward in delta for the singular
     nonlinearity of exponent m; requires a kernel whose autocorrelation
     a = b*b is twice differentiable with a, a'' bounded and integrable."""
-    deltas = [float(d) for d in delta_list]
-    if not deltas:
-        raise EmptyResultError("delta list is empty")
-    if any(not 0.0 < d < 1.0 for d in deltas):
-        raise ValueError("delta values must lie in (0, 1)")
-    if any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("delta values must be strictly descending")
+    deltas = _descending(delta_list, "delta", lambda d: 0.0 < d < 1.0, "lie in (0, 1)")
     policy = policy or HighEnergyGridPolicy()
     nl = singular_nonlinearity(m)
 
+    # the probe is built on the first delta's grid, so its constants are the
+    # ones that delta's kernel carries
     probe_kernel = spec.build(policy.grid_for(deltas[0], spec.length_scale))
     if not probe_kernel.a_smooth:
         raise KernelAssumptionError(
             f"kernel {probe_kernel.label}: autocorrelation a = b*b lacks a bounded, "
             "integrable second derivative; the high-energy limit requires it"
         )
+    predictors = {
+        "m": m,
+        "eta0": eta0_predicted(probe_kernel.a0, probe_kernel.a_pp0, m),
+        "a0": probe_kernel.a0,
+        "a_pp0": probe_kernel.a_pp0,
+        "k_max": probe_kernel.k_max_norm,
+    }
 
-    rows, solutions, failures = [], [], []
-    eta0 = None
-    predictors: dict = {"m": m}
-    for delta in deltas:
-        grid = policy.grid_for(delta, spec.length_scale)
-        kernel = spec.build(grid)
-        if eta0 is None:
-            eta0 = eta0_predicted(kernel.a0, kernel.a_pp0, m)
-            predictors.update(
-                eta0=eta0,
-                a0=kernel.a0,
-                a_pp0=kernel.a_pp0,
-                k_max=kernel.k_max_norm,
-            )
+    def point(delta):
+        kernel = spec.build(policy.grid_for(delta, spec.length_scale))
         K = (1.0 - delta) * kernel.k_max_norm
-        init = kernel.profile.scaled(1.0 / kernel.a0)
-        cfg = SolverConfig(
-            K=K,
-            tol_residual=tol_residual,
-            max_iter=max_iter,
-            init_profile=init,
-            record_trace=False,
-        )
-        try:
-            sol = solve(cfg, kernel, nl)
-        except Exception as exc:
-            rows.append(
-                HighEnergyRow(delta, K, float("nan"), float("nan"), float("nan"),
-                              float("nan"))
-            )
-            solutions.append(None)
-            failures.append(f"{type(exc).__name__}: {exc}")
-            continue
-        if not sol.converged:
-            rows.append(
-                HighEnergyRow(delta, K, sol.sigma, float("nan"), float("nan"),
-                              float("nan"))
-            )
-            solutions.append(sol)
-            failures.append(
-                f"no convergence in {max_iter} iterations (residual {sol.residual:.3g})"
-            )
-            continue
+        return (delta, K), kernel, K, kernel.profile.scaled(1.0 / kernel.a0)
+
+    def measure(delta, kernel, sol):
         eps_delta = 1.0 - sol.U.value_at_zero()
         eta = sol.sigma * eps_delta ** (m + 0.5)
         a_profile = kernel.convolve(kernel.profile)
         sup_err = float(np.max(np.abs(sol.U.samples - a_profile.samples / kernel.a0)))
-        rows.append(HighEnergyRow(delta, K, sol.sigma, eps_delta, eta, sup_err))
-        solutions.append(sol)
-        failures.append(None)
-    return HighEnergyResult(rows=rows, predictors=predictors, solutions=solutions,
-                            failures=failures)
+        return eps_delta, eta, sup_err
+
+    return _solve_family(nl, deltas, HighEnergyRow, point, measure, predictors,
+                         tol_residual, max_iter)

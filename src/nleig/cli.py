@@ -5,17 +5,23 @@ files atomically into --output, exit 0 on success, 2 on validation failure,
 3 on non-convergence or a runtime solve failure.  Identical configs produce
 byte-identical numeric outputs; meta.json echoes the fully resolved config
 (defaults included) plus version and wall-clock timings.
+
+Each command declares in _COMMANDS the config it takes; _load reads and
+checks every config, builds and gates the kernel and assembles meta.json's
+resolved config.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -35,48 +41,28 @@ from .errors import (
     MonotonicityViolationError,
     NleigError,
     NonPositiveTailError,
-    OddPointCountError,
+    NumericalOverflowError,
     SymbolPoleError,
-    UnderResolvedError,
     ZeroGradientError,
 )
-from .grid import make_grid, write_profile_csv
-from .kernels import kernel_spec_from_config, validate_kernel
-from .nonlinearity import nonlinearity_from_config, nonlinearity_to_config
-from .solver import (
-    SolverConfig,
-    save_solution,
-    solution_to_dict,
-    solve,
-    sweep_K,
-    uniqueness_probe,
-)
+from .grid import atomic_write_text, make_grid, write_profile_csv
+from .kernels import Kernel, KernelSpec, kernel_spec_from_config, validate_kernel
+from .nonlinearity import Nonlinearity, nonlinearity_from_config, nonlinearity_to_config
+from .solver import SolverConfig, save_solution, solve, sweep_K, uniqueness_probe
 
-_VALIDATION_ERRORS = (
-    ValueError,
-    KeyError,
-    OddPointCountError,
-    UnderResolvedError,
-    KernelAssumptionError,
-    EmptyResultError,
-)
+# exit 3; every other ValueError, KeyError or NleigError exits 2
 _RUNTIME_ERRORS = (
     MonotonicityViolationError,
     DomainBreachError,
     ZeroGradientError,
     SymbolPoleError,
     NonPositiveTailError,
+    NumericalOverflowError,
 )
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
-
-
 def _write_json(path: Path, payload) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])
 
 
 def _format_cell(value) -> str:
@@ -86,7 +72,17 @@ def _format_cell(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.17g}"
-    return str(value)
+    # cells are never quoted, so a comma inside text becomes a semicolon
+    return str(value).replace(",", ";")
+
+
+def _write_rows(path: Path, rows) -> None:
+    """CSV of row dataclasses: the field names as header, one line per row."""
+    names = [f.name for f in fields(rows[0])]
+    lines = [",".join(names) + "\n"]
+    for row in rows:
+        lines.append(",".join(_format_cell(getattr(row, name)) for name in names) + "\n")
+    atomic_write_text(path, lines)
 
 
 def emit_plot_data(rows, predictors: dict, out_dir, csv_name: str,
@@ -98,92 +94,151 @@ def emit_plot_data(rows, predictors: dict, out_dir, csv_name: str,
         raise EmptyResultError("no rows to emit")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fields = [f.name for f in dataclasses.fields(rows[0])]
-    lines = [",".join(fields)]
-    for row in rows:
-        lines.append(",".join(_format_cell(getattr(row, name)) for name in fields))
-    _atomic_write_text(out / csv_name, "\n".join(lines) + "\n")
+    _write_rows(out / csv_name, rows)
     _write_json(out / predictors_name, predictors)
 
 
-def _section(config: dict, key: str, required: bool = True) -> dict:
-    if key not in config:
-        if required:
-            raise ValueError(f"config is missing the required {key!r} section")
-        return {}
-    value = config[key]
-    if not isinstance(value, dict):
-        raise ValueError(f"config section {key!r} must be an object")
+# ---------------------------------------------------------------------------
+# config loading
+#
+# A fields table maps each key of one config object to (parse, default).  A
+# default of _REQUIRED makes the key mandatory; a parse of None makes the
+# entry a fixed setting of the command that the config cannot set.
+
+_REQUIRED = object()
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
+def _points(value) -> list[float]:
+    points = [float(v) for v in value]
+    if not points:
+        raise ValueError("the list of points is empty")
+    return points
+
+
+def _as_is(value):
     return value
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    extra = set(section) - allowed
+def _read_fields(section, table: dict, where: str) -> dict:
+    if not isinstance(section, dict):
+        raise ValueError(f"{where} must be an object")
+    extra = set(section) - {key for key, (parse, _) in table.items() if parse}
     if extra:
         raise ValueError(f"unknown keys {sorted(extra)} in {where}")
+    values = {}
+    for key, (parse, default) in table.items():
+        if parse is not None and key in section:
+            values[key] = parse(section[key])
+        elif default is _REQUIRED:
+            raise ValueError(f"{where} requires {key}")
+        else:
+            values[key] = default
+    return values
 
 
-def _grid_from_config(config: dict):
-    section = _section(config, "grid")
-    _check_keys(section, {"half_period", "point_count"}, "grid section")
-    if "half_period" not in section or "point_count" not in section:
-        raise ValueError("grid section requires half_period and point_count")
-    return make_grid(float(section["half_period"]), int(section["point_count"]))
+def _policy(policy_type):
+    """Parse of a grid_policy section; absent keys keep the policy's defaults."""
+    table = {f.name: (_as_is, f.default) for f in fields(policy_type)}
+    return lambda section: policy_type(**_read_fields(section, table,
+                                                      "grid_policy section"))
 
 
-_SOLVER_KEYS = {
-    "K",
-    "tol_residual",
-    "max_iter",
-    "init_width",
-    "enforce_symmetry",
-    "monotonicity_slack",
-}
+_GRID_FIELDS = {"half_period": (float, _REQUIRED), "point_count": (int, _REQUIRED)}
 
 
-def _solver_config(config: dict, allow_nonstandard: bool,
-                   require_k: bool = True) -> SolverConfig:
-    section = _section(config, "solver", required=require_k)
-    _check_keys(section, _SOLVER_KEYS, "solver section")
-    if require_k and "K" not in section:
-        raise ValueError("solver section requires K")
-    slack = section.get("monotonicity_slack")
-    if slack is None:
-        # exploratory mode demotes the monotonicity abort to a warning
-        slack = float("inf") if allow_nonstandard else 1e-12
-    return SolverConfig(
-        K=float(section.get("K", 1.0)),
-        tol_residual=float(section.get("tol_residual", 1e-10)),
-        max_iter=int(section.get("max_iter", 100_000)),
-        init_width=(
-            None if section.get("init_width") is None else float(section["init_width"])
-        ),
-        enforce_symmetry=bool(section.get("enforce_symmetry", True)),
-        monotonicity_slack=float(slack),
-    )
+def _solver_fields(K=1.0, record_trace=True) -> dict:
+    """Fields of a solver section read into a SolverConfig.  K's default is
+    a placeholder for commands that set K per solve."""
+    return {
+        "K": (float, K),
+        "tol_residual": (float, 1e-10),
+        "max_iter": (int, 100_000),
+        "init_width": (_optional_float, None),
+        "enforce_symmetry": (bool, True),
+        "monotonicity_slack": (_optional_float, None),  # None: set by _load
+        "record_trace": (None, record_trace),
+    }
 
 
-def _solver_echo(cfg: SolverConfig) -> dict:
-    echo = cfg.to_config()
-    echo["monotonicity_slack"] = (
-        "inf" if cfg.monotonicity_slack == float("inf") else cfg.monotonicity_slack
-    )
-    return echo
+# the family experiments set K and the initial profile per point
+_FAMILY_SOLVER_FIELDS = {"tol_residual": (float, 1e-10), "max_iter": (int, 300_000)}
 
 
-def _gate_kernel(kernel, allow_nonstandard: bool):
-    """Standing-assumption gate: reject kernels failing validation unless
-    exploratory mode is on.  Returns warnings for the meta record."""
-    report = validate_kernel(kernel)
-    if report.passed:
-        return []
-    if not allow_nonstandard:
-        detail = "; ".join(report.failures)
-        raise KernelAssumptionError(
-            f"kernel {kernel.label} fails validation: {detail} "
-            "(pass --allow-nonstandard to run anyway)"
-        )
-    return [f"kernel validation skipped: {failure}" for failure in report.failures]
+@dataclass(frozen=True)
+class _Command:
+    """The config one command takes.  Every command reads a kernel section;
+    one with solver fields also a nonlinearity section, and it runs on a
+    gated kernel.  A family names the extra key listing its points: its
+    grid_policy sizes a grid per point, and the kernel is built on the first
+    point's grid.  Other commands read a grid section."""
+
+    run: Callable  # run(job, out, args) -> exit code
+    solver: dict | None = None  # fields of the solver section
+    extras: dict = field(default_factory=dict)  # fields of further top-level keys
+    family: str | None = None
+
+
+@dataclass
+class _Job:
+    """One command's config as _load read it."""
+
+    spec: KernelSpec
+    kernel: Kernel
+    nl: Nonlinearity | None
+    solver: dict | None
+    extras: dict
+    echo: dict  # the resolved config that meta.json records
+    warnings: list
+
+
+def _load(command: str, config: dict, args) -> _Job:
+    """Check the top-level keys, read the sections and extra keys the command
+    declares, build and gate the kernel, and assemble the resolved config."""
+    cmd = _COMMANDS[command]
+    sections = ["command", "kernel"] + (["grid"] if cmd.family is None else [])
+    if cmd.solver is not None:
+        sections += ["nonlinearity", "solver"]
+    values = _read_fields(config, {**{name: (_as_is, {}) for name in sections},
+                                   **cmd.extras}, "config")
+    extras = {key: values[key] for key in cmd.extras}
+    spec = kernel_spec_from_config(values["kernel"])
+    echo = {"command": command, "kernel": spec.to_config()}
+    if cmd.family is None:
+        grid = make_grid(**_read_fields(values["grid"], _GRID_FIELDS, "grid section"))
+        echo["grid"] = {"half_period": grid.half_period, "point_count": grid.point_count}
+    else:
+        grid = extras["grid_policy"].grid_for(extras[cmd.family][0], spec.length_scale)
+    kernel = spec.build(grid)
+    nl, solver, warnings = None, None, []
+    if cmd.solver is not None:
+        nl = nonlinearity_from_config(values["nonlinearity"])
+        solver = _read_fields(values["solver"], cmd.solver, "solver section")
+        if solver.get("monotonicity_slack", 0.0) is None:
+            # exploratory mode demotes the monotonicity abort to a warning
+            solver["monotonicity_slack"] = math.inf if args.allow_nonstandard else 1e-12
+        echo["nonlinearity"] = nonlinearity_to_config(nl)
+        echo["solver"] = {key: "inf" if value == math.inf else value
+                          for key, value in solver.items()}
+        # the standing-assumption gate; exploratory mode turns it into warnings
+        report = validate_kernel(kernel)
+        if not report.passed and not args.allow_nonstandard:
+            raise KernelAssumptionError(
+                f"kernel {kernel.label} fails validation: {'; '.join(report.failures)} "
+                "(pass --allow-nonstandard to run anyway)"
+            )
+        warnings = [f"kernel validation skipped: {failure}"
+                    for failure in report.failures]
+    for key, value in extras.items():
+        echo[key] = asdict(value) if is_dataclass(value) else value
+    return _Job(spec, kernel, nl, solver, extras, echo, warnings)
+
+
+# ---------------------------------------------------------------------------
+# commands
 
 
 def _monotonicity_warnings(solution) -> list:
@@ -197,226 +252,93 @@ def _monotonicity_warnings(solution) -> list:
     return []
 
 
-def _grid_echo(grid) -> dict:
-    return {"half_period": grid.half_period, "point_count": grid.point_count}
-
-
-def _run_solve(config, out, args):
-    _check_keys(config, {"command", "grid", "kernel", "nonlinearity", "solver"},
-                "config")
-    grid = _grid_from_config(config)
-    spec = kernel_spec_from_config(_section(config, "kernel"))
-    kernel = spec.build(grid)
-    nl = nonlinearity_from_config(_section(config, "nonlinearity"))
-    warnings = _gate_kernel(kernel, args.allow_nonstandard)
-    cfg = _solver_config(config, args.allow_nonstandard)
-
-    solution = solve(cfg, kernel, nl)
-    warnings += _monotonicity_warnings(solution)
+def _solve_once(job: _Job, out: Path):
+    """Solve at the config's K and save the solution.  Returns the solution
+    and the exit code, 3 when the solve did not converge."""
+    solution = solve(SolverConfig(**job.solver), job.kernel, job.nl)
+    job.warnings += _monotonicity_warnings(solution)
     save_solution(solution, out)
-    resolved = {
-        "command": "solve",
-        "grid": _grid_echo(grid),
-        "kernel": spec.to_config(),
-        "nonlinearity": nonlinearity_to_config(nl),
-        "solver": _solver_echo(cfg),
-    }
-    _finish_meta(out, args, resolved, warnings)
-    if not solution.converged:
-        print(
-            f"solve did not converge in {cfg.max_iter} iterations "
-            f"(residual {solution.residual:.3g})",
-            file=sys.stderr,
-        )
-        return 3
-    print(f"sigma = {solution.sigma:.12g} after {solution.iterations} iterations")
-    return 0
+    if solution.converged:
+        return solution, 0
+    print(f"solve did not converge in {job.solver['max_iter']} iterations "
+          f"(residual {solution.residual:.3g})", file=sys.stderr)
+    return solution, 3
 
 
-def _run_sweep(config, out, args):
-    _check_keys(
-        config,
-        {"command", "grid", "kernel", "nonlinearity", "solver", "k_list", "warm_start"},
-        "config",
-    )
-    if "k_list" not in config:
-        raise ValueError("sweep-k requires a k_list")
-    ks = [float(k) for k in config["k_list"]]
-    warm_start = bool(config.get("warm_start", False))
-    grid = _grid_from_config(config)
-    spec = kernel_spec_from_config(_section(config, "kernel"))
-    kernel = spec.build(grid)
-    nl = nonlinearity_from_config(_section(config, "nonlinearity"))
-    warnings = _gate_kernel(kernel, args.allow_nonstandard)
-    cfg = _solver_config(config, args.allow_nonstandard, require_k=False)
-    cfg = replace(cfg, record_trace=False)
+def _run_solve(job, out, args):
+    solution, code = _solve_once(job, out)
+    _finish_meta(out, args, job)
+    if code == 0:
+        print(f"sigma = {solution.sigma:.12g} after {solution.iterations} iterations")
+    return code
 
-    entries = sweep_K(ks, cfg, kernel, nl, warm_start=warm_start,
+
+@dataclass(frozen=True)
+class _SweepRow:
+    """One K of sweep.csv; field order is the column order.  A K whose solve
+    raised keeps the defaults and records the error."""
+
+    K: float
+    sigma: float = math.nan
+    P: float = math.nan
+    Q: float = math.nan
+    residual: float = math.nan
+    el_residual: float = math.nan
+    iterations: int = 0
+    converged: bool = False
+    error: str = ""
+
+
+def _run_sweep(job, out, args):
+    entries = sweep_K(job.extras["k_list"], SolverConfig(**job.solver), job.kernel,
+                      job.nl, warm_start=job.extras["warm_start"],
                       max_workers=args.threads)
-    lines = ["K,sigma,P,Q,residual,el_residual,iterations,converged,error"]
+    rows = []
     for i, entry in enumerate(entries):
-        if entry.solution is None:
-            lines.append(
-                ",".join(
-                    [_format_cell(entry.K)] + ["nan"] * 5 + ["0", "false",
-                     entry.error.replace(",", ";")]
-                )
-            )
-            continue
         sol = entry.solution
-        lines.append(
-            ",".join(
-                [
-                    _format_cell(entry.K),
-                    _format_cell(sol.sigma),
-                    _format_cell(sol.energies.P),
-                    _format_cell(sol.energies.Q),
-                    _format_cell(sol.residual),
-                    _format_cell(sol.el_residual),
-                    str(sol.iterations),
-                    "true" if sol.converged else "false",
-                    "",
-                ]
-            )
-        )
+        if sol is None:
+            rows.append(_SweepRow(entry.K, error=entry.error))
+            continue
+        rows.append(_SweepRow(entry.K, sol.sigma, sol.energies.P, sol.energies.Q,
+                              sol.residual, sol.el_residual, sol.iterations,
+                              sol.converged))
         save_solution(sol, out, stem=f"k_{i:03d}")
-    _atomic_write_text(out / "sweep.csv", "\n".join(lines) + "\n")
-    resolved = {
-        "command": "sweep-k",
-        "grid": _grid_echo(grid),
-        "kernel": spec.to_config(),
-        "nonlinearity": nonlinearity_to_config(nl),
-        "solver": _solver_echo(cfg),
-        "k_list": ks,
-        "warm_start": warm_start,
-    }
+    _write_rows(out / "sweep.csv", rows)
     failures = [e.error for e in entries if e.error is not None]
-    _finish_meta(out, args, resolved, warnings + failures)
-    print(f"sweep finished: {len(ks) - len(failures)}/{len(ks)} entries converged")
-    return 0
-
-
-_KDV_POLICY_KEYS = {
-    "l_floor", "l_over_eps", "kernel_fraction", "feature_fraction", "max_points",
-}
-
-
-def _run_kdv(config, out, args):
-    _check_keys(
-        config,
-        {"command", "kernel", "nonlinearity", "eps_list", "grid_policy", "solver"},
-        "config",
-    )
-    if "eps_list" not in config:
-        raise ValueError("kdv requires an eps_list")
-    eps_list = [float(e) for e in config["eps_list"]]
-    spec = kernel_spec_from_config(_section(config, "kernel"))
-    nl = nonlinearity_from_config(_section(config, "nonlinearity"))
-    policy_cfg = _section(config, "grid_policy", required=False)
-    _check_keys(policy_cfg, _KDV_POLICY_KEYS, "grid_policy section")
-    policy = KdvGridPolicy(**{k: v for k, v in policy_cfg.items()})
-    solver_cfg = _section(config, "solver", required=False)
-    _check_keys(solver_cfg, {"tol_residual", "max_iter"}, "solver section")
-    tol = float(solver_cfg.get("tol_residual", 1e-10))
-    max_iter = int(solver_cfg.get("max_iter", 300_000))
-
-    probe_kernel = spec.build(policy.grid_for(eps_list[0], spec.length_scale))
-    warnings = _gate_kernel(probe_kernel, args.allow_nonstandard)
-
-    result = kdv_experiment(spec, nl, eps_list, policy=policy,
-                            tol_residual=tol, max_iter=max_iter)
-    emit_plot_data(result.rows, result.predictors, out, "kdv.csv")
-    resolved = {
-        "command": "kdv",
-        "kernel": spec.to_config(),
-        "nonlinearity": nonlinearity_to_config(nl),
-        "eps_list": eps_list,
-        "grid_policy": dataclasses.asdict(policy),
-        "solver": {"tol_residual": tol, "max_iter": max_iter},
-    }
-    failures = [f for f in result.failures if f is not None]
-    _finish_meta(out, args, resolved, warnings + failures)
-    print(f"kdv sweep finished: {len(eps_list) - len(failures)}/{len(eps_list)} "
+    _finish_meta(out, args, job, failures)
+    print(f"sweep finished: {len(entries) - len(failures)}/{len(entries)} "
           "entries converged")
     return 0
 
 
-_HE_POLICY_KEYS = {
-    "half_period", "kernel_fraction", "peak_fraction", "eps_proxy", "max_points",
-}
+def _kdv(job):
+    return kdv_experiment(job.spec, job.nl, job.extras["eps_list"],
+                          policy=job.extras["grid_policy"], **job.solver)
 
 
-def _run_high_energy(config, out, args):
-    _check_keys(
-        config,
-        {"command", "kernel", "nonlinearity", "delta_list", "grid_policy", "solver"},
-        "config",
-    )
-    if "delta_list" not in config:
-        raise ValueError("high-energy requires a delta_list")
-    deltas = [float(d) for d in config["delta_list"]]
-    spec = kernel_spec_from_config(_section(config, "kernel"))
-    nl = nonlinearity_from_config(_section(config, "nonlinearity"))
-    if nl.kind != "singular":
+def _high_energy(job):
+    if job.nl.kind != "singular":
         raise ValueError(
             "high-energy requires the singular nonlinearity (kind 'singular')"
         )
-    policy_cfg = _section(config, "grid_policy", required=False)
-    _check_keys(policy_cfg, _HE_POLICY_KEYS, "grid_policy section")
-    policy = HighEnergyGridPolicy(**{k: v for k, v in policy_cfg.items()})
-    solver_cfg = _section(config, "solver", required=False)
-    _check_keys(solver_cfg, {"tol_residual", "max_iter"}, "solver section")
-    tol = float(solver_cfg.get("tol_residual", 1e-10))
-    max_iter = int(solver_cfg.get("max_iter", 300_000))
+    return high_energy_experiment(job.spec, job.nl.m, job.extras["delta_list"],
+                                  policy=job.extras["grid_policy"], **job.solver)
 
-    probe_kernel = spec.build(policy.grid_for(deltas[0], spec.length_scale))
-    warnings = _gate_kernel(probe_kernel, args.allow_nonstandard)
 
-    result = high_energy_experiment(spec, nl.m, deltas, policy=policy,
-                                    tol_residual=tol, max_iter=max_iter)
-    emit_plot_data(result.rows, result.predictors, out, "high_energy.csv")
-    resolved = {
-        "command": "high-energy",
-        "kernel": spec.to_config(),
-        "nonlinearity": nonlinearity_to_config(nl),
-        "delta_list": deltas,
-        "grid_policy": dataclasses.asdict(policy),
-        "solver": {"tol_residual": tol, "max_iter": max_iter},
-    }
+def _run_family(experiment, csv_name, label, job, out, args):
+    result = experiment(job)
+    emit_plot_data(result.rows, result.predictors, out, csv_name)
     failures = [f for f in result.failures if f is not None]
-    _finish_meta(out, args, resolved, warnings + failures)
-    print(f"high-energy sweep finished: {len(deltas) - len(failures)}/{len(deltas)} "
-          "entries converged")
+    _finish_meta(out, args, job, failures)
+    count = len(result.rows)
+    print(f"{label} finished: {count - len(failures)}/{count} entries converged")
     return 0
 
 
-def _run_decay(config, out, args):
-    _check_keys(
-        config,
-        {"command", "grid", "kernel", "nonlinearity", "solver", "c", "window"},
-        "config",
-    )
-    grid = _grid_from_config(config)
-    spec = kernel_spec_from_config(_section(config, "kernel"))
-    kernel = spec.build(grid)
-    nl = nonlinearity_from_config(_section(config, "nonlinearity"))
-    warnings = _gate_kernel(kernel, args.allow_nonstandard)
-    cfg = _solver_config(config, args.allow_nonstandard)
-    c = None if config.get("c") is None else float(config["c"])
-    window = tuple(config.get("window", (0.5, 0.8)))
-
-    solution = solve(cfg, kernel, nl)
-    warnings += _monotonicity_warnings(solution)
-    save_solution(solution, out)
-    code = 0
-    if not solution.converged:
-        print(
-            f"solve did not converge in {cfg.max_iter} iterations "
-            f"(residual {solution.residual:.3g})",
-            file=sys.stderr,
-        )
-        code = 3
-    report = decay_report(kernel, nl, solution, c=c, window=window)
+def _run_decay(job, out, args):
+    solution, code = _solve_once(job, out)
+    report = decay_report(job.kernel, job.nl, solution, c=job.extras["c"],
+                          window=job.extras["window"])
     if isinstance(report.lambda_theory, BlowUpBounded):
         theory = {"kind": "blow_up_bounded",
                   "lambda_max": report.lambda_theory.lambda_max}
@@ -434,16 +356,8 @@ def _run_decay(config, out, args):
         },
     )
     write_profile_csv(report.a_c, out / "a_c.csv")
-    resolved = {
-        "command": "decay",
-        "grid": _grid_echo(grid),
-        "kernel": spec.to_config(),
-        "nonlinearity": nonlinearity_to_config(nl),
-        "solver": _solver_echo(cfg),
-        "c": report.c,
-        "window": list(window),
-    }
-    _finish_meta(out, args, resolved, warnings)
+    job.echo["c"] = report.c  # the c used, also when the config left it out
+    _finish_meta(out, args, job)
     if code == 0:
         print(
             f"sigma = {solution.sigma:.12g}, fitted tail rate "
@@ -452,11 +366,8 @@ def _run_decay(config, out, args):
     return code
 
 
-def _run_validate(config, out, args):
-    _check_keys(config, {"command", "grid", "kernel"}, "config")
-    grid = _grid_from_config(config)
-    spec = kernel_spec_from_config(_section(config, "kernel"))
-    kernel = spec.build(grid)
+def _run_validate(job, out, args):
+    kernel = job.kernel
     report = validate_kernel(kernel)
     payload = {
         "label": kernel.label,
@@ -480,12 +391,7 @@ def _run_validate(config, out, args):
             "unimodality_deviation": report.cone.unimodality_deviation,
         }
     _write_json(out / "validation.json", payload)
-    resolved = {
-        "command": "validate-kernel",
-        "grid": _grid_echo(grid),
-        "kernel": spec.to_config(),
-    }
-    _finish_meta(out, args, resolved, [])
+    _finish_meta(out, args, job)
     if not report.passed:
         detail = "; ".join(report.failures)
         print(f"kernel {kernel.label} fails validation: {detail}", file=sys.stderr)
@@ -494,26 +400,9 @@ def _run_validate(config, out, args):
     return 0
 
 
-def _run_probe(config, out, args):
-    _check_keys(
-        config,
-        {"command", "grid", "kernel", "nonlinearity", "solver", "n_starts", "seed",
-         "distance_tol"},
-        "config",
-    )
-    grid = _grid_from_config(config)
-    spec = kernel_spec_from_config(_section(config, "kernel"))
-    kernel = spec.build(grid)
-    nl = nonlinearity_from_config(_section(config, "nonlinearity"))
-    warnings = _gate_kernel(kernel, args.allow_nonstandard)
-    cfg = _solver_config(config, args.allow_nonstandard)
-    cfg = replace(cfg, record_trace=False)
-    n_starts = int(config.get("n_starts", 5))
-    seed = int(config.get("seed", 0))
-    distance_tol = float(config.get("distance_tol", 1e-6))
-
-    report = uniqueness_probe(cfg, kernel, nl, n_starts=n_starts, seed=seed,
-                              distance_tol=distance_tol, max_workers=args.threads)
+def _run_probe(job, out, args):
+    report = uniqueness_probe(SolverConfig(**job.solver), job.kernel, job.nl,
+                              max_workers=args.threads, **job.extras)
     _write_json(
         out / "probe.json",
         {
@@ -528,17 +417,7 @@ def _run_probe(config, out, args):
             "failures": list(report.failures),
         },
     )
-    resolved = {
-        "command": "uniqueness-probe",
-        "grid": _grid_echo(grid),
-        "kernel": spec.to_config(),
-        "nonlinearity": nonlinearity_to_config(nl),
-        "solver": _solver_echo(cfg),
-        "n_starts": n_starts,
-        "seed": seed,
-        "distance_tol": distance_tol,
-    }
-    _finish_meta(out, args, resolved, warnings + list(report.failures))
+    _finish_meta(out, args, job, list(report.failures))
     print(
         f"uniqueness probe: {report.n_converged}/{report.n_starts} converged, "
         f"max distance {report.max_l2_distance:.3g}, conjecture support: "
@@ -548,27 +427,51 @@ def _run_probe(config, out, args):
 
 
 _COMMANDS = {
-    "solve": _run_solve,
-    "sweep-k": _run_sweep,
-    "kdv": _run_kdv,
-    "high-energy": _run_high_energy,
-    "decay": _run_decay,
-    "validate-kernel": _run_validate,
-    "uniqueness-probe": _run_probe,
+    "solve": _Command(_run_solve, _solver_fields(K=_REQUIRED)),
+    "sweep-k": _Command(
+        _run_sweep,
+        _solver_fields(record_trace=False),
+        {"k_list": (_points, _REQUIRED), "warm_start": (bool, False)},
+    ),
+    "kdv": _Command(
+        partial(_run_family, _kdv, "kdv.csv", "kdv sweep"),
+        _FAMILY_SOLVER_FIELDS,
+        {"eps_list": (_points, _REQUIRED),
+         "grid_policy": (_policy(KdvGridPolicy), KdvGridPolicy())},
+        family="eps_list",
+    ),
+    "high-energy": _Command(
+        partial(_run_family, _high_energy, "high_energy.csv", "high-energy sweep"),
+        _FAMILY_SOLVER_FIELDS,
+        {"delta_list": (_points, _REQUIRED),
+         "grid_policy": (_policy(HighEnergyGridPolicy), HighEnergyGridPolicy())},
+        family="delta_list",
+    ),
+    "decay": _Command(
+        _run_decay,
+        _solver_fields(K=_REQUIRED),
+        {"c": (_optional_float, None), "window": (list, [0.5, 0.8])},
+    ),
+    "validate-kernel": _Command(_run_validate),
+    "uniqueness-probe": _Command(
+        _run_probe,
+        _solver_fields(K=_REQUIRED, record_trace=False),
+        {"n_starts": (int, 5), "seed": (int, 0), "distance_tol": (float, 1e-6)},
+    ),
 }
 
-_START_TIME = None
-
-
-def _finish_meta(out: Path, args, resolved: dict, warnings: list) -> None:
-    resolved["output_dir"] = str(out)
-    resolved["allow_nonstandard"] = bool(args.allow_nonstandard)
-    resolved["threads"] = int(args.threads)
+def _finish_meta(out: Path, args, job: _Job, warnings: list = ()) -> None:
+    resolved = {
+        **job.echo,
+        "output_dir": str(out),
+        "allow_nonstandard": bool(args.allow_nonstandard),
+        "threads": int(args.threads),
+    }
     meta = {
         "config": resolved,
         "version": __version__,
-        "timings": {"total_seconds": round(time.perf_counter() - _START_TIME, 6)},
-        "warnings": list(warnings),
+        "timings": {"total_seconds": round(time.perf_counter() - args.started, 6)},
+        "warnings": job.warnings + list(warnings),
     }
     if args.allow_nonstandard:
         meta["unvalidated"] = True
@@ -576,7 +479,6 @@ def _finish_meta(out: Path, args, resolved: dict, warnings: list) -> None:
 
 
 def main(argv=None) -> int:
-    global _START_TIME
     parser = argparse.ArgumentParser(
         prog="nleig",
         description="Solution families of the nonlocal eigenvalue problem "
@@ -594,7 +496,7 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for sweep entries")
     args = parser.parse_args(argv)
-    _START_TIME = time.perf_counter()
+    args.started = time.perf_counter()
 
     try:
         config = json.loads(Path(args.config).read_text())
@@ -622,14 +524,12 @@ def main(argv=None) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return _COMMANDS[args.command](config, out, args)
+        job = _load(args.command, config, args)
+        return _COMMANDS[args.command].run(job, out, args)
     except _RUNTIME_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except NleigError as exc:
+    except (ValueError, KeyError, NleigError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -41,6 +41,10 @@ class MonotonicityViolationError(NleigError):
     """Energy decreased beyond slack; signals discretization failure."""
 
 
+class NumericalOverflowError(NleigError):
+    """A norm, an energy or a convolution left the floating-point range."""
+
+
 class SymbolPoleError(NleigError):
     """Modified-kernel symbol denominator 1 - c*bhat^2 is not positive."""
 

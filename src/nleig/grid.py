@@ -1,15 +1,16 @@
 """Periodic grid primitives.
 
 Uniform lattice on one periodicity cell (-L, L], sampled real profiles,
-rectangle-rule inner products, FFT-based circular convolution, and the
-shape diagnostics (evenness, nonnegativity, unimodality) that define the
-solution cone.  The node x = 0 is always present so even profiles are
+rectangle-rule inner products, the shape diagnostics (evenness,
+nonnegativity, unimodality) that define the solution cone, and atomic text
+output.  The node x = 0 is always present so even profiles are
 sampled symmetrically; x = -L is its own mirror image under periodicity.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -178,39 +179,26 @@ def cone_check(w: Profile) -> ConeReport:
     return ConeReport(even_dev, min_value, unimodal_dev)
 
 
-def convolve(kernel: Profile, w: Profile) -> Profile:
-    """Periodic convolution h * sum_i kernel(x_j - x_i) W(x_i) via the DFT.
-
-    Equals the direct circular sum to rounding; cost O(n log n).
-    """
-    grid = require_same_grid(kernel, w)
-    n = grid.point_count
-    spec = np.fft.rfft(np.fft.ifftshift(kernel.samples)) * np.fft.rfft(
-        np.fft.ifftshift(w.samples)
-    )
-    out = np.fft.fftshift(np.fft.irfft(spec, n)) * grid.spacing
-    if not np.all(np.isfinite(out)):
-        raise ValueError("convolution produced non-finite values (overflow)")
-    return Profile(grid, out)
-
-
 _CSV_HEADER = ("x", "value")
 
 
-def write_profile_csv(w: Profile, path) -> None:
-    """Two-column CSV (x, value) at 17 significant digits, LF line endings.
-
-    Written atomically: a temp file in the same directory is renamed over
-    the target.
-    """
+def atomic_write_text(path, chunks) -> None:
+    """Write an iterable of text chunks with LF line endings through a temp
+    file in the same directory, renamed over the target, so readers never
+    see a partial file.  A generator is written as it yields, so a large
+    file is never held in memory whole."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for x, v in zip(w.grid.nodes, w.samples):
-            writer.writerow([f"{x:.17g}", f"{v:.17g}"])
+        fh.writelines(chunks)
     tmp.replace(path)
+
+
+def write_profile_csv(w: Profile, path) -> None:
+    """Two-column CSV (x, value) at 17 significant digits, LF line endings,
+    written atomically."""
+    rows = (f"{x:.17g},{v:.17g}\n" for x, v in zip(w.grid.nodes, w.samples))
+    atomic_write_text(path, itertools.chain([",".join(_CSV_HEADER) + "\n"], rows))
 
 
 def read_profile_csv(path, grid: Grid | None = None) -> Profile:

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UnderResolvedError
+from .errors import NumericalOverflowError, UnderResolvedError
 from .grid import ConeReport, Grid, Profile, cone_check, require_same_grid
 
 
@@ -59,7 +59,7 @@ class Kernel:
             np.fft.irfft(self.symbol * np.fft.rfft(np.fft.ifftshift(w.samples)), n)
         )
         if not np.all(np.isfinite(out)):
-            raise ValueError("convolution produced non-finite values (overflow)")
+            raise NumericalOverflowError("convolution produced non-finite values")
         return Profile(w.grid, out)
 
 
@@ -332,64 +332,71 @@ def validate_kernel(kernel: Kernel, tol: float = 1e-6) -> KernelValidationReport
 
 
 @dataclass(frozen=True)
+class _Kind:
+    """One kernel kind: its builder, the parameters it takes with their
+    defaults, and the resolution scale grid policies size grids by."""
+
+    builder: Callable[..., Kernel]
+    defaults: dict
+    length_scale: float | None = None  # None: the width parameter is the scale
+
+
+_KINDS = {
+    "gaussian": _Kind(gaussian_kernel, {"width": 1.0}),
+    "indicator": _Kind(indicator_kernel, {}, length_scale=0.5),
+    "ode": _Kind(spectral_ode_kernel, {}, length_scale=1.0),
+    "two_bump": _Kind(two_bump_kernel, {"width": 0.6, "separation": 6.0}),
+}
+
+
+@dataclass(frozen=True)
 class KernelSpec:
-    """Grid-independent kernel description, buildable on any adequate grid."""
+    """Grid-independent kernel description, buildable on any adequate grid.
+
+    A parameter left at None takes its kind's default; a parameter the kind
+    does not take is rejected."""
 
     kind: str  # gaussian | indicator | ode | two_bump
     width: float | None = None
     separation: float | None = None
 
-    def build(self, grid: Grid) -> Kernel:
-        if self.kind == "gaussian":
-            return gaussian_kernel(grid, self.width if self.width is not None else 1.0)
-        if self.kind == "indicator":
-            return indicator_kernel(grid)
-        if self.kind == "ode":
-            return spectral_ode_kernel(grid)
-        if self.kind == "two_bump":
-            return two_bump_kernel(
-                grid,
-                self.width if self.width is not None else 0.6,
-                self.separation if self.separation is not None else 6.0,
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(
+                f"unknown kernel kind {self.kind!r}; expected one of {sorted(_KINDS)}"
             )
-        raise ValueError(f"unknown kernel kind {self.kind!r}")
+        foreign = [name for name, value in self._given().items()
+                   if name not in _KINDS[self.kind].defaults]
+        if foreign:
+            raise ValueError(f"kernel kind {self.kind!r} takes no {sorted(foreign)}")
+
+    def _given(self) -> dict:
+        given = {"width": self.width, "separation": self.separation}
+        return {name: value for name, value in given.items() if value is not None}
+
+    def _parameters(self) -> dict:
+        return {**_KINDS[self.kind].defaults, **self._given()}
+
+    def build(self, grid: Grid) -> Kernel:
+        return _KINDS[self.kind].builder(grid, **self._parameters())
 
     @property
     def length_scale(self) -> float:
         """Resolution scale used by grid policies."""
-        if self.kind == "gaussian":
-            return self.width if self.width is not None else 1.0
-        if self.kind == "indicator":
-            return 0.5
-        if self.kind == "ode":
-            return 1.0
-        if self.kind == "two_bump":
-            return self.width if self.width is not None else 0.6
-        raise ValueError(f"unknown kernel kind {self.kind!r}")
+        scale = _KINDS[self.kind].length_scale
+        return self._parameters()["width"] if scale is None else scale
 
     def to_config(self) -> dict:
-        cfg = {"kind": self.kind}
-        if self.width is not None:
-            cfg["width"] = self.width
-        if self.separation is not None:
-            cfg["separation"] = self.separation
-        return cfg
+        # parameters left at their defaults stay out of the echo
+        return {"kind": self.kind, **self._given()}
 
 
 def kernel_spec_from_config(cfg: dict) -> KernelSpec:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ValueError("kernel config must be an object with a 'kind' entry")
-    kind = cfg["kind"]
-    known = {"gaussian", "indicator", "ode", "two_bump"}
-    if kind not in known:
-        raise ValueError(f"unknown kernel kind {kind!r}; expected one of {sorted(known)}")
     extra = set(cfg) - {"kind", "width", "separation"}
     if extra:
         raise ValueError(f"unknown kernel config keys {sorted(extra)}")
-    width = cfg.get("width")
-    separation = cfg.get("separation")
-    return KernelSpec(
-        kind=kind,
-        width=None if width is None else float(width),
-        separation=None if separation is None else float(separation),
-    )
+    params = {key: None if value is None else float(value)
+              for key, value in cfg.items() if key != "kind"}
+    return KernelSpec(cfg["kind"], **params)

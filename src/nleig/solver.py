@@ -14,20 +14,25 @@ failure and aborts the run.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import MonotonicityViolationError, ZeroGradientError
+from .errors import (
+    MonotonicityViolationError,
+    NumericalOverflowError,
+    ZeroGradientError,
+)
 from .functionals import EnergyRecord, eval_K
 from .grid import (
     ConeReport,
     Profile,
+    atomic_write_text,
     cone_check,
     l2_norm,
-    symmetrize,
     write_profile_csv,
 )
 from .kernels import Kernel
@@ -40,7 +45,8 @@ class SolverConfig:
 
     init_profile, when given, seeds the iteration (rescaled to the target K);
     otherwise a centered Gaussian bump of init_width is used, defaulting to
-    twice the kernel's root second moment.
+    twice the kernel's root second moment.  Construction rejects values no
+    solve can use with a ValueError naming the condition.
     """
 
     K: float
@@ -51,6 +57,22 @@ class SolverConfig:
     enforce_symmetry: bool = True
     monotonicity_slack: float = 1e-12
     record_trace: bool = True
+
+    def __post_init__(self):
+        if not self.K > 0:
+            raise ValueError(f"K must be positive, got {self.K}")
+        if not math.isfinite(self.K):
+            raise ValueError(f"K must be finite, got {self.K}")
+        if not self.tol_residual > 0:
+            raise ValueError(f"tol_residual must be positive, got {self.tol_residual}")
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.init_width is not None and not self.init_width > 0:
+            raise ValueError(f"init_width must be positive, got {self.init_width}")
+        if not self.monotonicity_slack >= 0:
+            raise ValueError(
+                f"monotonicity_slack must be nonnegative, got {self.monotonicity_slack}"
+            )
 
     def to_config(self) -> dict:
         return {
@@ -128,17 +150,24 @@ def _worst_cone_deviation(report: ConeReport, scale: float) -> float:
     return worst / max(scale, 1e-300)
 
 
+def _finite(value: float, name: str, iteration: int) -> float:
+    if not math.isfinite(value):
+        raise NumericalOverflowError(
+            f"{name} is {value} at iteration {iteration}; the iterate overflowed"
+        )
+    return value
+
+
 def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     """Iterate the improvement map at fixed K until the relative fixed-point
     residual ||T(V) - V|| / ||V|| drops below tol_residual.
 
     Returns a Solution with converged=False when max_iter is exhausted; the
     caller decides whether that is fatal.  Raises MonotonicityViolationError
-    when P decreases by more than the relative slack and DomainBreachError
-    when an iterate pushes b*V outside the nonlinearity's domain.
+    when P decreases by more than the relative slack, DomainBreachError
+    when an iterate pushes b*V outside the nonlinearity's domain, and
+    NumericalOverflowError when the energy or the gradient norm overflows.
     """
-    if not cfg.K > 0:
-        raise ValueError(f"K must be positive, got {cfg.K}")
     if nl.sup_domain != np.inf and cfg.K >= kernel.k_max_norm:
         raise ValueError(
             f"K = {cfg.K:.6g} must stay below K_max = {kernel.k_max_norm:.6g} "
@@ -154,7 +183,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     target_norm = float(np.sqrt(2.0 * cfg.K))
 
     u = kernel.convolve(v)
-    p_prev = float(h * np.sum(nl.F(u.samples)))
+    p_prev = _finite(float(h * np.sum(nl.F(u.samples))), "P", 0)
 
     trace_p, trace_res, trace_kerr, trace_cone = [], [], [], []
     converged = False
@@ -163,7 +192,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
 
     for iterations in range(1, cfg.max_iter + 1):
         g = kernel.convolve(Profile(grid, nl.f(u.samples)))
-        norm_g = l2_norm(g)
+        norm_g = _finite(l2_norm(g), "||grad P||", iterations)
         if norm_g == 0.0:
             raise ZeroGradientError("grad P vanished; improvement step undefined")
         mu = target_norm / norm_g
@@ -178,7 +207,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         v_next = _rescaled_to_k(Profile(grid, t_samples), cfg.K)
 
         u = kernel.convolve(v_next)
-        p_next = float(h * np.sum(nl.F(u.samples)))
+        p_next = _finite(float(h * np.sum(nl.F(u.samples))), "P", iterations)
         if p_next < p_prev - cfg.monotonicity_slack * abs(p_prev):
             raise MonotonicityViolationError(
                 f"P decreased from {p_prev:.17g} to {p_next:.17g} at iteration "
@@ -245,11 +274,21 @@ class SweepEntry:
 
 def _entry_for(K: float, cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity,
                init_profile: Profile | None) -> SweepEntry:
-    run_cfg = replace(cfg, K=K, init_profile=init_profile)
     try:
+        run_cfg = replace(cfg, K=K, init_profile=init_profile)
         return SweepEntry(K=K, solution=solve(run_cfg, kernel, nl))
     except Exception as exc:  # per-entry isolation: the sweep continues
         return SweepEntry(K=K, solution=None, error=f"{type(exc).__name__}: {exc}")
+
+
+def _map_in_order(fn, items, max_workers: int) -> list:
+    """[fn(item) for item in items], on a thread pool when max_workers > 1.
+    ThreadPoolExecutor is looked up when called, so a replaced pool class
+    takes effect."""
+    if max_workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def sweep_K(
@@ -268,20 +307,18 @@ def sweep_K(
         raise ValueError("K list is empty")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("K values must be strictly ascending")
-    if warm_start or max_workers <= 1:
-        entries = []
-        previous = cfg.init_profile
-        for k in ks:
-            entry = _entry_for(k, cfg, kernel, nl, previous)
-            entries.append(entry)
-            if warm_start and entry.solution is not None and entry.solution.converged:
-                previous = entry.solution.V
-        return entries
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [
-            pool.submit(_entry_for, k, cfg, kernel, nl, cfg.init_profile) for k in ks
-        ]
-        return [f.result() for f in futures]
+    if not warm_start:
+        return _map_in_order(
+            lambda k: _entry_for(k, cfg, kernel, nl, cfg.init_profile), ks, max_workers
+        )
+    entries = []
+    previous = cfg.init_profile
+    for k in ks:
+        entry = _entry_for(k, cfg, kernel, nl, previous)
+        entries.append(entry)
+        if entry.solution is not None and entry.solution.converged:
+            previous = entry.solution.V
+    return entries
 
 
 @dataclass(frozen=True)
@@ -329,26 +366,15 @@ def uniqueness_probe(
         except Exception as exc:
             return None, f"width {width:.4g}: {type(exc).__name__}: {exc}"
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(run_one, widths))
-    else:
-        outcomes = [run_one(w) for w in widths]
-
-    solutions, failures = [], []
-    for sol, err in outcomes:
-        if err is not None:
+    converged, failures = [], []
+    for sol, err in _map_in_order(run_one, widths, max_workers):
+        if err is None and not sol.converged:
+            err = (f"did not converge within {cfg.max_iter} iterations "
+                   f"(residual {sol.residual:.3g})")
+        if err is None:
+            converged.append(sol)
+        else:
             failures.append(err)
-            solutions.append(None)
-        elif not sol.converged:
-            failures.append(
-                f"did not converge within {cfg.max_iter} iterations "
-                f"(residual {sol.residual:.3g})"
-            )
-            solutions.append(None)
-            continue
-        solutions.append(sol)
-    converged = [s for s in solutions if s is not None]
 
     max_distance = 0.0
     max_sigma_gap = 0.0
@@ -406,15 +432,10 @@ def save_solution(sol: Solution, out_dir, stem: str = "") -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     prefix = f"{stem}_" if stem else ""
-    _atomic_write_text(
+    atomic_write_text(
         out / f"{prefix}solution.json",
-        json.dumps(solution_to_dict(sol), indent=2, sort_keys=True) + "\n",
+        [json.dumps(solution_to_dict(sol), indent=2, sort_keys=True), "\n"],
     )
     write_profile_csv(sol.V, out / f"{prefix}V.csv")
     write_profile_csv(sol.U, out / f"{prefix}U.csv")
 
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)

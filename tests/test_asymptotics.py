@@ -11,6 +11,7 @@ from nleig import (
     KdvGridPolicy,
     KernelAssumptionError,
     KernelSpec,
+    Nonlinearity,
     NonPositiveTailError,
     SolverConfig,
     SymbolPoleError,
@@ -148,6 +149,21 @@ def test_kdv_experiment_input_validation():
         kdv_experiment(KernelSpec(kind="two_bump", width=0.6, separation=6.0), nl, [0.2])
 
 
+def test_kdv_experiment_records_a_raising_solve():
+    # a domain far below the wave's amplitude makes the first energy
+    # evaluation raise inside the solve
+    capped = Nonlinearity(
+        kind="capped-probe", alpha=1.0, beta=1.0, f=np.expm1, f_prime=np.exp,
+        antiderivative=lambda r: np.expm1(r) - r, sup_domain=1e-9,
+    )
+    res = kdv_experiment(KernelSpec(kind="gaussian", width=1.0), capped, [0.25])
+    assert res.solutions == [None]
+    assert res.failures[0].startswith("DomainBreachError")
+    row = res.rows[0]
+    assert row.eps == 0.25
+    assert all(math.isnan(v) for v in (row.sigma, row.d_ratio, row.profile_err))
+
+
 def test_kdv_experiment_records_per_eps_failures():
     res = kdv_experiment(
         KernelSpec(kind="gaussian", width=1.0), exp_nonlinearity(), [0.25],
@@ -156,6 +172,7 @@ def test_kdv_experiment_records_per_eps_failures():
     assert res.failures[0] is not None
     assert "convergence" in res.failures[0]
     assert math.isnan(res.rows[0].d_ratio)
+    assert math.isfinite(res.rows[0].sigma)  # the row keeps the last sigma
 
 
 # ---------------------------------------------------------------------------

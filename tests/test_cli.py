@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from nleig.cli import main
@@ -72,6 +73,12 @@ def test_solve_nonconvergence_exits_3_but_writes_outputs(tmp_path, capsys):
         lambda c: c["solver"].update(bogus=2),
         lambda c: c["nonlinearity"].update(kind="cubic"),
         lambda c: c.update(command="decay"),
+        lambda c: c["kernel"].update(kind="ode"),  # width belongs to gaussian
+        lambda c: c["solver"].update(K=float("inf")),
+        lambda c: c["solver"].update(tol_residual=-1.0),
+        lambda c: c["solver"].update(max_iter=0),
+        lambda c: c["solver"].update(init_width=-1.0),
+        lambda c: c["solver"].update(monotonicity_slack=-1.0),
     ],
 )
 def test_solve_validation_failures_exit_2(tmp_path, capsys, mutate):
@@ -80,6 +87,13 @@ def test_solve_validation_failures_exit_2(tmp_path, capsys, mutate):
     code, _ = _run(tmp_path, "solve", config)
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_solve_overflow_exits_3(tmp_path, capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _ = _run(tmp_path, "solve", _solve_config(K=1e6))
+    assert code == 3
+    assert "NumericalOverflowError" in capsys.readouterr().err
 
 
 def test_missing_and_malformed_config_files(tmp_path, capsys):
@@ -153,6 +167,25 @@ def test_sweep_k_csv_and_per_entry_outputs(tmp_path):
         assert (out / f"{stem}_V.csv").is_file()
     sigmas = [float(line.split(",")[1]) for line in lines[1:]]
     assert sigmas[0] < sigmas[1]
+
+
+def test_sweep_k_failed_row(tmp_path):
+    config = {
+        "grid": {"half_period": 25.0, "point_count": 512},
+        "kernel": {"kind": "gaussian", "width": 1.0},
+        "nonlinearity": {"kind": "singular", "m": 4},
+        "k_list": [0.5, 2.0],
+    }
+    code, out = _run(tmp_path, "sweep-k", config)
+    assert code == 0
+    error = ("ValueError: K = 2 must stay below K_max = 1.77245 "
+             "for a singular nonlinearity")
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1].split(",")[-2:] == ["true", ""]
+    assert lines[2] == f"2,nan,nan,nan,nan,nan,0,false,{error}"
+    assert (out / "k_000_solution.json").is_file()
+    assert not list(out.glob("k_001_*"))
+    assert json.loads((out / "meta.json").read_text())["warnings"] == [error]
 
 
 def test_kdv_command_with_indicator_kernel(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Grid, profile, cone, convolution, and CSV round-trip checks."""
+"""Grid, profile, cone, kernel convolution, and CSV round-trip checks."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from nleig import (
     OddPointCountError,
     Profile,
     cone_check,
-    convolve,
     gaussian_kernel,
     inner_product,
     l2_norm,
@@ -126,7 +125,7 @@ def test_convolve_matches_direct_sum():
     rng = np.random.default_rng(7)
     for _ in range(5):
         w = random_cone_profile(rng, g)
-        fast = convolve(kernel.profile, w).samples
+        fast = kernel.convolve(w).samples
         slow = direct_convolution(kernel.profile.samples, w.samples, g.spacing)
         assert np.max(np.abs(fast - slow)) <= 1e-12 * max(1.0, np.max(np.abs(slow)))
 
@@ -138,8 +137,8 @@ def test_convolution_is_translation_equivariant(shift, width):
     kernel = gaussian_kernel(g, width=width)
     base = profile_from_function(g, lambda x: np.exp(-x * x))
     rolled = Profile(g, np.roll(base.samples, shift))
-    a = np.roll(convolve(kernel.profile, base).samples, shift)
-    b = convolve(kernel.profile, rolled).samples
+    a = np.roll(kernel.convolve(base).samples, shift)
+    b = kernel.convolve(rolled).samples
     assert np.allclose(a, b, atol=1e-13)
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from nleig import (
     KernelSpec,
+    NumericalOverflowError,
+    Profile,
     UnderResolvedError,
     gaussian_kernel,
     indicator_kernel,
@@ -176,6 +178,14 @@ def test_kernel_spec_round_trip_and_errors():
         kernel_spec_from_config({"kind": "gaussian", "sep": 3.0})
     with pytest.raises(ValueError):
         kernel_spec_from_config({"width": 1.0})
+    # a parameter of another kind is rejected, not ignored
+    for cfg in (
+        {"kind": "ode", "width": 5.0},
+        {"kind": "indicator", "width": 1.0},
+        {"kind": "gaussian", "separation": 3.0},
+    ):
+        with pytest.raises(ValueError, match="takes no"):
+            kernel_spec_from_config(cfg)
 
 
 def test_convolve_preserves_mass():
@@ -187,3 +197,11 @@ def test_convolve_preserves_mass():
     )
     # convolving the zero profile stays zero
     assert np.all(k.convolve(zeros(G)).samples == 0.0)
+
+
+def test_convolve_overflow_is_a_named_error():
+    k = gaussian_kernel(G)
+    huge = Profile(G, np.full(G.point_count, 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalOverflowError):
+            k.convolve(huge)

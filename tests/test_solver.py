@@ -8,6 +8,7 @@ import pytest
 from nleig import (
     MonotonicityViolationError,
     Nonlinearity,
+    NumericalOverflowError,
     Profile,
     SolverConfig,
     ZeroGradientError,
@@ -117,6 +118,28 @@ def test_solve_validates_config():
     init = profile_from_function(make_grid(25.0, 4096), lambda x: np.exp(-x * x))
     with pytest.raises(ValueError):
         solve(SolverConfig(K=1.0, init_profile=init), KERNEL, NL)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("K", np.inf),
+        ("tol_residual", -1.0),
+        ("max_iter", 0),
+        ("init_width", -1.0),
+        ("monotonicity_slack", -1.0),
+    ],
+)
+def test_solver_config_rejects_unusable_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{"K": 1.0, field: value})
+
+
+def test_solve_overflow_is_a_named_error():
+    # exp(U) at K = 1e6 overflows the gradient norm in the first step
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalOverflowError):
+            solve(SolverConfig(K=1e6), KERNEL, NL)
 
 
 def test_solve_exhausting_max_iter_is_not_fatal():
