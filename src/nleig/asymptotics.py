@@ -25,7 +25,7 @@ from .errors import (
     SymbolPoleError,
 )
 from .grid import Grid, Profile, make_grid
-from .kernels import Kernel, KernelSpec
+from .kernels import Kernel, KernelSpec, samples_from_symbol
 from .nonlinearity import Nonlinearity, singular_nonlinearity
 from .solver import Solution, SolverConfig, solve
 
@@ -45,8 +45,7 @@ def modified_kernel_ac(kernel: Kernel, c: float) -> Profile:
             f"1 - c*bhat^2 reaches {np.min(denom):.3g} <= 0 for c = {c:.6g}"
         )
     grid = kernel.grid
-    samples = np.fft.fftshift(np.fft.irfft(bb / denom, grid.point_count)) / grid.spacing
-    return Profile(grid, samples)
+    return Profile(grid, samples_from_symbol(grid, bb / denom))
 
 
 @dataclass(frozen=True)

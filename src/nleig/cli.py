@@ -123,6 +123,12 @@ def _as_is(value):
     return value
 
 
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _read_fields(section, table: dict, where: str) -> dict:
     if not isinstance(section, dict):
         raise ValueError(f"{where} must be an object")
@@ -132,7 +138,10 @@ def _read_fields(section, table: dict, where: str) -> dict:
     values = {}
     for key, (parse, default) in table.items():
         if parse is not None and key in section:
-            values[key] = parse(section[key])
+            try:
+                values[key] = parse(section[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{key} in {where}: {exc}") from None
         elif default is _REQUIRED:
             raise ValueError(f"{where} requires {key}")
         else:
@@ -141,8 +150,9 @@ def _read_fields(section, table: dict, where: str) -> dict:
 
 
 def _policy(policy_type):
-    """Parse of a grid_policy section; absent keys keep the policy's defaults."""
-    table = {f.name: (_as_is, f.default) for f in fields(policy_type)}
+    """Parse of a grid_policy section: a key parses as its default's type,
+    and an absent key keeps its default."""
+    table = {f.name: (type(f.default), f.default) for f in fields(policy_type)}
     return lambda section: policy_type(**_read_fields(section, table,
                                                       "grid_policy section"))
 
@@ -158,7 +168,6 @@ def _solver_fields(K=1.0, record_trace=True) -> dict:
         "tol_residual": (float, 1e-10),
         "max_iter": (int, 100_000),
         "init_width": (_optional_float, None),
-        "enforce_symmetry": (bool, True),
         "monotonicity_slack": (_optional_float, None),  # None: set by _load
         "record_trace": (None, record_trace),
     }
@@ -241,14 +250,10 @@ def _load(command: str, config: dict, args) -> _Job:
 # commands
 
 
-def _monotonicity_warnings(solution) -> list:
-    if solution.trace is None or len(solution.trace.p_values) < 2:
-        return []
-    p = solution.trace.p_values
-    drops = np.diff(p) / np.maximum(np.abs(p[:-1]), 1e-300)
-    worst = float(np.min(drops, initial=0.0))
-    if worst < -1e-12:
-        return [f"energy decreased by relative {abs(worst):.3g} during the run"]
+def _monotonicity_warnings(solution, label: str = "") -> list:
+    if solution.max_p_drop > 1e-12:
+        return [f"{label}energy decreased by relative {solution.max_p_drop:.3g} "
+                "during the run"]
     return []
 
 
@@ -293,21 +298,26 @@ def _run_sweep(job, out, args):
     entries = sweep_K(job.extras["k_list"], SolverConfig(**job.solver), job.kernel,
                       job.nl, warm_start=job.extras["warm_start"],
                       max_workers=args.threads)
-    rows = []
+    rows, warnings = [], []
     for i, entry in enumerate(entries):
         sol = entry.solution
         if sol is None:
             rows.append(_SweepRow(entry.K, error=entry.error))
+            warnings.append(entry.error)
             continue
         rows.append(_SweepRow(entry.K, sol.sigma, sol.energies.P, sol.energies.Q,
                               sol.residual, sol.el_residual, sol.iterations,
                               sol.converged))
+        label = f"K={entry.K:g}: "
+        warnings += _monotonicity_warnings(sol, label)
+        if not sol.converged:
+            warnings.append(f"{label}no convergence in {job.solver['max_iter']} "
+                            f"iterations (residual {sol.residual:.3g})")
         save_solution(sol, out, stem=f"k_{i:03d}")
     _write_rows(out / "sweep.csv", rows)
-    failures = [e.error for e in entries if e.error is not None]
-    _finish_meta(out, args, job, failures)
-    print(f"sweep finished: {len(entries) - len(failures)}/{len(entries)} "
-          "entries converged")
+    _finish_meta(out, args, job, warnings)
+    converged = sum(e.solution is not None and e.solution.converged for e in entries)
+    print(f"sweep finished: {converged}/{len(entries)} entries converged")
     return 0
 
 
@@ -329,7 +339,9 @@ def _run_family(experiment, csv_name, label, job, out, args):
     result = experiment(job)
     emit_plot_data(result.rows, result.predictors, out, csv_name)
     failures = [f for f in result.failures if f is not None]
-    _finish_meta(out, args, job, failures)
+    drops = [w for sol in result.solutions if sol is not None
+             for w in _monotonicity_warnings(sol, f"K={sol.K:g}: ")]
+    _finish_meta(out, args, job, failures + drops)
     count = len(result.rows)
     print(f"{label} finished: {count - len(failures)}/{count} entries converged")
     return 0
@@ -431,7 +443,7 @@ _COMMANDS = {
     "sweep-k": _Command(
         _run_sweep,
         _solver_fields(record_trace=False),
-        {"k_list": (_points, _REQUIRED), "warm_start": (bool, False)},
+        {"k_list": (_points, _REQUIRED), "warm_start": (_flag, False)},
     ),
     "kdv": _Command(
         partial(_run_family, _kdv, "kdv.csv", "kdv sweep"),

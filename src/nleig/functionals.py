@@ -31,31 +31,42 @@ def eval_K(v: Profile) -> float:
     return 0.5 * inner_product(v, v)
 
 
+def p_of_u(u: Profile, nl: Nonlinearity) -> float:
+    """P = h sum F(U); raises DomainBreachError when U reaches the
+    nonlinearity's domain boundary."""
+    return float(u.grid.spacing * np.sum(nl.F(u.samples)))
+
+
+def q_of_u(u: Profile, alpha: float) -> float:
+    """Q = (alpha/2) h sum U^2."""
+    return float(0.5 * alpha * u.grid.spacing * np.sum(u.samples**2))
+
+
+def grad_p_of_u(u: Profile, kernel: Kernel, nl: Nonlinearity) -> Profile:
+    """L2 gradient of P, b * f(U), using the kernel's evenness."""
+    return kernel.convolve(Profile(u.grid, nl.f(u.samples)))
+
+
+def energies_of_u(v: Profile, u: Profile, P: float, alpha: float) -> EnergyRecord:
+    """EnergyRecord of V with U = b*V and P = p_of_u(U) already known."""
+    return EnergyRecord(P=P, K=eval_K(v), Q=q_of_u(u, alpha), sup_U=u.max)
+
+
 def eval_P(v: Profile, kernel: Kernel, nl: Nonlinearity) -> float:
-    """Energy P(V) = integral F(b*V); raises DomainBreachError when b*V
-    reaches the nonlinearity's domain boundary."""
-    u = kernel.convolve(v)
-    return float(v.grid.spacing * np.sum(nl.F(u.samples)))
+    """Energy P(V) = integral F(b*V)."""
+    return p_of_u(kernel.convolve(v), nl)
 
 
 def eval_Q(v: Profile, kernel: Kernel, alpha: float) -> float:
     """Quadratic energy Q(V) = (alpha/2) integral (b*V)^2."""
-    u = kernel.convolve(v)
-    return float(0.5 * alpha * v.grid.spacing * np.sum(u.samples**2))
+    return q_of_u(kernel.convolve(v), alpha)
 
 
 def grad_P(v: Profile, kernel: Kernel, nl: Nonlinearity) -> Profile:
-    """L2 gradient of P: b * f(b*V), using the kernel's evenness."""
-    u = kernel.convolve(v)
-    return kernel.convolve(Profile(v.grid, nl.f(u.samples)))
+    """L2 gradient of P: b * f(b*V)."""
+    return grad_p_of_u(kernel.convolve(v), kernel, nl)
 
 
 def energy_record(v: Profile, kernel: Kernel, nl: Nonlinearity) -> EnergyRecord:
     u = kernel.convolve(v)
-    h = v.grid.spacing
-    return EnergyRecord(
-        P=float(h * np.sum(nl.F(u.samples))),
-        K=eval_K(v),
-        Q=float(0.5 * nl.alpha * h * np.sum(u.samples**2)),
-        sup_U=u.max,
-    )
+    return energies_of_u(v, u, p_of_u(u, nl), nl.alpha)

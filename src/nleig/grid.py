@@ -41,14 +41,6 @@ class Grid:
         return x
 
     @cached_property
-    def frequencies(self) -> np.ndarray:
-        """Angular frequencies pi*m/L in the same (natural) order as nodes."""
-        n = self.point_count
-        k = (np.arange(n) - n // 2) * (np.pi / self.half_period)
-        k.flags.writeable = False
-        return k
-
-    @cached_property
     def rfft_frequencies(self) -> np.ndarray:
         """Nonnegative angular frequencies matching numpy.fft.rfft output."""
         k = 2.0 * np.pi * np.fft.rfftfreq(self.point_count, d=self.spacing)
@@ -136,14 +128,14 @@ def l2_norm(w: Profile) -> float:
     return float(np.sqrt(inner_product(w, w)))
 
 
-def _mirror(samples: np.ndarray) -> np.ndarray:
+def mirror(samples: np.ndarray) -> np.ndarray:
     # node j maps to -j; x = -L is fixed under the periodic reflection
     return np.concatenate((samples[:1], samples[1:][::-1]))
 
 
 def symmetrize(w: Profile) -> Profile:
     """Even part of the profile under the periodic reflection x -> -x."""
-    return Profile(w.grid, 0.5 * (w.samples + _mirror(w.samples)))
+    return Profile(w.grid, 0.5 * (w.samples + mirror(w.samples)))
 
 
 @dataclass(frozen=True)
@@ -170,10 +162,10 @@ def cone_check(w: Profile) -> ConeReport:
     """Measure cone deviations; nothing is projected or clipped."""
     s = w.samples
     n = w.grid.point_count
-    even_dev = float(np.max(np.abs(s - _mirror(s))))
+    even_dev = float(np.max(np.abs(s - mirror(s))))
     min_value = float(np.min(s))
     # monotonicity is judged on the symmetrized right half x >= 0
-    right = 0.5 * (s + _mirror(s))[n // 2 :]
+    right = 0.5 * (s + mirror(s))[n // 2 :]
     increases = np.diff(right)
     unimodal_dev = float(max(0.0, np.max(increases, initial=0.0)))
     return ConeReport(even_dev, min_value, unimodal_dev)

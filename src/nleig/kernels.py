@@ -52,12 +52,10 @@ class Kernel:
         return self.profile.grid
 
     def convolve(self, w: Profile) -> Profile:
-        """Circular convolution b * w through the stored symbol."""
+        """Circular convolution b * w through the stored symbol, in node order:
+        for even n the shift to FFT order is a roll by n/2, which commutes."""
         require_same_grid(self.profile, w)
-        n = self.grid.point_count
-        out = np.fft.fftshift(
-            np.fft.irfft(self.symbol * np.fft.rfft(np.fft.ifftshift(w.samples)), n)
-        )
+        out = np.fft.irfft(self.symbol * np.fft.rfft(w.samples), self.grid.point_count)
         if not np.all(np.isfinite(out)):
             raise NumericalOverflowError("convolution produced non-finite values")
         return Profile(w.grid, out)
@@ -68,7 +66,8 @@ def _symbol_from_samples(grid: Grid, samples: np.ndarray) -> np.ndarray:
     return grid.spacing * np.fft.rfft(np.fft.ifftshift(samples)).real
 
 
-def _samples_from_symbol(grid: Grid, symbol: np.ndarray) -> np.ndarray:
+def samples_from_symbol(grid: Grid, symbol: np.ndarray) -> np.ndarray:
+    """Samples in node order, centred at x = 0, of the kernel with this symbol."""
     return np.fft.fftshift(np.fft.irfft(symbol, grid.point_count)) / grid.spacing
 
 
@@ -208,7 +207,7 @@ def spectral_ode_kernel(grid: Grid) -> Kernel:
         )
     k = grid.rfft_frequencies
     symbol = 1.0 / np.sqrt(1.0 + k * k)
-    samples = _samples_from_symbol(grid, symbol)
+    samples = samples_from_symbol(grid, symbol)
     mass, _, a0 = _metadata(grid, samples)
     second_moment = -bhat_pp0_from_symbol(grid, symbol)
 

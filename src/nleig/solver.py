@@ -26,13 +26,14 @@ from .errors import (
     NumericalOverflowError,
     ZeroGradientError,
 )
-from .functionals import EnergyRecord, eval_K
+from .functionals import EnergyRecord, energies_of_u, eval_K, grad_p_of_u, p_of_u
 from .grid import (
     ConeReport,
     Profile,
     atomic_write_text,
     cone_check,
     l2_norm,
+    mirror,
     write_profile_csv,
 )
 from .kernels import Kernel
@@ -54,7 +55,6 @@ class SolverConfig:
     max_iter: int = 100_000
     init_profile: Profile | None = None
     init_width: float | None = None
-    enforce_symmetry: bool = True
     monotonicity_slack: float = 1e-12
     record_trace: bool = True
 
@@ -73,17 +73,6 @@ class SolverConfig:
             raise ValueError(
                 f"monotonicity_slack must be nonnegative, got {self.monotonicity_slack}"
             )
-
-    def to_config(self) -> dict:
-        return {
-            "K": self.K,
-            "tol_residual": self.tol_residual,
-            "max_iter": self.max_iter,
-            "init_width": self.init_width,
-            "enforce_symmetry": self.enforce_symmetry,
-            "monotonicity_slack": self.monotonicity_slack,
-            "record_trace": self.record_trace,
-        }
 
 
 @dataclass(frozen=True)
@@ -111,18 +100,34 @@ class Solution:
     converged: bool
     cone: ConeReport
     trace: IterationTrace | None = None
+    max_p_drop: float = 0.0  # largest relative drop of P, also with the trace off
+
+
+def _finite(value: float, name: str, iteration: int) -> float:
+    if not math.isfinite(value):
+        raise NumericalOverflowError(
+            f"{name} is {value} at iteration {iteration}; the iterate overflowed"
+        )
+    return value
+
+
+def _step(u: Profile, norm: float, kernel: Kernel, nl: Nonlinearity, iteration: int):
+    """Samples of T(V) = mu grad P(V) and mu = ||V|| / ||grad P(V)||, from
+    U = b*V and norm = ||V||."""
+    g = grad_p_of_u(u, kernel, nl)
+    norm_g = _finite(l2_norm(g), "||grad P||", iteration)
+    if norm_g == 0.0:
+        raise ZeroGradientError("grad P vanished; improvement step undefined")
+    mu = norm / norm_g
+    return mu * g.samples, mu
 
 
 def improvement_step(v: Profile, kernel: Kernel, nl: Nonlinearity):
     """One application of T: returns (T(V), mu).  T preserves the L2 norm
-    and never decreases P; raises ZeroGradientError when grad P vanishes."""
-    u = kernel.convolve(v)
-    g = kernel.convolve(Profile(v.grid, nl.f(u.samples)))
-    norm_g = l2_norm(g)
-    if norm_g == 0.0:
-        raise ZeroGradientError("grad P vanished; improvement step undefined")
-    mu = l2_norm(v) / norm_g
-    return g.scaled(mu), mu
+    and never decreases P; raises ZeroGradientError when grad P vanishes
+    and NumericalOverflowError when its norm overflows."""
+    t, mu = _step(kernel.convolve(v), l2_norm(v), kernel, nl, 1)
+    return Profile(v.grid, t), mu
 
 
 def _default_initial(cfg: SolverConfig, kernel: Kernel) -> Profile:
@@ -150,14 +155,6 @@ def _worst_cone_deviation(report: ConeReport, scale: float) -> float:
     return worst / max(scale, 1e-300)
 
 
-def _finite(value: float, name: str, iteration: int) -> float:
-    if not math.isfinite(value):
-        raise NumericalOverflowError(
-            f"{name} is {value} at iteration {iteration}; the iterate overflowed"
-        )
-    return value
-
-
 def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     """Iterate the improvement map at fixed K until the relative fixed-point
     residual ||T(V) - V|| / ||V|| drops below tol_residual.
@@ -183,36 +180,30 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     target_norm = float(np.sqrt(2.0 * cfg.K))
 
     u = kernel.convolve(v)
-    p_prev = _finite(float(h * np.sum(nl.F(u.samples))), "P", 0)
+    p_prev = _finite(p_of_u(u, nl), "P", 0)
 
     trace_p, trace_res, trace_kerr, trace_cone = [], [], [], []
     converged = False
     residual = np.inf
     iterations = 0
+    max_p_drop = 0.0
 
     for iterations in range(1, cfg.max_iter + 1):
-        g = kernel.convolve(Profile(grid, nl.f(u.samples)))
-        norm_g = _finite(l2_norm(g), "||grad P||", iterations)
-        if norm_g == 0.0:
-            raise ZeroGradientError("grad P vanished; improvement step undefined")
-        mu = target_norm / norm_g
-        t_samples = mu * g.samples
-
+        t_samples, _ = _step(u, target_norm, kernel, nl, iterations)
         diff = t_samples - v.samples
         residual = float(np.sqrt(h * np.dot(diff, diff)) / target_norm)
 
-        if cfg.enforce_symmetry:
-            half = t_samples[1:][::-1]
-            t_samples = 0.5 * (t_samples + np.concatenate((t_samples[:1], half)))
+        t_samples = 0.5 * (t_samples + mirror(t_samples))
         v_next = _rescaled_to_k(Profile(grid, t_samples), cfg.K)
 
         u = kernel.convolve(v_next)
-        p_next = _finite(float(h * np.sum(nl.F(u.samples))), "P", iterations)
+        p_next = _finite(p_of_u(u, nl), "P", iterations)
         if p_next < p_prev - cfg.monotonicity_slack * abs(p_prev):
             raise MonotonicityViolationError(
                 f"P decreased from {p_prev:.17g} to {p_next:.17g} at iteration "
                 f"{iterations}; slack {cfg.monotonicity_slack:g} exceeded"
             )
+        max_p_drop = max(max_p_drop, (p_prev - p_next) / max(abs(p_prev), 1e-300))
 
         if cfg.record_trace:
             trace_p.append(p_next)
@@ -228,18 +219,12 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
             break
 
     # final Rayleigh-type quotient and Euler-Lagrange residual at the last iterate
-    g = kernel.convolve(Profile(grid, nl.f(u.samples)))
+    g = grad_p_of_u(u, kernel, nl)
     norm_v = l2_norm(v)
     sigma = l2_norm(g) / norm_v
     el_diff = sigma * v.samples - g.samples
     el_residual = float(np.sqrt(h * np.dot(el_diff, el_diff)) / (sigma * norm_v))
 
-    energies = EnergyRecord(
-        P=p_prev,
-        K=eval_K(v),
-        Q=float(0.5 * nl.alpha * h * np.sum(u.samples**2)),
-        sup_U=u.max,
-    )
     trace = None
     if cfg.record_trace:
         trace = IterationTrace(
@@ -253,13 +238,14 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         U=u,
         sigma=float(sigma),
         K=cfg.K,
-        energies=energies,
+        energies=energies_of_u(v, u, p_prev, nl.alpha),
         residual=residual,
         el_residual=el_residual,
         iterations=iterations,
         converged=converged,
         cone=cone_check(v),
         trace=trace,
+        max_p_drop=max_p_drop,
     )
 
 

@@ -1,10 +1,13 @@
 """End-to-end checks of the batch front end (in-process, per-command)."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import nleig.asymptotics
+import nleig.solver
 from nleig.cli import main
 
 
@@ -79,6 +82,9 @@ def test_solve_nonconvergence_exits_3_but_writes_outputs(tmp_path, capsys):
         lambda c: c["solver"].update(max_iter=0),
         lambda c: c["solver"].update(init_width=-1.0),
         lambda c: c["solver"].update(monotonicity_slack=-1.0),
+        lambda c: c["solver"].update(max_iter=None),
+        lambda c: c["solver"].update(K="big"),
+        lambda c: c["solver"].update(enforce_symmetry=True),  # no such key
     ],
 )
 def test_solve_validation_failures_exit_2(tmp_path, capsys, mutate):
@@ -186,6 +192,75 @@ def test_sweep_k_failed_row(tmp_path):
     assert (out / "k_000_solution.json").is_file()
     assert not list(out.glob("k_001_*"))
     assert json.loads((out / "meta.json").read_text())["warnings"] == [error]
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("solve", {**_solve_config(), "solver": {"K": 1.0, "max_iter": None}},
+         "max_iter in solver section"),
+        ("sweep-k", {**_solve_config(), "solver": {}, "k_list": [1.0],
+                     "warm_start": "no"},
+         "warm_start in config"),
+        ("decay", {**_solve_config(), "window": 5}, "window in config"),
+        ("high-energy",
+         {"kernel": {"kind": "gaussian", "width": 1.0},
+          "nonlinearity": {"kind": "singular", "m": 4}, "delta_list": [0.3],
+          "grid_policy": {"max_points": "big"}},
+         "max_points in grid_policy section"),
+    ],
+)
+def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, config, key):
+    code, _ = _run(tmp_path, command, config)
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+def test_sweep_k_reports_nonconverged_entries(tmp_path, capsys):
+    config = {
+        "grid": {"half_period": 25.0, "point_count": 512},
+        "kernel": {"kind": "gaussian", "width": 1.0},
+        "nonlinearity": {"kind": "exp"},
+        "solver": {"max_iter": 3},
+        "k_list": [0.5, 1.0],
+    }
+    code, out = _run(tmp_path, "sweep-k", config)
+    assert code == 0
+    assert "sweep finished: 0/2 entries converged" in capsys.readouterr().out
+    lines = (out / "sweep.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[-2] for row in rows] == ["false", "false"]
+    expected = [f"K={row[0]}: no convergence in 3 iterations "
+                f"(residual {float(row[4]):.3g})" for row in rows]
+    assert json.loads((out / "meta.json").read_text())["warnings"] == expected
+
+
+@pytest.mark.parametrize(
+    "command, module, config",
+    [
+        ("sweep-k", nleig.solver,
+         {"grid": {"half_period": 25.0, "point_count": 512}, "k_list": [0.5, 1.0]}),
+        ("high-energy", nleig.asymptotics, {"delta_list": [0.3]}),
+    ],
+)
+def test_energy_drops_are_reported_per_point(tmp_path, monkeypatch, command,
+                                             module, config):
+    # a drop under the slack is never produced by a standard solve, so the
+    # solve each point runs reports one
+    real_solve = module.solve
+
+    def dropping_solve(*args, **kwargs):
+        return replace(real_solve(*args, **kwargs), max_p_drop=2e-6)
+
+    monkeypatch.setattr(module, "solve", dropping_solve)
+    config = {"kernel": {"kind": "gaussian", "width": 1.0},
+              "nonlinearity": {"kind": "singular", "m": 4}, **config}
+    code, out = _run(tmp_path, command, config, "--allow-nonstandard")
+    assert code == 0
+    warnings = json.loads((out / "meta.json").read_text())["warnings"]
+    drops = [w for w in warnings if "energy decreased by relative 2e-06" in w]
+    assert len(drops) == len(config.get("k_list", config.get("delta_list")))
+    assert all(w.startswith("K=") for w in drops)
 
 
 def test_kdv_command_with_indicator_kernel(tmp_path, capsys):

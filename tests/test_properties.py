@@ -1,0 +1,68 @@
+"""Property tests of the paper's invariants over random kernels,
+nonlinearities and cone profiles: the improvement step preserves the norm,
+never lowers P and keeps a cone profile in the cone; a converged solve has
+sigma > f'(0) and P > Q."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from nleig import (
+    SolverConfig,
+    cone_check,
+    eval_P,
+    eval_Q,
+    exp_nonlinearity,
+    gaussian_kernel,
+    improvement_step,
+    l2_norm,
+    make_grid,
+    quadratic_nonlinearity,
+    singular_nonlinearity,
+    solve,
+)
+from oracles import random_cone_profile
+
+G = make_grid(16.0, 256)
+
+widths = st.floats(min_value=0.5, max_value=2.0)
+nonlinearities = st.one_of(
+    st.just(exp_nonlinearity()),
+    st.builds(quadratic_nonlinearity, st.floats(min_value=0.5, max_value=2.0),
+              st.floats(min_value=0.5, max_value=2.0)),
+    st.builds(singular_nonlinearity, st.floats(min_value=1.0, max_value=6.0)),
+)
+# K as a fraction of the kernel's K_max = 1/(2 a(0)): below it, sup|b*W| < 1
+# for every W on the sphere, so the singular domain is never reached
+k_fractions = st.floats(min_value=0.2, max_value=0.8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(widths, nonlinearities, k_fractions, st.integers(min_value=0, max_value=2**32))
+def test_improvement_step_invariants(width, nl, k_fraction, seed):
+    kernel = gaussian_kernel(G, width=width)
+    v = random_cone_profile(np.random.default_rng(seed), G)
+    v = v.scaled(np.sqrt(2.0 * k_fraction * kernel.k_max_norm) / l2_norm(v))
+    t, mu = improvement_step(v, kernel, nl)
+    assert mu > 0
+    assert l2_norm(t) == pytest.approx(l2_norm(v), rel=1e-12)
+    p_before = eval_P(v, kernel, nl)
+    assert eval_P(t, kernel, nl) >= p_before - 1e-12 * abs(p_before)
+    assert cone_check(t).in_cone(1e-12 * t.max)
+
+
+@settings(max_examples=8, deadline=None)
+@given(widths, nonlinearities, k_fractions)
+def test_converged_solve_beats_the_linear_problem(width, nl, k_fraction):
+    kernel = gaussian_kernel(G, width=width)
+    cfg = SolverConfig(K=k_fraction * kernel.k_max_norm, tol_residual=1e-9,
+                       max_iter=5_000, record_trace=False)
+    sol = solve(cfg, kernel, nl)
+    # where the localized solution branches off the constant one (a wide
+    # kernel with a weak nonlinearity) the contraction factor nears 1 and
+    # the plain iteration stalls; the invariants concern converged solves
+    assume(sol.converged)
+    assert sol.sigma > nl.alpha
+    assert sol.energies.P > sol.energies.Q
+    assert sol.energies.Q == pytest.approx(eval_Q(sol.V, kernel, nl.alpha), rel=1e-12)

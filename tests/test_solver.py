@@ -1,6 +1,7 @@
 """Improvement iteration: fixed points, invariants, sweeps, multistart."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,6 +143,13 @@ def test_solve_overflow_is_a_named_error():
             solve(SolverConfig(K=1e6), KERNEL, NL)
 
 
+def test_improvement_step_overflow_is_a_named_error():
+    tall = profile_from_function(G, lambda x: 1e3 * np.exp(-x * x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalOverflowError, match="grad P"):
+            improvement_step(tall, KERNEL, NL)
+
+
 def test_solve_exhausting_max_iter_is_not_fatal():
     sol = solve(SolverConfig(K=1.0, max_iter=3), KERNEL, NL)
     assert not sol.converged
@@ -159,6 +167,29 @@ def test_monotonicity_guard_fires_for_far_off_center_start():
     # infinite slack turns the same run into an exploratory one
     relaxed = SolverConfig(K=8.0, init_profile=bump, monotonicity_slack=np.inf)
     assert solve(relaxed, KERNEL, NL).converged
+
+
+def test_energy_drop_is_recorded_with_the_trace_off():
+    # F with the wrong sign: T raises the true P, so the P the solver
+    # checks falls at every step
+    wrong_f = Nonlinearity(
+        kind="wrong-antiderivative-probe", alpha=1.0, beta=1.0,
+        f=np.expm1, f_prime=np.exp, antiderivative=lambda r: r - np.expm1(r),
+    )
+    init = profile_from_function(G, lambda x: np.exp(-x * x / 8.0))
+    cfg = SolverConfig(K=1.0, max_iter=20, init_profile=init,
+                       monotonicity_slack=np.inf, record_trace=False)
+    quiet = solve(cfg, KERNEL, wrong_f)
+    assert quiet.trace is None
+    assert quiet.max_p_drop > 1e-12
+    traced = solve(replace(cfg, record_trace=True), KERNEL, wrong_f)
+    p0 = eval_P(init.scaled(np.sqrt(2.0) / l2_norm(init)), KERNEL, wrong_f)
+    p = np.concatenate(([p0], traced.trace.p_values))
+    drops = -np.diff(p) / np.maximum(np.abs(p[:-1]), 1e-300)
+    assert traced.max_p_drop == pytest.approx(max(np.max(drops), 0.0), rel=1e-12)
+    assert traced.max_p_drop == quiet.max_p_drop
+    with pytest.raises(MonotonicityViolationError):
+        solve(SolverConfig(K=1.0, max_iter=20, init_profile=init), KERNEL, wrong_f)
 
 
 def test_zero_gradient_is_reported():
