@@ -108,6 +108,14 @@ def emit_plot_data(rows, predictors: dict, out_dir, csv_name: str,
 _REQUIRED = object()
 
 
+def _integer(value) -> int:
+    """A JSON integer, or a float with an integral value; a bool is not one."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _optional_float(value):
     return None if value is None else float(value)
 
@@ -150,14 +158,16 @@ def _read_fields(section, table: dict, where: str) -> dict:
 
 
 def _policy(policy_type):
-    """Parse of a grid_policy section: a key parses as its default's type,
-    and an absent key keeps its default."""
-    table = {f.name: (type(f.default), f.default) for f in fields(policy_type)}
+    """Parse of a grid_policy section: a key parses as its default's type
+    (an int one by _integer), and an absent key keeps its default."""
+    table = {f.name: (_integer if type(f.default) is int else type(f.default),
+                      f.default)
+             for f in fields(policy_type)}
     return lambda section: policy_type(**_read_fields(section, table,
                                                       "grid_policy section"))
 
 
-_GRID_FIELDS = {"half_period": (float, _REQUIRED), "point_count": (int, _REQUIRED)}
+_GRID_FIELDS = {"half_period": (float, _REQUIRED), "point_count": (_integer, _REQUIRED)}
 
 
 def _solver_fields(K=1.0, record_trace=True) -> dict:
@@ -166,7 +176,7 @@ def _solver_fields(K=1.0, record_trace=True) -> dict:
     return {
         "K": (float, K),
         "tol_residual": (float, 1e-10),
-        "max_iter": (int, 100_000),
+        "max_iter": (_integer, 100_000),
         "init_width": (_optional_float, None),
         "monotonicity_slack": (_optional_float, None),  # None: set by _load
         "record_trace": (None, record_trace),
@@ -174,7 +184,7 @@ def _solver_fields(K=1.0, record_trace=True) -> dict:
 
 
 # the family experiments set K and the initial profile per point
-_FAMILY_SOLVER_FIELDS = {"tol_residual": (float, 1e-10), "max_iter": (int, 300_000)}
+_FAMILY_SOLVER_FIELDS = {"tol_residual": (float, 1e-10), "max_iter": (_integer, 300_000)}
 
 
 @dataclass(frozen=True)
@@ -202,6 +212,7 @@ class _Job:
     extras: dict
     echo: dict  # the resolved config that meta.json records
     warnings: list
+    solutions: list = field(default_factory=list)  # meta.json records their counters
 
 
 def _load(command: str, config: dict, args) -> _Job:
@@ -261,6 +272,7 @@ def _solve_once(job: _Job, out: Path):
     """Solve at the config's K and save the solution.  Returns the solution
     and the exit code, 3 when the solve did not converge."""
     solution = solve(SolverConfig(**job.solver), job.kernel, job.nl)
+    job.solutions.append(solution)
     job.warnings += _monotonicity_warnings(solution)
     save_solution(solution, out)
     if solution.converged:
@@ -305,6 +317,7 @@ def _run_sweep(job, out, args):
             rows.append(_SweepRow(entry.K, error=entry.error))
             warnings.append(entry.error)
             continue
+        job.solutions.append(sol)
         rows.append(_SweepRow(entry.K, sol.sigma, sol.energies.P, sol.energies.Q,
                               sol.residual, sol.el_residual, sol.iterations,
                               sol.converged))
@@ -339,7 +352,9 @@ def _run_family(experiment, csv_name, label, job, out, args):
     result = experiment(job)
     emit_plot_data(result.rows, result.predictors, out, csv_name)
     failures = [f for f in result.failures if f is not None]
-    drops = [w for sol in result.solutions if sol is not None
+    solutions = [sol for sol in result.solutions if sol is not None]
+    job.solutions += solutions
+    drops = [w for sol in solutions
              for w in _monotonicity_warnings(sol, f"K={sol.K:g}: ")]
     _finish_meta(out, args, job, failures + drops)
     count = len(result.rows)
@@ -468,9 +483,24 @@ _COMMANDS = {
     "uniqueness-probe": _Command(
         _run_probe,
         _solver_fields(K=_REQUIRED, record_trace=False),
-        {"n_starts": (int, 5), "seed": (int, 0), "distance_tol": (float, 1e-6)},
+        {"n_starts": (_integer, 5), "seed": (_integer, 0),
+         "distance_tol": (float, 1e-6)},
     ),
 }
+
+
+def _solver_counters(sol) -> dict:
+    """The counters one solve records, for meta.json; the contraction rate
+    is null when the solve took a single step."""
+    rate = sol.contraction_rate
+    return {
+        "K": sol.K,
+        "iterations": sol.iterations,
+        "contraction_rate": rate if math.isfinite(rate) else None,
+        "accelerated_steps": sol.accelerated_steps,
+        "rejected_steps": sol.rejected_steps,
+    }
+
 
 def _finish_meta(out: Path, args, job: _Job, warnings: list = ()) -> None:
     resolved = {
@@ -485,6 +515,8 @@ def _finish_meta(out: Path, args, job: _Job, warnings: list = ()) -> None:
         "timings": {"total_seconds": round(time.perf_counter() - args.started, 6)},
         "warnings": job.warnings + list(warnings),
     }
+    if job.solutions:
+        meta["solves"] = [_solver_counters(sol) for sol in job.solutions]
     if args.allow_nonstandard:
         meta["unvalidated"] = True
     _write_json(out / "meta.json", meta)

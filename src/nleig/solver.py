@@ -9,12 +9,18 @@ accepted iterate is symmetrized (evenness pins the peak at x = 0) and
 renormalized to the exact constraint; cone deviations are measured, never
 projected away.  An energy decrease beyond slack signals discretization
 failure and aborts the run.
+
+Where the plain map contracts slowly (near sigma = f'(0), the small-K
+limit), the loop mixes the last iterates by safeguarded Anderson
+acceleration; a mixed candidate replaces the plain step only when it keeps
+P nondecreasing and the iterate in the cone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -77,7 +83,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Per-iteration diagnostics of the accepted iterates."""
+    """Per-iteration diagnostics of the iterate each step ends on; a
+    rejected mixed step repeats the unchanged iterate's entry, with the
+    residual it measured."""
 
     p_values: np.ndarray
     residuals: np.ndarray
@@ -101,6 +109,9 @@ class Solution:
     cone: ConeReport
     trace: IterationTrace | None = None
     max_p_drop: float = 0.0  # largest relative drop of P, also with the trace off
+    contraction_rate: float = math.nan  # mean residual ratio per step, last 10 steps
+    accelerated_steps: int = 0  # accepted Anderson candidates
+    rejected_steps: int = 0  # Anderson candidates the safeguard turned down
 
 
 def _finite(value: float, name: str, iteration: int) -> float:
@@ -146,18 +157,90 @@ def _rescaled_to_k(v: Profile, K: float) -> Profile:
     return v.scaled(np.sqrt(2.0 * K) / norm)
 
 
-def _worst_cone_deviation(report: ConeReport, scale: float) -> float:
+def _cone_deviation(v: Profile) -> float:
+    """Worst cone deviation of V relative to max V."""
+    report = cone_check(v)
     worst = max(
         report.even_deviation,
         max(0.0, -report.min_value),
         report.unimodality_deviation,
     )
-    return worst / max(scale, 1e-300)
+    return worst / max(v.max, 1e-300)
+
+
+# Anderson mixing engages once the plain residuals shrink by less than
+# _GATE_RATE per step over _RATE_WINDOW steps.  Measured per-step rates:
+# decay 0.893, sweep-k at most 0.948 (K = 0.25), high-energy at most 0.04,
+# the small-K sweep at least 0.98.  Mixing wherever the window is full
+# would cost tail accuracy that the L2 residual does not see: on the decay
+# workload (tol_residual 1e-10) the fitted tail rate then missed theory by
+# 2.0e-4, against 3.4e-6 for the plain iteration.
+_RATE_WINDOW = 10
+_GATE_RATE = 0.97
+_DEPTH = 5
+
+
+def _rate(residuals) -> float:
+    """Mean factor per step by which the residuals shrank."""
+    return (residuals[-1] / residuals[0]) ** (1.0 / (len(residuals) - 1))
+
+
+class _Anderson:
+    """Type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011)
+    of the map G with residual f = G(V) - V.  The history holds at most
+    _DEPTH differences of f and of G between successive iterates, plus the
+    last (f, G(V)) pair.  The coefficients solve the normal equations of
+    the f differences, whose Gram matrix (at most _DEPTH x _DEPTH) gains
+    one row of dot products per step."""
+
+    def __init__(self):
+        self.restart()
+
+    def restart(self) -> None:
+        self.last = None  # (f, g) of the previous iterate
+        self.df = deque(maxlen=_DEPTH)
+        self.dg = deque(maxlen=_DEPTH)
+        self.gram = np.empty((0, 0))
+
+    def candidate(self, f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+        """Record the pair (f, g = G(V)) of the current iterate and return
+        the mixed samples, or None when the history holds no difference.  A
+        singular system restarts the history and also returns None."""
+        last, self.last = self.last, (f, g)
+        if last is None:
+            return None
+        df, dg = f - last[0], g - last[1]
+        row = np.array([np.dot(col, df) for col in self.df] + [np.dot(df, df)])
+        gram = self.gram
+        if len(self.df) == _DEPTH:
+            gram, row = gram[1:, 1:], row[1:]
+        self.gram = np.block([[gram, row[:-1, None]], [row[None, :]]])
+        self.df.append(df)
+        self.dg.append(dg)
+        try:
+            gamma = np.linalg.solve(self.gram, [np.dot(col, f) for col in self.df])
+        except np.linalg.LinAlgError:  # a difference repeated exactly
+            gamma = [math.nan]
+        if not np.all(np.isfinite(gamma)):
+            self.restart()
+            return None
+        mixed = g.copy()
+        for coefficient, col in zip(gamma, self.dg):
+            mixed -= coefficient * col
+        return mixed
 
 
 def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     """Iterate the improvement map at fixed K until the relative fixed-point
     residual ||T(V) - V|| / ||V|| drops below tol_residual.
+
+    Once the residuals shrink by less than _GATE_RATE per step, each step
+    mixes the symmetrized, renormalized map G over the last iterates.  The
+    mixed candidate, renormalized to the sphere, is accepted only when P
+    does not drop and its cone deviation is no worse than that of G(V);
+    otherwise the iterate stays, the mixing history restarts and the next
+    step is the plain one.  Every step, accepted or not, costs one gradient
+    and one convolution of the new iterate, and counts as one iteration.
 
     Returns a Solution with converged=False when max_iter is exhausted; the
     caller decides whether that is fatal.  Raises MonotonicityViolationError
@@ -187,33 +270,51 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     residual = np.inf
     iterations = 0
     max_p_drop = 0.0
+    recent = deque(maxlen=_RATE_WINDOW + 1)  # residuals of the last iterates
+    mixing = None  # the Anderson history, once the gate has opened
+    accelerated = rejected = 0
 
     for iterations in range(1, cfg.max_iter + 1):
         t_samples, _ = _step(u, target_norm, kernel, nl, iterations)
         diff = t_samples - v.samples
         residual = float(np.sqrt(h * np.dot(diff, diff)) / target_norm)
+        recent.append(residual)
+        if mixing is None and len(recent) == recent.maxlen and _rate(recent) > _GATE_RATE:
+            mixing = _Anderson()
 
         t_samples = 0.5 * (t_samples + mirror(t_samples))
-        v_next = _rescaled_to_k(Profile(grid, t_samples), cfg.K)
+        g = _rescaled_to_k(Profile(grid, t_samples), cfg.K)
+        mixed = None
+        if mixing is not None:
+            mixed = mixing.candidate(g.samples - v.samples, g.samples)
 
-        u = kernel.convolve(v_next)
-        p_next = _finite(p_of_u(u, nl), "P", iterations)
-        if p_next < p_prev - cfg.monotonicity_slack * abs(p_prev):
-            raise MonotonicityViolationError(
-                f"P decreased from {p_prev:.17g} to {p_next:.17g} at iteration "
-                f"{iterations}; slack {cfg.monotonicity_slack:g} exceeded"
-            )
-        max_p_drop = max(max_p_drop, (p_prev - p_next) / max(abs(p_prev), 1e-300))
+        if mixed is None:
+            u = kernel.convolve(g)
+            p_next = _finite(p_of_u(u, nl), "P", iterations)
+            if p_next < p_prev - cfg.monotonicity_slack * abs(p_prev):
+                raise MonotonicityViolationError(
+                    f"P decreased from {p_prev:.17g} to {p_next:.17g} at iteration "
+                    f"{iterations}; slack {cfg.monotonicity_slack:g} exceeded"
+                )
+            max_p_drop = max(max_p_drop, (p_prev - p_next) / max(abs(p_prev), 1e-300))
+            v, p_prev = g, p_next
+        else:
+            candidate = _rescaled_to_k(Profile(grid, mixed), cfg.K)
+            u_candidate = kernel.convolve(candidate)
+            p_candidate = _finite(p_of_u(u_candidate, nl), "P", iterations)
+            if p_candidate >= p_prev and _cone_deviation(candidate) <= _cone_deviation(g):
+                v, u, p_prev = candidate, u_candidate, p_candidate
+                accelerated += 1
+            else:
+                mixing.restart()
+                rejected += 1
 
         if cfg.record_trace:
-            trace_p.append(p_next)
+            trace_p.append(p_prev)
             trace_res.append(residual)
-            trace_kerr.append(abs(eval_K(v_next) / cfg.K - 1.0))
-            trace_cone.append(
-                _worst_cone_deviation(cone_check(v_next), v_next.max)
-            )
+            trace_kerr.append(abs(eval_K(v) / cfg.K - 1.0))
+            trace_cone.append(_cone_deviation(v))
 
-        v, p_prev = v_next, p_next
         if residual <= cfg.tol_residual:
             converged = True
             break
@@ -246,6 +347,9 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         cone=cone_check(v),
         trace=trace,
         max_p_drop=max_p_drop,
+        contraction_rate=_rate(recent) if len(recent) > 1 else math.nan,
+        accelerated_steps=accelerated,
+        rejected_steps=rejected,
     )
 
 

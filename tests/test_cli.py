@@ -208,12 +208,44 @@ def test_sweep_k_failed_row(tmp_path):
           "nonlinearity": {"kind": "singular", "m": 4}, "delta_list": [0.3],
           "grid_policy": {"max_points": "big"}},
          "max_points in grid_policy section"),
+        # integer keys take no fractional value and no bool
+        ("solve",
+         {**_solve_config(), "grid": {"half_period": 25.0, "point_count": 512.9}},
+         "point_count in grid section"),
+        ("solve", _solve_config(max_iter=2.7), "max_iter in solver section"),
+        ("solve", _solve_config(max_iter=True), "max_iter in solver section"),
+        ("kdv", {"kernel": {"kind": "gaussian", "width": 1.0},
+                 "nonlinearity": {"kind": "exp"}, "eps_list": [0.2],
+                 "grid_policy": {"max_points": 4096.5}},
+         "max_points in grid_policy section"),
+        ("uniqueness-probe", {**_solve_config(), "n_starts": True}, "n_starts in config"),
     ],
 )
 def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, config, key):
     code, _ = _run(tmp_path, command, config)
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+def test_solver_counters_go_to_meta_json_only(tmp_path):
+    keys = ["K", "accelerated_steps", "contraction_rate", "iterations",
+            "rejected_steps"]
+    _, out = _run(tmp_path, "solve", _solve_config(), name="solve")
+    (counters,) = json.loads((out / "meta.json").read_text())["solves"]
+    assert sorted(counters) == keys
+    assert counters["accelerated_steps"] == counters["rejected_steps"] == 0
+    assert 0 < counters["contraction_rate"] < 0.97
+    assert "accelerated_steps" not in (out / "solution.json").read_text()
+    # the small-K point contracts slowly, so its solve mixes
+    config = {"kernel": {"kind": "gaussian", "width": 1.0},
+              "nonlinearity": {"kind": "exp"}, "eps_list": [0.2]}
+    _, out = _run(tmp_path, "kdv", config, name="kdv")
+    (counters,) = json.loads((out / "meta.json").read_text())["solves"]
+    assert sorted(counters) == keys
+    assert counters["K"] == pytest.approx(0.008)
+    assert counters["accelerated_steps"] > 0
+    header = (out / "kdv.csv").read_text().splitlines()[0]
+    assert header == "eps,sigma,d_ratio,profile_err"
 
 
 def test_sweep_k_reports_nonconverged_entries(tmp_path, capsys):

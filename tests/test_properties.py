@@ -1,11 +1,11 @@
 """Property tests of the paper's invariants over random kernels,
 nonlinearities and cone profiles: the improvement step preserves the norm,
-never lowers P and keeps a cone profile in the cone; a converged solve has
-sigma > f'(0) and P > Q."""
+never lowers P and keeps a cone profile in the cone; a solve converges to
+a cone profile with sigma > f'(0) and P > Q."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nleig import (
@@ -59,10 +59,11 @@ def test_converged_solve_beats_the_linear_problem(width, nl, k_fraction):
     cfg = SolverConfig(K=k_fraction * kernel.k_max_norm, tol_residual=1e-9,
                        max_iter=5_000, record_trace=False)
     sol = solve(cfg, kernel, nl)
-    # where the localized solution branches off the constant one (a wide
-    # kernel with a weak nonlinearity) the contraction factor nears 1 and
-    # the plain iteration stalls; the invariants concern converged solves
-    assume(sol.converged)
+    # near the branch point of the localized solution (a wide kernel with a
+    # weak nonlinearity) the plain map contracts at a rate near 1; the
+    # solve's mixing converges there too
+    assert sol.converged
+    assert sol.cone.in_cone(1e-9 * sol.V.max)
     assert sol.sigma > nl.alpha
     assert sol.energies.P > sol.energies.Q
     assert sol.energies.Q == pytest.approx(eval_Q(sol.V, kernel, nl.alpha), rel=1e-12)

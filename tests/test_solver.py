@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from nleig import (
+    KdvGridPolicy,
+    KernelSpec,
     MonotonicityViolationError,
     Nonlinearity,
     NumericalOverflowError,
@@ -18,9 +20,12 @@ from nleig import (
     exp_nonlinearity,
     gaussian_kernel,
     improvement_step,
+    kdv_experiment,
+    kdv_profile,
     l2_norm,
     make_grid,
     profile_from_function,
+    quadratic_nonlinearity,
     read_profile_csv,
     save_solution,
     singular_nonlinearity,
@@ -96,6 +101,56 @@ def test_solve_trace_shapes(reference_solution):
     assert tr.constraint_errors.shape == (n,)
     assert tr.cone_deviations.shape == (n,)
     assert np.all(np.diff(tr.p_values) >= -1e-12 * np.abs(tr.p_values[:-1]))
+
+
+def test_fast_contraction_takes_only_plain_steps(reference_solution):
+    # at K = 1 the plain map contracts well below the mixing gate's rate,
+    # so the solve takes exactly the plain iteration's steps
+    sol = reference_solution
+    assert sol.accelerated_steps == 0 and sol.rejected_steps == 0
+    assert sol.iterations == 149
+    assert sol.contraction_rate < 0.97
+
+
+def test_accelerated_solve_keeps_the_invariants():
+    # the small-K sweep's eps = 0.2 point, traced: the plain map contracts
+    # at a rate near 1 there (1855 plain steps to converge), so
+    # the solve mixes
+    spec, nl, eps = KernelSpec(kind="gaussian", width=1.0), exp_nonlinearity(), 0.2
+    family = kdv_experiment(spec, nl, [eps])
+    grid = KdvGridPolicy().grid_for(eps, spec.length_scale)
+    init = Profile(grid, eps**2 * kdv_profile(family.predictors["kappa1"],
+                                              family.predictors["kappa2"],
+                                              eps * grid.nodes))
+    sol = solve(SolverConfig(K=eps**3, init_profile=init, max_iter=300_000),
+                spec.build(grid), nl)
+    assert sol.converged and sol.accelerated_steps > 0
+    # the trace changes nothing along the path
+    untraced = family.solutions[0]
+    assert (sol.iterations, sol.sigma) == (untraced.iterations, untraced.sigma)
+    assert sol.accelerated_steps == untraced.accelerated_steps
+    tr = sol.trace
+    assert tr.p_values.shape == (sol.iterations,)
+    assert np.all(np.diff(tr.p_values) >= -1e-12 * np.abs(tr.p_values[:-1]))
+    assert np.max(tr.cone_deviations) <= 1e-12
+    assert np.max(tr.constraint_errors) <= 1e-12
+    assert sol.cone.in_cone(1e-12 * sol.V.max)
+
+
+def test_near_branch_point_solve_converges():
+    # where the localized solution branches off the constant one, the plain
+    # map contracts at a rate near 1: without mixing this solve did not
+    # converge in 20000 steps
+    grid = make_grid(16.0, 256)
+    kernel = gaussian_kernel(grid, width=1.5234375)
+    nl = quadratic_nonlinearity(1.71875, 1.0)
+    cfg = SolverConfig(K=0.75 * kernel.k_max_norm, tol_residual=1e-9, max_iter=20_000)
+    sol = solve(cfg, kernel, nl)
+    assert sol.converged and sol.iterations < 500
+    assert sol.accelerated_steps > 0
+    assert sol.sigma > nl.alpha
+    assert sol.energies.P > sol.energies.Q
+    assert sol.cone.in_cone(1e-9 * sol.V.max)
 
 
 def test_solve_respects_initial_profile():
