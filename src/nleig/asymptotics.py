@@ -24,7 +24,7 @@ from .errors import (
     NonPositiveTailError,
     SymbolPoleError,
 )
-from .grid import Grid, Profile, make_grid
+from .grid import Grid, Profile, dot, make_grid
 from .kernels import Kernel, KernelSpec, samples_from_symbol
 from .nonlinearity import Nonlinearity, singular_nonlinearity
 from .solver import Solution, SolverConfig, solve
@@ -371,7 +371,7 @@ def kdv_experiment(
         d_ratio = (sol.sigma - nl.alpha) / eps**2
         limit = kdv_profile(kappa1, kappa2, eps * grid.nodes)
         diff = sol.U.samples / eps**2 - limit
-        return d_ratio, float(np.sqrt(eps * grid.spacing * np.dot(diff, diff)))
+        return d_ratio, float(np.sqrt(eps * grid.spacing * dot(diff, diff)))
 
     return _solve_family(nl, eps_values, KdvRow, point, measure, predictors,
                          tol_residual, max_iter)

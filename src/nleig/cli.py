@@ -4,7 +4,7 @@ One command per process: read a single JSON config, compute, write output
 files atomically into --output, exit 0 on success, 2 on validation failure,
 3 on non-convergence or a runtime solve failure.  Identical configs produce
 byte-identical numeric outputs; meta.json echoes the fully resolved config
-(defaults included) plus version and wall-clock timings.
+(defaults included) plus version and wall-clock and CPU timings.
 
 Each command declares in _COMMANDS the config it takes; _load reads and
 checks every config, builds and gates the kernel and assembles meta.json's
@@ -44,6 +44,7 @@ from .errors import (
     NumericalOverflowError,
     SymbolPoleError,
     ZeroGradientError,
+    as_number,
 )
 from .grid import atomic_write_text, make_grid, write_profile_csv
 from .kernels import Kernel, KernelSpec, kernel_spec_from_config, validate_kernel
@@ -117,14 +118,21 @@ def _integer(value) -> int:
 
 
 def _optional_float(value):
-    return None if value is None else float(value)
+    return None if value is None else as_number(value)
 
 
 def _points(value) -> list[float]:
-    points = [float(v) for v in value]
+    points = [as_number(v) for v in value]
     if not points:
         raise ValueError("the list of points is empty")
     return points
+
+
+def _window(value) -> list[float]:
+    window = [as_number(v) for v in value]
+    if len(window) != 2:
+        raise ValueError(f"expected two fractions, got {value!r}")
+    return window
 
 
 def _as_is(value):
@@ -158,24 +166,24 @@ def _read_fields(section, table: dict, where: str) -> dict:
 
 
 def _policy(policy_type):
-    """Parse of a grid_policy section: a key parses as its default's type
-    (an int one by _integer), and an absent key keeps its default."""
-    table = {f.name: (_integer if type(f.default) is int else type(f.default),
-                      f.default)
+    """Parse of a grid_policy section: a key with an int default parses by
+    _integer, one with a float default by as_number, and an absent key keeps
+    its default."""
+    table = {f.name: (_integer if type(f.default) is int else as_number, f.default)
              for f in fields(policy_type)}
     return lambda section: policy_type(**_read_fields(section, table,
                                                       "grid_policy section"))
 
 
-_GRID_FIELDS = {"half_period": (float, _REQUIRED), "point_count": (_integer, _REQUIRED)}
+_GRID_FIELDS = {"half_period": (as_number, _REQUIRED), "point_count": (_integer, _REQUIRED)}
 
 
 def _solver_fields(K=1.0, record_trace=True) -> dict:
     """Fields of a solver section read into a SolverConfig.  K's default is
     a placeholder for commands that set K per solve."""
     return {
-        "K": (float, K),
-        "tol_residual": (float, 1e-10),
+        "K": (as_number, K),
+        "tol_residual": (as_number, 1e-10),
         "max_iter": (_integer, 100_000),
         "init_width": (_optional_float, None),
         "monotonicity_slack": (_optional_float, None),  # None: set by _load
@@ -184,7 +192,7 @@ def _solver_fields(K=1.0, record_trace=True) -> dict:
 
 
 # the family experiments set K and the initial profile per point
-_FAMILY_SOLVER_FIELDS = {"tol_residual": (float, 1e-10), "max_iter": (_integer, 300_000)}
+_FAMILY_SOLVER_FIELDS = {"tol_residual": (as_number, 1e-10), "max_iter": (_integer, 300_000)}
 
 
 @dataclass(frozen=True)
@@ -444,7 +452,12 @@ def _run_probe(job, out, args):
             "failures": list(report.failures),
         },
     )
-    _finish_meta(out, args, job, list(report.failures))
+    drops = []
+    for width, sol in zip(report.widths, report.solutions):
+        if sol is not None:
+            job.solutions.append(sol)
+            drops += _monotonicity_warnings(sol, f"width={width:g}: ")
+    _finish_meta(out, args, job, list(report.failures) + drops)
     print(
         f"uniqueness probe: {report.n_converged}/{report.n_starts} converged, "
         f"max distance {report.max_l2_distance:.3g}, conjecture support: "
@@ -477,14 +490,14 @@ _COMMANDS = {
     "decay": _Command(
         _run_decay,
         _solver_fields(K=_REQUIRED),
-        {"c": (_optional_float, None), "window": (list, [0.5, 0.8])},
+        {"c": (_optional_float, None), "window": (_window, [0.5, 0.8])},
     ),
     "validate-kernel": _Command(_run_validate),
     "uniqueness-probe": _Command(
         _run_probe,
         _solver_fields(K=_REQUIRED, record_trace=False),
         {"n_starts": (_integer, 5), "seed": (_integer, 0),
-         "distance_tol": (float, 1e-6)},
+         "distance_tol": (as_number, 1e-6)},
     ),
 }
 
@@ -512,7 +525,12 @@ def _finish_meta(out: Path, args, job: _Job, warnings: list = ()) -> None:
     meta = {
         "config": resolved,
         "version": __version__,
-        "timings": {"total_seconds": round(time.perf_counter() - args.started, 6)},
+        "timings": {
+            "total_seconds": round(time.perf_counter() - args.started, 6),
+            # CPU of all the process's threads: above total_seconds when
+            # threads other than the main one (BLAS, --threads) do work
+            "cpu_seconds": round(time.process_time() - args.cpu_started, 6),
+        },
         "warnings": job.warnings + list(warnings),
     }
     if job.solutions:
@@ -541,6 +559,7 @@ def main(argv=None) -> int:
                         help="worker threads for sweep entries")
     args = parser.parse_args(argv)
     args.started = time.perf_counter()
+    args.cpu_started = time.process_time()
 
     try:
         config = json.loads(Path(args.config).read_text())

@@ -21,6 +21,14 @@ from .errors import GridMismatchError, OddPointCountError
 
 _MIN_POINTS = 8
 
+# Long dot products are summed chunk by chunk.  OpenBLAS splits a ddot of
+# more than 10000 entries over its threads, so the rounding of one call
+# would follow the core count, and each call wakes a thread that then
+# spins.  A chunk of 8192 entries stays single-threaded on every host; being
+# a power of two, it sums a 16384-entry vector in the same two halves as a
+# two-thread ddot.
+_DOT_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -117,11 +125,23 @@ def require_same_grid(*profiles: Profile) -> Grid:
     return grid
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) as the running sum of np.dot over consecutive chunks of at
+    most 8192 entries: a plain np.dot up to 8192 entries, and the same
+    result whatever number of threads BLAS runs."""
+    if len(a) != len(b):
+        raise ValueError(f"dot of vectors of lengths {len(a)} and {len(b)}")
+    total = 0.0
+    for start in range(0, len(a), _DOT_CHUNK):
+        total += np.dot(a[start : start + _DOT_CHUNK], b[start : start + _DOT_CHUNK])
+    return float(total)
+
+
 def inner_product(w1: Profile, w2: Profile) -> float:
     """Rectangle-rule L2 pairing h * sum(W1 * W2); spectrally accurate on
     the periodic cell."""
     grid = require_same_grid(w1, w2)
-    return float(grid.spacing * np.dot(w1.samples, w2.samples))
+    return float(grid.spacing * dot(w1.samples, w2.samples))
 
 
 def l2_norm(w: Profile) -> float:

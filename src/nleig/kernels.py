@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalOverflowError, UnderResolvedError
+from .errors import NumericalOverflowError, UnderResolvedError, as_number
 from .grid import ConeReport, Grid, Profile, cone_check, require_same_grid
 
 
@@ -396,6 +396,6 @@ def kernel_spec_from_config(cfg: dict) -> KernelSpec:
     extra = set(cfg) - {"kind", "width", "separation"}
     if extra:
         raise ValueError(f"unknown kernel config keys {sorted(extra)}")
-    params = {key: None if value is None else float(value)
+    params = {key: None if value is None else as_number(value, f"{key} in kernel section")
               for key, value in cfg.items() if key != "kind"}
     return KernelSpec(cfg["kind"], **params)

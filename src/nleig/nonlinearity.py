@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainBreachError
+from .errors import DomainBreachError, as_number
 
 
 class Nonlinearity:
@@ -173,14 +173,17 @@ def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
             raise ValueError(f"unknown nonlinearity config keys {sorted(extra)}")
         if "alpha" not in cfg or "beta" not in cfg:
             raise ValueError("quadratic nonlinearity requires alpha and beta")
-        return quadratic_nonlinearity(float(cfg["alpha"]), float(cfg["beta"]))
+        return quadratic_nonlinearity(
+            as_number(cfg["alpha"], "alpha in nonlinearity section"),
+            as_number(cfg["beta"], "beta in nonlinearity section"),
+        )
     if kind == "singular":
         extra = set(cfg) - {"kind", "m"}
         if extra:
             raise ValueError(f"unknown nonlinearity config keys {sorted(extra)}")
         if "m" not in cfg:
             raise ValueError("singular nonlinearity requires m")
-        return singular_nonlinearity(float(cfg["m"]))
+        return singular_nonlinearity(as_number(cfg["m"], "m in nonlinearity section"))
     raise ValueError(
         f"unknown nonlinearity kind {kind!r}; expected exp, quadratic, or singular"
     )

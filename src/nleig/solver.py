@@ -38,6 +38,7 @@ from .grid import (
     Profile,
     atomic_write_text,
     cone_check,
+    dot,
     l2_norm,
     mirror,
     write_profile_csv,
@@ -210,7 +211,7 @@ class _Anderson:
         if last is None:
             return None
         df, dg = f - last[0], g - last[1]
-        row = np.array([np.dot(col, df) for col in self.df] + [np.dot(df, df)])
+        row = np.array([dot(col, df) for col in self.df] + [dot(df, df)])
         gram = self.gram
         if len(self.df) == _DEPTH:
             gram, row = gram[1:, 1:], row[1:]
@@ -218,7 +219,7 @@ class _Anderson:
         self.df.append(df)
         self.dg.append(dg)
         try:
-            gamma = np.linalg.solve(self.gram, [np.dot(col, f) for col in self.df])
+            gamma = np.linalg.solve(self.gram, [dot(col, f) for col in self.df])
         except np.linalg.LinAlgError:  # a difference repeated exactly
             gamma = [math.nan]
         if not np.all(np.isfinite(gamma)):
@@ -277,7 +278,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     for iterations in range(1, cfg.max_iter + 1):
         t_samples, _ = _step(u, target_norm, kernel, nl, iterations)
         diff = t_samples - v.samples
-        residual = float(np.sqrt(h * np.dot(diff, diff)) / target_norm)
+        residual = float(np.sqrt(h * dot(diff, diff)) / target_norm)
         recent.append(residual)
         if mixing is None and len(recent) == recent.maxlen and _rate(recent) > _GATE_RATE:
             mixing = _Anderson()
@@ -324,7 +325,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     norm_v = l2_norm(v)
     sigma = l2_norm(g) / norm_v
     el_diff = sigma * v.samples - g.samples
-    el_residual = float(np.sqrt(h * np.dot(el_diff, el_diff)) / (sigma * norm_v))
+    el_residual = float(np.sqrt(h * dot(el_diff, el_diff)) / (sigma * norm_v))
 
     trace = None
     if cfg.record_trace:
@@ -413,7 +414,10 @@ def sweep_K(
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    """Outcome of repeated solves from varied initializations."""
+    """Outcome of repeated solves from varied initializations.  solutions
+    holds each start's solve in the order of widths, None where it raised,
+    so its counters (iterations, max_p_drop, accelerated and rejected steps)
+    stay visible."""
 
     n_starts: int
     widths: tuple[float, ...]
@@ -424,6 +428,7 @@ class UniquenessReport:
     distance_tol: float
     supports_conjecture: bool
     failures: tuple[str, ...]
+    solutions: tuple[Solution | None, ...]
 
 
 def uniqueness_probe(
@@ -456,8 +461,9 @@ def uniqueness_probe(
         except Exception as exc:
             return None, f"width {width:.4g}: {type(exc).__name__}: {exc}"
 
+    results = _map_in_order(run_one, widths, max_workers)
     converged, failures = [], []
-    for sol, err in _map_in_order(run_one, widths, max_workers):
+    for sol, err in results:
         if err is None and not sol.converged:
             err = (f"did not converge within {cfg.max_iter} iterations "
                    f"(residual {sol.residual:.3g})")
@@ -472,7 +478,7 @@ def uniqueness_probe(
         for j in range(i + 1, len(converged)):
             diff = converged[i].V.samples - converged[j].V.samples
             h = kernel.grid.spacing
-            max_distance = max(max_distance, float(np.sqrt(h * np.dot(diff, diff))))
+            max_distance = max(max_distance, float(np.sqrt(h * dot(diff, diff))))
             max_sigma_gap = max(
                 max_sigma_gap, abs(converged[i].sigma - converged[j].sigma)
             )
@@ -491,6 +497,7 @@ def uniqueness_probe(
         distance_tol=distance_tol,
         supports_conjecture=supports,
         failures=tuple(failures),
+        solutions=tuple(sol for sol, _ in results),
     )
 
 

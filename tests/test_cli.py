@@ -1,7 +1,11 @@
 """End-to-end checks of the batch front end (in-process, per-command)."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +223,31 @@ def test_sweep_k_failed_row(tmp_path):
                  "grid_policy": {"max_points": 4096.5}},
          "max_points in grid_policy section"),
         ("uniqueness-probe", {**_solve_config(), "n_starts": True}, "n_starts in config"),
+        # number keys take a JSON int or float only: no bool, no numeric string
+        ("solve", _solve_config(K=True), "K in solver section"),
+        ("solve", _solve_config(K="0.5"), "K in solver section"),
+        ("solve", {**_solve_config(), "kernel": {"kind": "gaussian", "width": True}},
+         "width in kernel section"),
+        ("solve", {**_solve_config(),
+                   "nonlinearity": {"kind": "quadratic", "alpha": "1", "beta": 2.0}},
+         "alpha in nonlinearity section"),
+        ("solve", {**_solve_config(), "nonlinearity": {"kind": "singular", "m": True}},
+         "m in nonlinearity section"),
+        ("solve", {**_solve_config(), "grid": {"half_period": True, "point_count": 512}},
+         "half_period in grid section"),
+        ("solve", _solve_config(init_width="2"), "init_width in solver section"),
+        ("sweep-k", {**_solve_config(), "solver": {}, "k_list": [1.0, True]},
+         "k_list in config"),
+        ("decay", {**_solve_config(), "c": True}, "c in config"),
+        ("decay", {**_solve_config(), "window": [0.5, "0.8"]}, "window in config"),
+        ("decay", {**_solve_config(), "window": [0.5, 0.7, 0.8]}, "window in config"),
+        ("kdv", {"kernel": {"kind": "gaussian", "width": 1.0},
+                 "nonlinearity": {"kind": "exp"}, "eps_list": [0.2],
+                 "grid_policy": {"l_floor": True}},
+         "l_floor in grid_policy section"),
+        ("uniqueness-probe", {**_solve_config(), "distance_tol": "1e-6"},
+         "distance_tol in config"),
+        ("solve", _solve_config(K=10**400), "K in solver section"),
     ],
 )
 def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, config, key):
@@ -393,3 +422,60 @@ def test_uniqueness_probe_command(tmp_path, capsys):
     assert report["n_converged"] == 2
     assert report["max_l2_distance"] <= 1e-6
     assert len(report["widths"]) == 2
+
+
+def test_uniqueness_probe_reports_counters_and_energy_drops(tmp_path, monkeypatch):
+    config = {**_solve_config(), "n_starts": 2}
+    _, plain = _run(tmp_path, "uniqueness-probe", config, name="plain")
+    real_solve = nleig.solver.solve
+
+    def dropping_solve(*args, **kwargs):
+        return replace(real_solve(*args, **kwargs), max_p_drop=2e-6)
+
+    monkeypatch.setattr(nleig.solver, "solve", dropping_solve)
+    code, out = _run(tmp_path, "uniqueness-probe", config, name="dropping")
+    assert code == 0
+    probe = json.loads((out / "probe.json").read_text())
+    assert probe == json.loads((plain / "probe.json").read_text())
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["warnings"] == [f"width={w:g}: energy decreased by relative 2e-06 "
+                                "during the run" for w in probe["widths"]]
+    assert len(meta["solves"]) == 2
+    assert all(s["K"] == 1.0 and s["iterations"] > 0 for s in meta["solves"])
+
+
+def test_meta_records_cpu_seconds(tmp_path):
+    config = {"grid": {"half_period": 25.0, "point_count": 512},
+              "kernel": {"kind": "gaussian", "width": 1.0}}
+    code, out = _run(tmp_path, "validate-kernel", config)
+    assert code == 0
+    timings = json.loads((out / "meta.json").read_text())["timings"]
+    assert sorted(timings) == ["cpu_seconds", "total_seconds"]
+    assert timings["cpu_seconds"] >= 0
+
+
+def test_decay_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """The decay workload on n = 16384 writes the same bytes with one BLAS
+    thread and with two.  A ddot of more than 10000 entries splits over
+    OpenBLAS's threads, so summing long inner products in one call made the
+    outputs follow the thread count.  On a one-core host OpenBLAS runs a
+    single thread either way, and this test cannot fail there."""
+    config = tmp_path / "decay.json"
+    config.write_text(json.dumps({
+        "grid": {"half_period": 60.0, "point_count": 16384},
+        "kernel": {"kind": "ode"},
+        "nonlinearity": {"kind": "quadratic", "alpha": 1.0, "beta": 2.0},
+        "solver": {"K": 0.3},
+    }))
+    src = str(Path(nleig.solver.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "nleig.cli", "decay", "--config",
+                        str(config), "--output", str(out)], env=env, check=True,
+                       capture_output=True)
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("solution.json", "V.csv", "U.csv", "decay.json")})
+    assert outputs[0] == outputs[1]

@@ -22,6 +22,7 @@ from nleig import (
     write_profile_csv,
     zeros,
 )
+from nleig.grid import dot
 from oracles import direct_convolution, random_cone_profile, riemann
 
 
@@ -86,6 +87,27 @@ def test_inner_product_is_weighted_riemann_sum():
     b = Profile(g, rng.standard_normal(128))
     assert inner_product(a, b) == pytest.approx(riemann(a.samples * b.samples, g.spacing))
     assert l2_norm(a) == pytest.approx(np.sqrt(riemann(a.samples**2, g.spacing)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000, 8191, 8192])
+def test_dot_is_np_dot_up_to_one_chunk(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    assert dot(a, b) == np.dot(a, b)
+
+
+@pytest.mark.parametrize("n", [1000, 16384, 20000, 32768])
+def test_dot_is_the_running_sum_of_chunk_dots(n):
+    # a ddot of at most 8192 entries runs on one BLAS thread, so the result
+    # cannot depend on the thread count
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal(n), rng.standard_normal(n)
+    total = 0.0
+    for start in range(0, n, 8192):
+        total += np.dot(a[start : start + 8192], b[start : start + 8192])
+    assert dot(a, b) == total
+    with pytest.raises(ValueError):
+        dot(a, b[:-1])
 
 
 def test_symmetrize_produces_even_average():
