@@ -69,6 +69,7 @@ from .solver import (
     SolverConfig,
     SweepEntry,
     UniquenessReport,
+    attempt,
     improvement_step,
     save_solution,
     solution_to_dict,

@@ -27,7 +27,7 @@ from .errors import (
 from .grid import Grid, Profile, dot, make_grid
 from .kernels import Kernel, KernelSpec, samples_from_symbol
 from .nonlinearity import Nonlinearity, singular_nonlinearity
-from .solver import Solution, SolverConfig, solve
+from .solver import Solution, SolverConfig, attempt
 
 _MOMENT_CAP = 1e12  # grid-truncated moments beyond this count as blown up
 
@@ -201,34 +201,28 @@ def _descending(values, name: str, valid, condition: str) -> list[float]:
     return points
 
 
-def _solve_family(nl, points, row_type, point, measure, predictors,
+def _solve_family(nl, points, grids, row_type, point, measure, predictors,
                   tol_residual, max_iter) -> FamilyResult:
-    """Solve at each point and record one row_type(*head, sigma, *measured)
-    row.  point(p) returns (head, kernel, K, initial profile); measure(p,
-    kernel, solution) returns the row's remaining fields for a converged
-    solve.  A solve that raises gives a NaN row; one that does not converge
-    gives a NaN row that keeps its sigma.  Either way the sweep continues."""
+    """Solve at each point on its grid and record one row_type(*head, sigma,
+    *measured) row.  point(p, grid) returns (head, kernel, K, initial
+    profile); measure(p, kernel, solution) returns the row's remaining fields
+    for a converged solve.  A solve that raises gives a NaN row; one that
+    does not converge gives a NaN row that keeps its sigma.  Either way the
+    sweep continues."""
     rows, solutions, failures = [], [], []
-    for p in points:
-        head, kernel, K, init = point(p)
+    for p, grid in zip(points, grids):
+        head, kernel, K, init = point(p, grid)
         cfg = SolverConfig(K=K, tol_residual=tol_residual, max_iter=max_iter,
-                           init_profile=init, record_trace=False)
-        try:
-            sol = solve(cfg, kernel, nl)
-        except Exception as exc:  # per-point isolation: the sweep continues
-            sol, sigma, failure = None, float("nan"), f"{type(exc).__name__}: {exc}"
-        else:
-            sigma, failure = sol.sigma, None
-            if not sol.converged:
-                failure = (f"no convergence in {max_iter} iterations "
-                           f"(residual {sol.residual:.3g})")
-        if failure is None:
+                           init_profile=init)
+        entry = attempt(cfg, kernel, nl)
+        sol = entry.solution
+        if entry.error is None:
             measured = measure(p, kernel, sol)
         else:
             measured = [float("nan")] * (len(fields(row_type)) - len(head) - 1)
-        rows.append(row_type(*head, sigma, *measured))
+        rows.append(row_type(*head, float("nan") if sol is None else sol.sigma, *measured))
         solutions.append(sol)
-        failures.append(failure)
+        failures.append(entry.error)
     return FamilyResult(rows=rows, predictors=predictors, solutions=solutions,
                         failures=failures)
 
@@ -335,9 +329,11 @@ def kdv_experiment(
     profile seeded with the predicted limit wave."""
     eps_values = _descending(eps_list, "eps", lambda e: 0 < e, "be positive")
     policy = policy or KdvGridPolicy()
+    # every grid is sized before the first solve, so an oversized point
+    # fails the sweep at once
+    grids = [policy.grid_for(eps, spec.length_scale) for eps in eps_values]
 
-    probe_grid = policy.grid_for(eps_values[0], spec.length_scale)
-    probe_kernel = spec.build(probe_grid)
+    probe_kernel = spec.build(grids[0])
     ok, c_const, message = check_kdv_assumption(probe_kernel)
     if not ok:
         raise KernelAssumptionError(
@@ -361,8 +357,7 @@ def kdv_experiment(
         "symbol_bound_constant": c_const,
     }
 
-    def point(eps):
-        grid = policy.grid_for(eps, spec.length_scale)
+    def point(eps, grid):
         init = Profile(grid, eps**2 * kdv_profile(kappa1, kappa2, eps * grid.nodes))
         return (eps,), spec.build(grid), eps**3, init
 
@@ -373,7 +368,7 @@ def kdv_experiment(
         diff = sol.U.samples / eps**2 - limit
         return d_ratio, float(np.sqrt(eps * grid.spacing * dot(diff, diff)))
 
-    return _solve_family(nl, eps_values, KdvRow, point, measure, predictors,
+    return _solve_family(nl, eps_values, grids, KdvRow, point, measure, predictors,
                          tol_residual, max_iter)
 
 
@@ -445,9 +440,11 @@ def high_energy_experiment(
     policy = policy or HighEnergyGridPolicy()
     nl = singular_nonlinearity(m)
 
-    # the probe is built on the first delta's grid, so its constants are the
-    # ones that delta's kernel carries
-    probe_kernel = spec.build(policy.grid_for(deltas[0], spec.length_scale))
+    # every grid is sized before the first solve, so an oversized point
+    # fails the sweep at once; the probe is built on the first delta's grid,
+    # so its constants are the ones that delta's kernel carries
+    grids = [policy.grid_for(delta, spec.length_scale) for delta in deltas]
+    probe_kernel = spec.build(grids[0])
     if not probe_kernel.a_smooth:
         raise KernelAssumptionError(
             f"kernel {probe_kernel.label}: autocorrelation a = b*b lacks a bounded, "
@@ -461,8 +458,8 @@ def high_energy_experiment(
         "k_max": probe_kernel.k_max_norm,
     }
 
-    def point(delta):
-        kernel = spec.build(policy.grid_for(delta, spec.length_scale))
+    def point(delta, grid):
+        kernel = spec.build(grid)
         K = (1.0 - delta) * kernel.k_max_norm
         return (delta, K), kernel, K, kernel.profile.scaled(1.0 / kernel.a0)
 
@@ -473,5 +470,5 @@ def high_energy_experiment(
         sup_err = float(np.max(np.abs(sol.U.samples - a_profile.samples / kernel.a0)))
         return eps_delta, eta, sup_err
 
-    return _solve_family(nl, deltas, HighEnergyRow, point, measure, predictors,
+    return _solve_family(nl, deltas, grids, HighEnergyRow, point, measure, predictors,
                          tol_residual, max_iter)

@@ -103,8 +103,7 @@ def emit_plot_data(rows, predictors: dict, out_dir, csv_name: str,
 # config loading
 #
 # A fields table maps each key of one config object to (parse, default).  A
-# default of _REQUIRED makes the key mandatory; a parse of None makes the
-# entry a fixed setting of the command that the config cannot set.
+# default of _REQUIRED makes the key mandatory.
 
 _REQUIRED = object()
 
@@ -148,12 +147,12 @@ def _flag(value) -> bool:
 def _read_fields(section, table: dict, where: str) -> dict:
     if not isinstance(section, dict):
         raise ValueError(f"{where} must be an object")
-    extra = set(section) - {key for key, (parse, _) in table.items() if parse}
+    extra = set(section) - set(table)
     if extra:
         raise ValueError(f"unknown keys {sorted(extra)} in {where}")
     values = {}
     for key, (parse, default) in table.items():
-        if parse is not None and key in section:
+        if key in section:
             try:
                 values[key] = parse(section[key])
             except (TypeError, ValueError) as exc:
@@ -178,7 +177,7 @@ def _policy(policy_type):
 _GRID_FIELDS = {"half_period": (as_number, _REQUIRED), "point_count": (_integer, _REQUIRED)}
 
 
-def _solver_fields(K=1.0, record_trace=True) -> dict:
+def _solver_fields(K=1.0) -> dict:
     """Fields of a solver section read into a SolverConfig.  K's default is
     a placeholder for commands that set K per solve."""
     return {
@@ -187,7 +186,6 @@ def _solver_fields(K=1.0, record_trace=True) -> dict:
         "max_iter": (_integer, 100_000),
         "init_width": (_optional_float, None),
         "monotonicity_slack": (_optional_float, None),  # None: set by _load
-        "record_trace": (None, record_trace),
     }
 
 
@@ -203,7 +201,7 @@ class _Command:
     grid_policy sizes a grid per point, and the kernel is built on the first
     point's grid.  Other commands read a grid section."""
 
-    run: Callable  # run(job, out, args) -> exit code
+    run: Callable  # run(job, out, args) -> exit code; main then writes meta.json
     solver: dict | None = None  # fields of the solver section
     extras: dict = field(default_factory=dict)  # fields of further top-level keys
     family: str | None = None
@@ -211,7 +209,8 @@ class _Command:
 
 @dataclass
 class _Job:
-    """One command's config as _load read it."""
+    """One command's config as _load read it, and what its run leaves for
+    meta.json."""
 
     spec: KernelSpec
     kernel: Kernel
@@ -269,19 +268,43 @@ def _load(command: str, config: dict, args) -> _Job:
 # commands
 
 
-def _monotonicity_warnings(solution, label: str = "") -> list:
-    if solution.max_p_drop > 1e-12:
-        return [f"{label}energy decreased by relative {solution.max_p_drop:.3g} "
-                "during the run"]
-    return []
+def _report(job: _Job, points) -> None:
+    """Record (label, solution, error) points for meta.json, in order: each
+    solution's counters, and the warnings.  A raised error (no solution) is
+    reported as it stands; an energy drop or a non-convergence follows the
+    point's label."""
+    for label, solution, error in points:
+        if solution is not None:
+            job.solutions.append(solution)
+            if solution.max_p_drop > 1e-12:
+                job.warnings.append(f"{label}energy decreased by relative "
+                                    f"{solution.max_p_drop:.3g} during the run")
+        if error is not None:
+            job.warnings.append(error if solution is None else label + error)
+
+
+def _k_label(solution) -> str:
+    """The label of a point of a family in K; a raised point needs none."""
+    return "" if solution is None else f"K={solution.K:g}: "
+
+
+def _fields_of(report, *omit) -> dict:
+    """A report dataclass's fields as a JSON payload, without the fields
+    named in omit and those that are None; a nested dataclass becomes a
+    dict."""
+    payload = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if f.name not in omit and value is not None:
+            payload[f.name] = asdict(value) if is_dataclass(value) else value
+    return payload
 
 
 def _solve_once(job: _Job, out: Path):
     """Solve at the config's K and save the solution.  Returns the solution
     and the exit code, 3 when the solve did not converge."""
     solution = solve(SolverConfig(**job.solver), job.kernel, job.nl)
-    job.solutions.append(solution)
-    job.warnings += _monotonicity_warnings(solution)
+    _report(job, [("", solution, None)])
     save_solution(solution, out)
     if solution.converged:
         return solution, 0
@@ -292,7 +315,6 @@ def _solve_once(job: _Job, out: Path):
 
 def _run_solve(job, out, args):
     solution, code = _solve_once(job, out)
-    _finish_meta(out, args, job)
     if code == 0:
         print(f"sigma = {solution.sigma:.12g} after {solution.iterations} iterations")
     return code
@@ -318,26 +340,19 @@ def _run_sweep(job, out, args):
     entries = sweep_K(job.extras["k_list"], SolverConfig(**job.solver), job.kernel,
                       job.nl, warm_start=job.extras["warm_start"],
                       max_workers=args.threads)
-    rows, warnings = [], []
+    rows = []
     for i, entry in enumerate(entries):
         sol = entry.solution
         if sol is None:
             rows.append(_SweepRow(entry.K, error=entry.error))
-            warnings.append(entry.error)
             continue
-        job.solutions.append(sol)
         rows.append(_SweepRow(entry.K, sol.sigma, sol.energies.P, sol.energies.Q,
                               sol.residual, sol.el_residual, sol.iterations,
                               sol.converged))
-        label = f"K={entry.K:g}: "
-        warnings += _monotonicity_warnings(sol, label)
-        if not sol.converged:
-            warnings.append(f"{label}no convergence in {job.solver['max_iter']} "
-                            f"iterations (residual {sol.residual:.3g})")
         save_solution(sol, out, stem=f"k_{i:03d}")
     _write_rows(out / "sweep.csv", rows)
-    _finish_meta(out, args, job, warnings)
-    converged = sum(e.solution is not None and e.solution.converged for e in entries)
+    _report(job, [(_k_label(e.solution), e.solution, e.error) for e in entries])
+    converged = sum(e.error is None for e in entries)
     print(f"sweep finished: {converged}/{len(entries)} entries converged")
     return 0
 
@@ -359,14 +374,10 @@ def _high_energy(job):
 def _run_family(experiment, csv_name, label, job, out, args):
     result = experiment(job)
     emit_plot_data(result.rows, result.predictors, out, csv_name)
-    failures = [f for f in result.failures if f is not None]
-    solutions = [sol for sol in result.solutions if sol is not None]
-    job.solutions += solutions
-    drops = [w for sol in solutions
-             for w in _monotonicity_warnings(sol, f"K={sol.K:g}: ")]
-    _finish_meta(out, args, job, failures + drops)
-    count = len(result.rows)
-    print(f"{label} finished: {count - len(failures)}/{count} entries converged")
+    _report(job, [(_k_label(sol), sol, failure)
+                  for sol, failure in zip(result.solutions, result.failures)])
+    converged = result.failures.count(None)
+    print(f"{label} finished: {converged}/{len(result.rows)} entries converged")
     return 0
 
 
@@ -379,20 +390,10 @@ def _run_decay(job, out, args):
                   "lambda_max": report.lambda_theory.lambda_max}
     else:
         theory = {"kind": "root", "value": report.lambda_theory}
-    _write_json(
-        out / "decay.json",
-        {
-            "c": report.c,
-            "lambda_theory": theory,
-            "lambda_fit": report.lambda_fit,
-            "fit_r2": report.fit_r2,
-            "fit_window": list(report.fit_window),
-            "sigma": solution.sigma,
-        },
-    )
+    _write_json(out / "decay.json", {**_fields_of(report, "a_c"),
+                                     "lambda_theory": theory, "sigma": solution.sigma})
     write_profile_csv(report.a_c, out / "a_c.csv")
     job.echo["c"] = report.c  # the c used, also when the config left it out
-    _finish_meta(out, args, job)
     if code == 0:
         print(
             f"sigma = {solution.sigma:.12g}, fitted tail rate "
@@ -404,29 +405,16 @@ def _run_decay(job, out, args):
 def _run_validate(job, out, args):
     kernel = job.kernel
     report = validate_kernel(kernel)
-    payload = {
-        "label": kernel.label,
-        "passed": report.passed,
-        "mass_error": report.mass_error,
-        "cone_checked": report.cone_checked,
-        "failures": list(report.failures),
-        "metadata": {
-            "mass": kernel.mass,
-            "second_moment": kernel.second_moment,
-            "bhat_pp0": kernel.bhat_pp0,
-            "a0": kernel.a0,
-            "a_pp0": None if not np.isfinite(kernel.a_pp0) else kernel.a_pp0,
-            "k_max_norm": kernel.k_max_norm,
-        },
+    metadata = {
+        "mass": kernel.mass,
+        "second_moment": kernel.second_moment,
+        "bhat_pp0": kernel.bhat_pp0,
+        "a0": kernel.a0,
+        "a_pp0": None if not np.isfinite(kernel.a_pp0) else kernel.a_pp0,
+        "k_max_norm": kernel.k_max_norm,
     }
-    if report.cone is not None:
-        payload["cone"] = {
-            "even_deviation": report.cone.even_deviation,
-            "min_value": report.cone.min_value,
-            "unimodality_deviation": report.cone.unimodality_deviation,
-        }
-    _write_json(out / "validation.json", payload)
-    _finish_meta(out, args, job)
+    _write_json(out / "validation.json",
+                {"label": kernel.label, "metadata": metadata, **_fields_of(report)})
     if not report.passed:
         detail = "; ".join(report.failures)
         print(f"kernel {kernel.label} fails validation: {detail}", file=sys.stderr)
@@ -438,30 +426,15 @@ def _run_validate(job, out, args):
 def _run_probe(job, out, args):
     report = uniqueness_probe(SolverConfig(**job.solver), job.kernel, job.nl,
                               max_workers=args.threads, **job.extras)
-    _write_json(
-        out / "probe.json",
-        {
-            "n_starts": report.n_starts,
-            "widths": list(report.widths),
-            "sigmas": list(report.sigmas),
-            "n_converged": report.n_converged,
-            "max_l2_distance": report.max_l2_distance,
-            "max_sigma_gap": report.max_sigma_gap,
-            "distance_tol": report.distance_tol,
-            "conjecture_support": "yes" if report.supports_conjecture else "no",
-            "failures": list(report.failures),
-        },
-    )
-    drops = []
-    for width, sol in zip(report.widths, report.solutions):
-        if sol is not None:
-            job.solutions.append(sol)
-            drops += _monotonicity_warnings(sol, f"width={width:g}: ")
-    _finish_meta(out, args, job, list(report.failures) + drops)
+    support = "yes" if report.supports_conjecture else "no"
+    _write_json(out / "probe.json",
+                {**_fields_of(report, "supports_conjecture", "entries"),
+                 "conjecture_support": support})
+    _report(job, [(f"width={width:g}: ", e.solution, e.error)
+                  for width, e in zip(report.widths, report.entries)])
     print(
         f"uniqueness probe: {report.n_converged}/{report.n_starts} converged, "
-        f"max distance {report.max_l2_distance:.3g}, conjecture support: "
-        + ("yes" if report.supports_conjecture else "no")
+        f"max distance {report.max_l2_distance:.3g}, conjecture support: {support}"
     )
     return 0
 
@@ -470,7 +443,7 @@ _COMMANDS = {
     "solve": _Command(_run_solve, _solver_fields(K=_REQUIRED)),
     "sweep-k": _Command(
         _run_sweep,
-        _solver_fields(record_trace=False),
+        _solver_fields(),
         {"k_list": (_points, _REQUIRED), "warm_start": (_flag, False)},
     ),
     "kdv": _Command(
@@ -495,7 +468,7 @@ _COMMANDS = {
     "validate-kernel": _Command(_run_validate),
     "uniqueness-probe": _Command(
         _run_probe,
-        _solver_fields(K=_REQUIRED, record_trace=False),
+        _solver_fields(K=_REQUIRED),
         {"n_starts": (_integer, 5), "seed": (_integer, 0),
          "distance_tol": (as_number, 1e-6)},
     ),
@@ -515,7 +488,7 @@ def _solver_counters(sol) -> dict:
     }
 
 
-def _finish_meta(out: Path, args, job: _Job, warnings: list = ()) -> None:
+def _write_meta(out: Path, args, job: _Job) -> None:
     resolved = {
         **job.echo,
         "output_dir": str(out),
@@ -531,7 +504,7 @@ def _finish_meta(out: Path, args, job: _Job, warnings: list = ()) -> None:
             # threads other than the main one (BLAS, --threads) do work
             "cpu_seconds": round(time.process_time() - args.cpu_started, 6),
         },
-        "warnings": job.warnings + list(warnings),
+        "warnings": job.warnings,
     }
     if job.solutions:
         meta["solves"] = [_solver_counters(sol) for sol in job.solutions]
@@ -588,7 +561,9 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         job = _load(args.command, config, args)
-        return _COMMANDS[args.command].run(job, out, args)
+        code = _COMMANDS[args.command].run(job, out, args)
+        _write_meta(out, args, job)
+        return code
     except _RUNTIME_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

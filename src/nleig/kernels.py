@@ -15,7 +15,7 @@ scale, and cone/boundedness validation is skipped for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -106,12 +106,9 @@ def _build(
     *,
     label: str,
     normalize: bool = True,
-    spectral: bool = False,
     a_smooth: bool = False,
-    a_pp0: float | None = None,
     exp_moment=None,
     moment_abscissa: float = np.inf,
-    bhat_pp0: float | None = None,
 ) -> Kernel:
     if normalize:
         raw_mass = grid.spacing * np.sum(samples)
@@ -120,18 +117,16 @@ def _build(
         samples = samples / raw_mass
     symbol = _symbol_from_samples(grid, samples)
     mass, second_moment, a0 = _metadata(grid, samples)
-    if a_pp0 is None:
-        a_pp0 = _a_pp0_from_symbol(grid, symbol) if a_smooth else float("nan")
     return Kernel(
         profile=Profile(grid, samples),
         symbol=symbol,
         mass=mass,
         second_moment=second_moment,
-        bhat_pp0=-second_moment if bhat_pp0 is None else bhat_pp0,
+        bhat_pp0=-second_moment,
         a0=a0,
-        a_pp0=a_pp0,
+        a_pp0=_a_pp0_from_symbol(grid, symbol) if a_smooth else float("nan"),
         k_max_norm=1.0 / (2.0 * a0),
-        spectral=spectral,
+        spectral=False,
         a_smooth=a_smooth,
         label=label,
         exp_moment=exp_moment,
@@ -139,7 +134,7 @@ def _build(
     )
 
 
-def gaussian_kernel(grid: Grid, width: float = 1.0, normalize: bool = True) -> Kernel:
+def gaussian_kernel(grid: Grid, width: float = 1.0) -> Kernel:
     """Unit-mass Gaussian of the given width (standard deviation)."""
     if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
@@ -153,21 +148,18 @@ def gaussian_kernel(grid: Grid, width: float = 1.0, normalize: bool = True) -> K
         )
     x = grid.nodes
     samples = np.exp(-(x**2) / (2.0 * width**2))
-    if not normalize:
-        samples = samples / (width * np.sqrt(2.0 * np.pi))
     w2 = width * width
     return _build(
         grid,
         samples,
         label=f"gaussian(width={width:g})",
-        normalize=normalize,
         a_smooth=True,
         exp_moment=lambda lam: float(np.exp(0.5 * w2 * lam * lam)),
         moment_abscissa=np.inf,
     )
 
 
-def indicator_kernel(grid: Grid, normalize: bool = True) -> Kernel:
+def indicator_kernel(grid: Grid) -> Kernel:
     """Indicator of [-1/2, 1/2]; boundary nodes carry the half value so the
     discrete mass and symbol stay second-order accurate."""
     if grid.spacing > 1.0 / 8.0:
@@ -190,7 +182,6 @@ def indicator_kernel(grid: Grid, normalize: bool = True) -> Kernel:
         grid,
         samples,
         label="indicator",
-        normalize=normalize,
         a_smooth=False,
         exp_moment=exp_moment,
         moment_abscissa=np.inf,
@@ -233,9 +224,7 @@ def spectral_ode_kernel(grid: Grid) -> Kernel:
     )
 
 
-def two_bump_kernel(
-    grid: Grid, width: float = 0.6, separation: float = 6.0, normalize: bool = True
-) -> Kernel:
+def two_bump_kernel(grid: Grid, width: float = 0.6, separation: float = 6.0) -> Kernel:
     """Sum of two separated Gaussians; even and positive but not unimodal.
 
     Violates the unimodality part of the kernel assumptions on purpose; used
@@ -257,7 +246,6 @@ def two_bump_kernel(
         grid,
         samples,
         label=f"two_bump(width={width:g},separation={separation:g})",
-        normalize=normalize,
         a_smooth=True,
     )
 
@@ -275,14 +263,9 @@ def kernel_from_samples(
 
     exp_moment, when given, is the closed-form two-sided exponential moment
     used by tail analysis; moment_abscissa bounds where it stays finite."""
-    kernel = _build(
-        grid, np.asarray(samples, dtype=np.float64), label=label, normalize=normalize
-    )
-    if exp_moment is not None or math.isfinite(moment_abscissa):
-        kernel = replace(
-            kernel, exp_moment=exp_moment, moment_abscissa=moment_abscissa
-        )
-    return kernel
+    return _build(grid, np.asarray(samples, dtype=np.float64), label=label,
+                  normalize=normalize, exp_moment=exp_moment,
+                  moment_abscissa=moment_abscissa)
 
 
 @dataclass(frozen=True)

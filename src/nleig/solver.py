@@ -22,7 +22,7 @@ import json
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,7 @@ class SolverConfig:
     init_profile: Profile | None = None
     init_width: float | None = None
     monotonicity_slack: float = 1e-12
-    record_trace: bool = True
+    record_trace: bool = False  # costs a cone check and a K evaluation per step
 
     def __post_init__(self):
         if not self.K > 0:
@@ -356,20 +356,30 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
 
 @dataclass(frozen=True)
 class SweepEntry:
-    """One K of a sweep: either a solution or a recorded failure."""
+    """One solve of a family, isolated: error is None when it converged,
+    "no convergence in <max_iter> iterations (residual <r>)" when it ran out
+    of iterations (solution kept), and "<Type>: <message>" when it raised
+    (solution None)."""
 
     K: float
     solution: Solution | None
     error: str | None = None
 
 
-def _entry_for(K: float, cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity,
-               init_profile: Profile | None) -> SweepEntry:
+def attempt(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity, **changes) -> SweepEntry:
+    """Solve at cfg with `changes` applied (as by dataclasses.replace, whose
+    validation counts as part of the solve), recording a failure in the
+    entry instead of raising it, so a family continues past a bad point."""
+    K = changes.get("K", cfg.K)
     try:
-        run_cfg = replace(cfg, K=K, init_profile=init_profile)
-        return SweepEntry(K=K, solution=solve(run_cfg, kernel, nl))
-    except Exception as exc:  # per-entry isolation: the sweep continues
-        return SweepEntry(K=K, solution=None, error=f"{type(exc).__name__}: {exc}")
+        run_cfg = replace(cfg, **changes)
+        sol = solve(run_cfg, kernel, nl)
+    except Exception as exc:  # per-point isolation: the family continues
+        return SweepEntry(K, None, f"{type(exc).__name__}: {exc}")
+    if sol.converged:
+        return SweepEntry(K, sol)
+    return SweepEntry(K, sol, f"no convergence in {run_cfg.max_iter} iterations "
+                              f"(residual {sol.residual:.3g})")
 
 
 def _map_in_order(fn, items, max_workers: int) -> list:
@@ -399,25 +409,24 @@ def sweep_K(
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("K values must be strictly ascending")
     if not warm_start:
-        return _map_in_order(
-            lambda k: _entry_for(k, cfg, kernel, nl, cfg.init_profile), ks, max_workers
-        )
+        return _map_in_order(lambda k: attempt(cfg, kernel, nl, K=k), ks, max_workers)
     entries = []
     previous = cfg.init_profile
     for k in ks:
-        entry = _entry_for(k, cfg, kernel, nl, previous)
+        entry = attempt(cfg, kernel, nl, K=k, init_profile=previous)
         entries.append(entry)
-        if entry.solution is not None and entry.solution.converged:
+        if entry.error is None:
             previous = entry.solution.V
     return entries
 
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    """Outcome of repeated solves from varied initializations.  solutions
-    holds each start's solve in the order of widths, None where it raised,
-    so its counters (iterations, max_p_drop, accelerated and rejected steps)
-    stay visible."""
+    """Outcome of repeated solves from varied initializations.  entries
+    holds each start's solve in the order of widths, so the counters of
+    every solve that returned (iterations, max_p_drop, accelerated and
+    rejected steps) stay visible; failures holds the error of each start
+    that did not converge, prefixed with its width."""
 
     n_starts: int
     widths: tuple[float, ...]
@@ -428,7 +437,7 @@ class UniquenessReport:
     distance_tol: float
     supports_conjecture: bool
     failures: tuple[str, ...]
-    solutions: tuple[Solution | None, ...]
+    entries: tuple[SweepEntry, ...]
 
 
 def uniqueness_probe(
@@ -454,23 +463,13 @@ def uniqueness_probe(
     factors[0] = 1.0
     widths = tuple(float(base_width * f) for f in factors)
 
-    def run_one(width: float):
-        run_cfg = replace(cfg, init_profile=None, init_width=width)
-        try:
-            return solve(run_cfg, kernel, nl), None
-        except Exception as exc:
-            return None, f"width {width:.4g}: {type(exc).__name__}: {exc}"
-
-    results = _map_in_order(run_one, widths, max_workers)
-    converged, failures = [], []
-    for sol, err in results:
-        if err is None and not sol.converged:
-            err = (f"did not converge within {cfg.max_iter} iterations "
-                   f"(residual {sol.residual:.3g})")
-        if err is None:
-            converged.append(sol)
-        else:
-            failures.append(err)
+    entries = _map_in_order(
+        lambda width: attempt(cfg, kernel, nl, init_profile=None, init_width=width),
+        widths, max_workers,
+    )
+    converged = [entry.solution for entry in entries if entry.error is None]
+    failures = tuple(f"width {width:.4g}: {entry.error}"
+                     for width, entry in zip(widths, entries) if entry.error is not None)
 
     max_distance = 0.0
     max_sigma_gap = 0.0
@@ -496,8 +495,8 @@ def uniqueness_probe(
         max_sigma_gap=max_sigma_gap,
         distance_tol=distance_tol,
         supports_conjecture=supports,
-        failures=tuple(failures),
-        solutions=tuple(sol for sol, _ in results),
+        failures=failures,
+        entries=tuple(entries),
     )
 
 
@@ -512,11 +511,7 @@ def solution_to_dict(sol: Solution) -> dict:
         "el_residual": sol.el_residual,
         "iterations": sol.iterations,
         "converged": sol.converged,
-        "cone": {
-            "even_deviation": sol.cone.even_deviation,
-            "min_value": sol.cone.min_value,
-            "unimodality_deviation": sol.cone.unimodality_deviation,
-        },
+        "cone": asdict(sol.cone),
         "grid": {
             "half_period": sol.V.grid.half_period,
             "point_count": sol.V.grid.point_count,

@@ -1,6 +1,7 @@
 """Tail decay, modified kernels, and the two limiting regimes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from nleig import (
     BlowUpBounded,
     HighEnergyGridPolicy,
     KdvGridPolicy,
+    Kernel,
     KernelAssumptionError,
     KernelSpec,
     Nonlinearity,
@@ -162,6 +164,31 @@ def test_kdv_experiment_records_a_raising_solve():
     row = res.rows[0]
     assert row.eps == 0.25
     assert all(math.isnan(v) for v in (row.sigma, row.d_ratio, row.profile_err))
+
+
+@pytest.mark.parametrize(
+    "experiment, args, message",
+    [
+        (kdv_experiment, (exp_nonlinearity(), [0.2, 0.01]),
+         "eps = 0.01 needs 65536 points, above the cap 32768"),
+        (high_energy_experiment, (4.0, [0.3, 0.001]),
+         "delta = 0.001 needs 65536 points, above the cap 32768"),
+    ],
+    ids=["kdv", "high-energy"],
+)
+def test_oversized_family_grid_fails_before_any_solve(monkeypatch, experiment, args,
+                                                      message):
+    convolutions = []
+    convolve = Kernel.convolve
+
+    def counted(self, w):
+        convolutions.append(w.grid.point_count)
+        return convolve(self, w)
+
+    monkeypatch.setattr(Kernel, "convolve", counted)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        experiment(KernelSpec(kind="gaussian", width=1.0), *args)
+    assert convolutions == []
 
 
 def test_kdv_experiment_records_per_eps_failures():

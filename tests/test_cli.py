@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import nleig.asymptotics
 import nleig.solver
 from nleig.cli import main
 
@@ -301,7 +300,7 @@ def test_sweep_k_reports_nonconverged_entries(tmp_path, capsys):
     [
         ("sweep-k", nleig.solver,
          {"grid": {"half_period": 25.0, "point_count": 512}, "k_list": [0.5, 1.0]}),
-        ("high-energy", nleig.asymptotics, {"delta_list": [0.3]}),
+        ("high-energy", nleig.solver, {"delta_list": [0.3]}),
     ],
 )
 def test_energy_drops_are_reported_per_point(tmp_path, monkeypatch, command,
@@ -322,6 +321,84 @@ def test_energy_drops_are_reported_per_point(tmp_path, monkeypatch, command,
     drops = [w for w in warnings if "energy decreased by relative 2e-06" in w]
     assert len(drops) == len(config.get("k_list", config.get("delta_list")))
     assert all(w.startswith("K=") for w in drops)
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("kdv", {"nonlinearity": {"kind": "exp"}, "eps_list": [0.4, 0.3]}),
+        ("high-energy", {"nonlinearity": {"kind": "singular", "m": 4},
+                         "delta_list": [0.3, 0.2]}),
+    ],
+)
+def test_family_nonconvergence_warnings_name_the_point(tmp_path, command, config):
+    config = {"kernel": {"kind": "gaussian", "width": 1.0},
+              "solver": {"max_iter": 2}, **config}
+    code, out = _run(tmp_path, command, config)
+    assert code == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert len(meta["warnings"]) == len(meta["solves"]) == 2
+    for warning, counters in zip(meta["warnings"], meta["solves"]):
+        assert warning.startswith(f"K={counters['K']:g}: no convergence in 2 "
+                                  "iterations (residual ")
+
+
+def test_probe_failures_name_the_start(tmp_path):
+    code, out = _run(tmp_path, "uniqueness-probe",
+                     {**_solve_config(max_iter=5), "n_starts": 2})
+    assert code == 0
+    probe = json.loads((out / "probe.json").read_text())
+    meta = json.loads((out / "meta.json").read_text())
+    assert probe["n_converged"] == 0 and len(probe["failures"]) == 2
+    for width, failure, warning in zip(probe["widths"], probe["failures"],
+                                       meta["warnings"]):
+        detail = failure.removeprefix(f"width {width:.4g}: ")
+        assert detail.startswith("no convergence in 5 iterations (residual ")
+        assert warning == f"width={width:g}: {detail}"
+    # a start that raised is warned about with its error as it stands
+    singular = {**_solve_config(K=2.0), "nonlinearity": {"kind": "singular", "m": 4},
+                "n_starts": 2}
+    _, out = _run(tmp_path, "uniqueness-probe", singular, name="raised")
+    error = ("ValueError: K = 2 must stay below K_max = 1.77245 "
+             "for a singular nonlinearity")
+    assert json.loads((out / "meta.json").read_text())["warnings"] == [error, error]
+    widths = json.loads((out / "probe.json").read_text())["widths"]
+    assert json.loads((out / "probe.json").read_text())["failures"] == [
+        f"width {width:.4g}: {error}" for width in widths]
+
+
+def test_report_payload_keys(tmp_path):
+    def keys(out, name):
+        return sorted(json.loads((out / name).read_text()))
+
+    cone = ["even_deviation", "min_value", "unimodality_deviation"]
+    validation = ["cone_checked", "failures", "label", "mass_error", "metadata",
+                  "passed"]
+    _, out = _run(tmp_path, "validate-kernel",
+                  {"grid": {"half_period": 25.0, "point_count": 512},
+                   "kernel": {"kind": "gaussian", "width": 1.0}}, name="gaussian")
+    assert keys(out, "validation.json") == sorted(validation + ["cone"])
+    report = json.loads((out / "validation.json").read_text())
+    assert sorted(report["cone"]) == cone
+    assert sorted(report["metadata"]) == ["a0", "a_pp0", "bhat_pp0", "k_max_norm",
+                                          "mass", "second_moment"]
+    # the spectral kernel's cone is not checked, so its block is left out
+    _, out = _run(tmp_path, "validate-kernel",
+                  {"grid": {"half_period": 40.0, "point_count": 4096},
+                   "kernel": {"kind": "ode"}}, name="ode")
+    assert keys(out, "validation.json") == validation
+    _, out = _run(tmp_path, "uniqueness-probe", {**_solve_config(), "n_starts": 1},
+                  name="probe")
+    assert keys(out, "probe.json") == [
+        "conjecture_support", "distance_tol", "failures", "max_l2_distance",
+        "max_sigma_gap", "n_converged", "n_starts", "sigmas", "widths"]
+    decay = {"grid": {"half_period": 40.0, "point_count": 4096}, "kernel": {"kind": "ode"},
+             "nonlinearity": {"kind": "quadratic", "alpha": 1.0, "beta": 2.0},
+             "solver": {"K": 0.95}}
+    _, out = _run(tmp_path, "decay", decay, name="decay")
+    assert keys(out, "decay.json") == ["c", "fit_r2", "fit_window", "lambda_fit",
+                                       "lambda_theory", "sigma"]
+    assert sorted(json.loads((out / "solution.json").read_text())["cone"]) == cone
 
 
 def test_kdv_command_with_indicator_kernel(tmp_path, capsys):

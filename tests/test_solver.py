@@ -15,6 +15,7 @@ from nleig import (
     Profile,
     SolverConfig,
     ZeroGradientError,
+    attempt,
     eval_K,
     eval_P,
     exp_nonlinearity,
@@ -43,7 +44,7 @@ NL = exp_nonlinearity()
 
 @pytest.fixture(scope="module")
 def reference_solution():
-    cfg = SolverConfig(K=1.0, tol_residual=1e-10)
+    cfg = SolverConfig(K=1.0, tol_residual=1e-10, record_trace=True)
     return solve(cfg, KERNEL, NL)
 
 
@@ -122,7 +123,8 @@ def test_accelerated_solve_keeps_the_invariants():
     init = Profile(grid, eps**2 * kdv_profile(family.predictors["kappa1"],
                                               family.predictors["kappa2"],
                                               eps * grid.nodes))
-    sol = solve(SolverConfig(K=eps**3, init_profile=init, max_iter=300_000),
+    sol = solve(SolverConfig(K=eps**3, init_profile=init, max_iter=300_000,
+                             record_trace=True),
                 spec.build(grid), nl)
     assert sol.converged and sol.accelerated_steps > 0
     # the trace changes nothing along the path
@@ -281,6 +283,27 @@ def test_sweep_isolates_per_entry_failures():
     assert "K_max" in entries[2].error
     # sigma grows with K
     assert entries[1].solution.sigma > entries[0].solution.sigma
+
+
+def test_attempt_records_each_outcome_in_the_entry():
+    cfg = SolverConfig(K=1.0)
+    converged = attempt(cfg, KERNEL, NL)
+    assert converged.K == 1.0 and converged.error is None
+    assert converged.solution.converged
+    assert converged.solution.trace is None  # the trace is opt-in
+    # an exhausted solve keeps its solution
+    exhausted = attempt(cfg, KERNEL, NL, max_iter=3)
+    assert not exhausted.solution.converged
+    assert exhausted.error == ("no convergence in 3 iterations (residual "
+                               f"{exhausted.solution.residual:.3g})")
+    # a raising solve, or a change the config rejects, keeps none
+    raised = attempt(cfg, KERNEL, singular_nonlinearity(4.0), K=2.0)
+    assert raised.K == 2.0 and raised.solution is None
+    assert raised.error == ("ValueError: K = 2 must stay below K_max = 1.77245 "
+                            "for a singular nonlinearity")
+    rejected = attempt(cfg, KERNEL, NL, K=-1.0)
+    assert rejected.K == -1.0 and rejected.solution is None
+    assert rejected.error.startswith("ValueError: K must be positive")
 
 
 def test_sweep_threading_is_deterministic():
