@@ -13,6 +13,7 @@ Three regimes are covered:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -190,28 +191,48 @@ class FamilyResult:
     failures: list[str | None]
 
 
-def _descending(values, name: str, valid, condition: str) -> list[float]:
+def _family_points(values, name: str, policy, spec: KernelSpec):
+    """The descending points of a family, the first point's kernel (the probe
+    that supplies the predictors) and the kernels of all points in order,
+    each later one built when the sweep reaches it.  Every grid is sized
+    before the first solve, so a point out of range or oversized fails the
+    sweep at once."""
     points = [float(v) for v in values]
     if not points:
         raise EmptyResultError(f"{name} list is empty")
-    if not all(valid(p) for p in points):
-        raise ValueError(f"{name} values must {condition}")
     if any(b >= a for a, b in zip(points, points[1:])):
         raise ValueError(f"{name} values must be strictly descending")
-    return points
+    grids = [policy.grid_for(p, spec.length_scale) for p in points]
+    probe = spec.build(grids[0])
+    return points, probe, itertools.chain([probe], map(spec.build, grids[1:]))
 
 
-def _solve_family(nl, points, grids, row_type, point, measure, predictors,
+def _power_of_two_grid(point: str, half_period: float, h_max: float,
+                       max_points: int) -> Grid:
+    """The grid of the given half period with the fewest power-of-two points
+    whose spacing is at most h_max; errors name the family point, as
+    "eps = 0.1"."""
+    count = 2.0 * half_period / h_max if h_max > 0.0 else math.nan
+    if not 0.0 < count < math.inf:
+        raise ValueError(f"{point} needs spacing {h_max:g} at half period "
+                         f"{half_period:g}: no finite, positive point count")
+    n = 2 ** math.ceil(math.log2(count))
+    if n > max_points:
+        raise ValueError(f"{point} needs {n} points, above the cap {max_points}")
+    return make_grid(half_period, n)
+
+
+def _solve_family(nl, points, kernels, row_type, point, measure, predictors,
                   tol_residual, max_iter) -> FamilyResult:
-    """Solve at each point on its grid and record one row_type(*head, sigma,
-    *measured) row.  point(p, grid) returns (head, kernel, K, initial
+    """Solve at each point with its kernel and record one row_type(*head,
+    sigma, *measured) row.  point(p, kernel) returns (head, K, initial
     profile); measure(p, kernel, solution) returns the row's remaining fields
     for a converged solve.  A solve that raises gives a NaN row; one that
     does not converge gives a NaN row that keeps its sigma.  Either way the
     sweep continues."""
     rows, solutions, failures = [], [], []
-    for p, grid in zip(points, grids):
-        head, kernel, K, init = point(p, grid)
+    for p, kernel in zip(points, kernels):
+        head, K, init = point(p, kernel)
         cfg = SolverConfig(K=K, tol_residual=tol_residual, max_iter=max_iter,
                            init_profile=init)
         entry = attempt(cfg, kernel, nl)
@@ -293,17 +314,14 @@ class KdvGridPolicy:
     max_points: int = 2**15
 
     def grid_for(self, eps: float, kernel_scale: float) -> Grid:
+        if not eps > 0:
+            raise ValueError(f"eps = {eps:g} must be positive")
         half_period = max(self.l_floor, self.l_over_eps / eps)
         h_max = min(
             kernel_scale * self.kernel_fraction,
             self.feature_fraction / eps,
         )
-        n = 2 ** math.ceil(math.log2(2.0 * half_period / h_max))
-        if n > self.max_points:
-            raise ValueError(
-                f"eps = {eps:g} needs {n} points, above the cap {self.max_points}"
-            )
-        return make_grid(half_period, n)
+        return _power_of_two_grid(f"eps = {eps:g}", half_period, h_max, self.max_points)
 
 
 @dataclass(frozen=True)
@@ -327,13 +345,8 @@ def kdv_experiment(
     """Sweep K = eps^3 downward and compare against the shallow-water
     predictions; each eps gets its own grid from the policy and an initial
     profile seeded with the predicted limit wave."""
-    eps_values = _descending(eps_list, "eps", lambda e: 0 < e, "be positive")
-    policy = policy or KdvGridPolicy()
-    # every grid is sized before the first solve, so an oversized point
-    # fails the sweep at once
-    grids = [policy.grid_for(eps, spec.length_scale) for eps in eps_values]
-
-    probe_kernel = spec.build(grids[0])
+    eps_values, probe_kernel, kernels = _family_points(eps_list, "eps",
+                                                       policy or KdvGridPolicy(), spec)
     ok, c_const, message = check_kdv_assumption(probe_kernel)
     if not ok:
         raise KernelAssumptionError(
@@ -357,9 +370,10 @@ def kdv_experiment(
         "symbol_bound_constant": c_const,
     }
 
-    def point(eps, grid):
+    def point(eps, kernel):
+        grid = kernel.grid
         init = Profile(grid, eps**2 * kdv_profile(kappa1, kappa2, eps * grid.nodes))
-        return (eps,), spec.build(grid), eps**3, init
+        return (eps,), eps**3, init
 
     def measure(eps, kernel, sol):
         grid = kernel.grid
@@ -368,7 +382,7 @@ def kdv_experiment(
         diff = sol.U.samples / eps**2 - limit
         return d_ratio, float(np.sqrt(eps * grid.spacing * dot(diff, diff)))
 
-    return _solve_family(nl, eps_values, grids, KdvRow, point, measure, predictors,
+    return _solve_family(nl, eps_values, kernels, KdvRow, point, measure, predictors,
                          tol_residual, max_iter)
 
 
@@ -385,7 +399,10 @@ def eta0_predicted(a0: float, a_pp0: float, m: float) -> float:
         raise ValueError("a''(0) must be finite and nonzero")
     if not m > 0:
         raise ValueError("m must be positive")
-    gamma_ratio = math.exp(math.lgamma(m + 0.5) - math.lgamma(m + 1.0))
+    try:
+        gamma_ratio = math.exp(math.lgamma(m + 0.5) - math.lgamma(m + 1.0))
+    except OverflowError:  # lgamma leaves the float range near m = 2.5e305
+        raise ValueError(f"m = {m:g} is too large for Gamma(m + 1/2)") from None
     return float(math.sqrt(2.0 * math.pi) * math.sqrt(a0**3 / abs(a_pp0)) * gamma_ratio)
 
 
@@ -401,16 +418,14 @@ class HighEnergyGridPolicy:
     max_points: int = 2**15
 
     def grid_for(self, delta: float, kernel_scale: float) -> Grid:
+        if not 0.0 < delta < 1.0:
+            raise ValueError(f"delta = {delta:g} must lie in (0, 1)")
         h_max = min(
             kernel_scale * self.kernel_fraction,
             self.peak_fraction * math.sqrt(delta * self.eps_proxy),
         )
-        n = 2 ** math.ceil(math.log2(2.0 * self.half_period / h_max))
-        if n > self.max_points:
-            raise ValueError(
-                f"delta = {delta:g} needs {n} points, above the cap {self.max_points}"
-            )
-        return make_grid(self.half_period, n)
+        return _power_of_two_grid(f"delta = {delta:g}", self.half_period, h_max,
+                                  self.max_points)
 
 
 @dataclass(frozen=True)
@@ -436,15 +451,10 @@ def high_energy_experiment(
     """Sweep K = (1 - delta) K_max downward in delta for the singular
     nonlinearity of exponent m; requires a kernel whose autocorrelation
     a = b*b is twice differentiable with a, a'' bounded and integrable."""
-    deltas = _descending(delta_list, "delta", lambda d: 0.0 < d < 1.0, "lie in (0, 1)")
-    policy = policy or HighEnergyGridPolicy()
+    deltas, probe_kernel, kernels = _family_points(delta_list, "delta",
+                                                   policy or HighEnergyGridPolicy(), spec)
     nl = singular_nonlinearity(m)
 
-    # every grid is sized before the first solve, so an oversized point
-    # fails the sweep at once; the probe is built on the first delta's grid,
-    # so its constants are the ones that delta's kernel carries
-    grids = [policy.grid_for(delta, spec.length_scale) for delta in deltas]
-    probe_kernel = spec.build(grids[0])
     if not probe_kernel.a_smooth:
         raise KernelAssumptionError(
             f"kernel {probe_kernel.label}: autocorrelation a = b*b lacks a bounded, "
@@ -458,10 +468,9 @@ def high_energy_experiment(
         "k_max": probe_kernel.k_max_norm,
     }
 
-    def point(delta, grid):
-        kernel = spec.build(grid)
+    def point(delta, kernel):
         K = (1.0 - delta) * kernel.k_max_norm
-        return (delta, K), kernel, K, kernel.profile.scaled(1.0 / kernel.a0)
+        return (delta, K), K, kernel.profile.scaled(1.0 / kernel.a0)
 
     def measure(delta, kernel, sol):
         eps_delta = 1.0 - sol.U.value_at_zero()
@@ -470,5 +479,5 @@ def high_energy_experiment(
         sup_err = float(np.max(np.abs(sol.U.samples - a_profile.samples / kernel.a0)))
         return eps_delta, eta, sup_err
 
-    return _solve_family(nl, deltas, grids, HighEnergyRow, point, measure, predictors,
+    return _solve_family(nl, deltas, kernels, HighEnergyRow, point, measure, predictors,
                          tol_residual, max_iter)

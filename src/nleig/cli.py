@@ -6,9 +6,9 @@ files atomically into --output, exit 0 on success, 2 on validation failure,
 byte-identical numeric outputs; meta.json echoes the fully resolved config
 (defaults included) plus version and wall-clock and CPU timings.
 
-Each command declares in _COMMANDS the config it takes; _load reads and
-checks every config, builds and gates the kernel and assembles meta.json's
-resolved config.
+Each command declares in _COMMANDS the config it takes; _load reads every
+config object through config.read_fields, builds and gates the kernel and
+assembles meta.json's resolved config.
 """
 
 from __future__ import annotations
@@ -34,6 +34,15 @@ from .asymptotics import (
     high_energy_experiment,
     kdv_experiment,
 )
+from .config import (
+    REQUIRED,
+    as_number,
+    fields_table,
+    flag,
+    integer,
+    optional_number,
+    read_fields,
+)
 from .errors import (
     DomainBreachError,
     EmptyResultError,
@@ -44,9 +53,8 @@ from .errors import (
     NumericalOverflowError,
     SymbolPoleError,
     ZeroGradientError,
-    as_number,
 )
-from .grid import atomic_write_text, make_grid, write_profile_csv
+from .grid import Grid, atomic_write_text, make_grid, write_profile_csv
 from .kernels import Kernel, KernelSpec, kernel_spec_from_config, validate_kernel
 from .nonlinearity import Nonlinearity, nonlinearity_from_config, nonlinearity_to_config
 from .solver import SolverConfig, save_solution, solve, sweep_K, uniqueness_probe
@@ -100,24 +108,8 @@ def emit_plot_data(rows, predictors: dict, out_dir, csv_name: str,
 
 
 # ---------------------------------------------------------------------------
-# config loading
-#
-# A fields table maps each key of one config object to (parse, default).  A
-# default of _REQUIRED makes the key mandatory.
-
-_REQUIRED = object()
-
-
-def _integer(value) -> int:
-    """A JSON integer, or a float with an integral value; a bool is not one."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _optional_float(value):
-    return None if value is None else as_number(value)
+# config loading: each config object is read by config.read_fields through
+# a fields table
 
 
 def _points(value) -> list[float]:
@@ -138,59 +130,26 @@ def _as_is(value):
     return value
 
 
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
+def _declared(command: str, value):
+    """The command a config names, if any, which must be the one run."""
+    if value is not None and value != command:
+        raise ValueError(f"the config is for {value!r}, not {command!r}")
     return value
 
 
-def _read_fields(section, table: dict, where: str) -> dict:
-    if not isinstance(section, dict):
-        raise ValueError(f"{where} must be an object")
-    extra = set(section) - set(table)
-    if extra:
-        raise ValueError(f"unknown keys {sorted(extra)} in {where}")
-    values = {}
-    for key, (parse, default) in table.items():
-        if key in section:
-            try:
-                values[key] = parse(section[key])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{key} in {where}: {exc}") from None
-        elif default is _REQUIRED:
-            raise ValueError(f"{where} requires {key}")
-        else:
-            values[key] = default
-    return values
-
-
 def _policy(policy_type):
-    """Parse of a grid_policy section: a key with an int default parses by
-    _integer, one with a float default by as_number, and an absent key keeps
+    """Parse of a grid_policy section into policy_type; an absent key keeps
     its default."""
-    table = {f.name: (_integer if type(f.default) is int else as_number, f.default)
-             for f in fields(policy_type)}
-    return lambda section: policy_type(**_read_fields(section, table,
-                                                      "grid_policy section"))
+    table = fields_table(policy_type)
+    return lambda section: policy_type(**read_fields(section, table,
+                                                     "grid_policy section"))
 
 
-_GRID_FIELDS = {"half_period": (as_number, _REQUIRED), "point_count": (_integer, _REQUIRED)}
-
-
-def _solver_fields(K=1.0) -> dict:
-    """Fields of a solver section read into a SolverConfig.  K's default is
-    a placeholder for commands that set K per solve."""
-    return {
-        "K": (as_number, K),
-        "tol_residual": (as_number, 1e-10),
-        "max_iter": (_integer, 100_000),
-        "init_width": (_optional_float, None),
-        "monotonicity_slack": (_optional_float, None),  # None: set by _load
-    }
-
+# the solve sets init_profile itself, and the CLI writes no trace
+_SOLVER_FIELDS = fields_table(SolverConfig, "init_profile", "record_trace")
 
 # the family experiments set K and the initial profile per point
-_FAMILY_SOLVER_FIELDS = {"tol_residual": (as_number, 1e-10), "max_iter": (_integer, 300_000)}
+_FAMILY_SOLVER_FIELDS = {"tol_residual": (as_number, 1e-10), "max_iter": (integer, 300_000)}
 
 
 @dataclass(frozen=True)
@@ -226,27 +185,30 @@ def _load(command: str, config: dict, args) -> _Job:
     """Check the top-level keys, read the sections and extra keys the command
     declares, build and gate the kernel, and assemble the resolved config."""
     cmd = _COMMANDS[command]
-    sections = ["command", "kernel"] + (["grid"] if cmd.family is None else [])
+    sections = ["kernel"] + (["grid"] if cmd.family is None else [])
     if cmd.solver is not None:
         sections += ["nonlinearity", "solver"]
-    values = _read_fields(config, {**{name: (_as_is, {}) for name in sections},
-                                   **cmd.extras}, "config")
+    values = read_fields(config, {"command": (partial(_declared, command), None),
+                                  **{name: (_as_is, {}) for name in sections},
+                                  **cmd.extras}, "config")
     extras = {key: values[key] for key in cmd.extras}
     spec = kernel_spec_from_config(values["kernel"])
     echo = {"command": command, "kernel": spec.to_config()}
     if cmd.family is None:
-        grid = make_grid(**_read_fields(values["grid"], _GRID_FIELDS, "grid section"))
-        echo["grid"] = {"half_period": grid.half_period, "point_count": grid.point_count}
+        grid = make_grid(**read_fields(values["grid"], fields_table(Grid), "grid section"))
+        echo["grid"] = asdict(grid)
     else:
         grid = extras["grid_policy"].grid_for(extras[cmd.family][0], spec.length_scale)
     kernel = spec.build(grid)
     nl, solver, warnings = None, None, []
     if cmd.solver is not None:
         nl = nonlinearity_from_config(values["nonlinearity"])
-        solver = _read_fields(values["solver"], cmd.solver, "solver section")
-        if solver.get("monotonicity_slack", 0.0) is None:
-            # exploratory mode demotes the monotonicity abort to a warning
-            solver["monotonicity_slack"] = math.inf if args.allow_nonstandard else 1e-12
+        table = cmd.solver
+        if args.allow_nonstandard and "monotonicity_slack" in table:
+            # exploratory mode demotes the monotonicity abort to a warning,
+            # unless the solver section sets the slack
+            table = {**table, "monotonicity_slack": (as_number, math.inf)}
+        solver = read_fields(values["solver"], table, "solver section")
         echo["nonlinearity"] = nonlinearity_to_config(nl)
         echo["solver"] = {key: "inf" if value == math.inf else value
                           for key, value in solver.items()}
@@ -337,9 +299,10 @@ class _SweepRow:
 
 
 def _run_sweep(job, out, args):
-    entries = sweep_K(job.extras["k_list"], SolverConfig(**job.solver), job.kernel,
-                      job.nl, warm_start=job.extras["warm_start"],
-                      max_workers=args.threads)
+    ks = job.extras["k_list"]
+    # the solver section takes no K: sweep_K sets each entry's from k_list
+    entries = sweep_K(ks, SolverConfig(K=ks[0], **job.solver), job.kernel, job.nl,
+                      warm_start=job.extras["warm_start"], max_workers=args.threads)
     rows = []
     for i, entry in enumerate(entries):
         sol = entry.solution
@@ -383,6 +346,8 @@ def _run_family(experiment, csv_name, label, job, out, args):
 
 def _run_decay(job, out, args):
     solution, code = _solve_once(job, out)
+    if code != 0:  # no tail fit of an unconverged profile
+        return code
     report = decay_report(job.kernel, job.nl, solution, c=job.extras["c"],
                           window=job.extras["window"])
     if isinstance(report.lambda_theory, BlowUpBounded):
@@ -394,12 +359,11 @@ def _run_decay(job, out, args):
                                      "lambda_theory": theory, "sigma": solution.sigma})
     write_profile_csv(report.a_c, out / "a_c.csv")
     job.echo["c"] = report.c  # the c used, also when the config left it out
-    if code == 0:
-        print(
-            f"sigma = {solution.sigma:.12g}, fitted tail rate "
-            f"{report.lambda_fit:.6g} (r^2 = {report.fit_r2:.6f})"
-        )
-    return code
+    print(
+        f"sigma = {solution.sigma:.12g}, fitted tail rate "
+        f"{report.lambda_fit:.6g} (r^2 = {report.fit_r2:.6f})"
+    )
+    return 0
 
 
 def _run_validate(job, out, args):
@@ -440,36 +404,36 @@ def _run_probe(job, out, args):
 
 
 _COMMANDS = {
-    "solve": _Command(_run_solve, _solver_fields(K=_REQUIRED)),
+    "solve": _Command(_run_solve, _SOLVER_FIELDS),
     "sweep-k": _Command(
         _run_sweep,
-        _solver_fields(),
-        {"k_list": (_points, _REQUIRED), "warm_start": (_flag, False)},
+        fields_table(SolverConfig, "K", "init_profile", "record_trace"),
+        {"k_list": (_points, REQUIRED), "warm_start": (flag, False)},
     ),
     "kdv": _Command(
         partial(_run_family, _kdv, "kdv.csv", "kdv sweep"),
         _FAMILY_SOLVER_FIELDS,
-        {"eps_list": (_points, _REQUIRED),
+        {"eps_list": (_points, REQUIRED),
          "grid_policy": (_policy(KdvGridPolicy), KdvGridPolicy())},
         family="eps_list",
     ),
     "high-energy": _Command(
         partial(_run_family, _high_energy, "high_energy.csv", "high-energy sweep"),
         _FAMILY_SOLVER_FIELDS,
-        {"delta_list": (_points, _REQUIRED),
+        {"delta_list": (_points, REQUIRED),
          "grid_policy": (_policy(HighEnergyGridPolicy), HighEnergyGridPolicy())},
         family="delta_list",
     ),
     "decay": _Command(
         _run_decay,
-        _solver_fields(K=_REQUIRED),
-        {"c": (_optional_float, None), "window": (_window, [0.5, 0.8])},
+        _SOLVER_FIELDS,
+        {"c": (optional_number, None), "window": (_window, [0.5, 0.8])},
     ),
     "validate-kernel": _Command(_run_validate),
     "uniqueness-probe": _Command(
         _run_probe,
-        _solver_fields(K=_REQUIRED),
-        {"n_starts": (_integer, 5), "seed": (_integer, 0),
+        _SOLVER_FIELDS,
+        {"n_starts": (integer, 5), "seed": (integer, 0),
          "distance_tol": (as_number, 1e-6)},
     ),
 }
@@ -542,25 +506,14 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
-    if not isinstance(config, dict):
-        print("error: config must be a JSON object", file=sys.stderr)
-        return 2
-    declared = config.get("command")
-    if declared is not None and declared != args.command:
-        print(
-            f"error: config declares command {declared!r} but {args.command!r} "
-            "was requested",
-            file=sys.stderr,
-        )
-        return 2
     if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 2
 
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         job = _load(args.command, config, args)
+        out.mkdir(parents=True, exist_ok=True)
         code = _COMMANDS[args.command].run(job, out, args)
         _write_meta(out, args, job)
         return code

@@ -1,5 +1,4 @@
-"""Exception types shared across the package, and the check of a config
-number.
+"""Exception types shared across the package.
 
 Every error names the invariant it guards so that CLI messages and test
 assertions can point at the failing condition directly.
@@ -61,14 +60,3 @@ class EmptyResultError(NleigError):
 class KernelAssumptionError(NleigError):
     """Kernel fails an assumption required by the requested computation."""
 
-
-def as_number(value, name: str = "") -> float:
-    """A config value that must be a JSON number (int or float), as a float.
-    A bool or a numeric string is not one; the ValueError names `name`."""
-    prefix = f"{name}: " if name else ""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{prefix}expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{prefix}{value} is out of the float range") from None

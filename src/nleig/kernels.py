@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalOverflowError, UnderResolvedError, as_number
+from .config import fields_table, read_fields
+from .errors import NumericalOverflowError, UnderResolvedError
 from .grid import ConeReport, Grid, Profile, cone_check, require_same_grid
 
 
@@ -374,11 +375,4 @@ class KernelSpec:
 
 
 def kernel_spec_from_config(cfg: dict) -> KernelSpec:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ValueError("kernel config must be an object with a 'kind' entry")
-    extra = set(cfg) - {"kind", "width", "separation"}
-    if extra:
-        raise ValueError(f"unknown kernel config keys {sorted(extra)}")
-    params = {key: None if value is None else as_number(value, f"{key} in kernel section")
-              for key, value in cfg.items() if key != "kind"}
-    return KernelSpec(cfg["kind"], **params)
+    return KernelSpec(**read_fields(cfg, fields_table(KernelSpec), "kernel section"))

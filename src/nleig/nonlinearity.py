@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainBreachError, as_number
+from .config import REQUIRED, as_number, read_fields, string
+from .errors import DomainBreachError
 
 
 class Nonlinearity:
@@ -158,42 +159,30 @@ def check_superlinearity(
     return SuperlinearityReport(scaling_margin, moment_margin, passed)
 
 
+# each kind's factory and the names of its parameters, which are both the
+# factory's keyword arguments and the Nonlinearity attributes they set
+_KINDS = {
+    "exp": (exp_nonlinearity, ()),
+    "quadratic": (quadratic_nonlinearity, ("alpha", "beta")),
+    "singular": (singular_nonlinearity, ("m",)),
+}
+
+
 def nonlinearity_from_config(cfg: dict) -> Nonlinearity:
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise ValueError("nonlinearity config must be an object with a 'kind' entry")
-    kind = cfg["kind"]
-    if kind == "exp":
-        extra = set(cfg) - {"kind"}
-        if extra:
-            raise ValueError(f"unknown nonlinearity config keys {sorted(extra)}")
-        return exp_nonlinearity()
-    if kind == "quadratic":
-        extra = set(cfg) - {"kind", "alpha", "beta"}
-        if extra:
-            raise ValueError(f"unknown nonlinearity config keys {sorted(extra)}")
-        if "alpha" not in cfg or "beta" not in cfg:
-            raise ValueError("quadratic nonlinearity requires alpha and beta")
-        return quadratic_nonlinearity(
-            as_number(cfg["alpha"], "alpha in nonlinearity section"),
-            as_number(cfg["beta"], "beta in nonlinearity section"),
+    # the kind names the section's parameters, so a kind given but unknown
+    # is reported before read_fields checks the keys
+    kind = cfg.get("kind", REQUIRED) if isinstance(cfg, dict) else REQUIRED
+    if kind is not REQUIRED and not (isinstance(kind, str) and kind in _KINDS):
+        raise ValueError(
+            f"unknown nonlinearity kind {kind!r}; expected exp, quadratic, or singular"
         )
-    if kind == "singular":
-        extra = set(cfg) - {"kind", "m"}
-        if extra:
-            raise ValueError(f"unknown nonlinearity config keys {sorted(extra)}")
-        if "m" not in cfg:
-            raise ValueError("singular nonlinearity requires m")
-        return singular_nonlinearity(as_number(cfg["m"], "m in nonlinearity section"))
-    raise ValueError(
-        f"unknown nonlinearity kind {kind!r}; expected exp, quadratic, or singular"
-    )
+    _, names = _KINDS.get(kind, (None, ()))
+    table = {"kind": (string, REQUIRED), **{name: (as_number, REQUIRED) for name in names}}
+    values = read_fields(cfg, table, "nonlinearity section")
+    factory, _ = _KINDS[values.pop("kind")]
+    return factory(**values)
 
 
 def nonlinearity_to_config(nl: Nonlinearity) -> dict:
-    if nl.kind == "exp":
-        return {"kind": "exp"}
-    if nl.kind == "quadratic":
-        return {"kind": "quadratic", "alpha": nl.alpha, "beta": nl.beta}
-    if nl.kind == "singular":
-        return {"kind": "singular", "m": nl.m}
-    return {"kind": nl.kind, "alpha": nl.alpha, "beta": nl.beta}
+    _, names = _KINDS[nl.kind]
+    return {"kind": nl.kind, **{name: getattr(nl, name) for name in names}}

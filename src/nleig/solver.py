@@ -148,7 +148,8 @@ def _default_initial(cfg: SolverConfig, kernel: Kernel) -> Profile:
     if width is None:
         width = 2.0 * float(np.sqrt(kernel.second_moment))
     x = grid.nodes
-    return Profile(grid, np.exp(-(x**2) / (2.0 * width**2)))
+    # a numpy square overflows to inf (a flat start) where a float one raises
+    return Profile(grid, np.exp(-(x**2) / (2.0 * np.float64(width) ** 2)))
 
 
 def _rescaled_to_k(v: Profile, K: float) -> Profile:
@@ -400,12 +401,14 @@ def sweep_K(
     warm_start: bool = False,
     max_workers: int = 1,
 ) -> list[SweepEntry]:
-    """Solve for each K in ascending order; failures are recorded per entry
-    and the sweep continues.  warm_start seeds each solve with the previous
-    converged profile (forces sequential execution)."""
+    """Solve for each K of a strictly ascending list of positive, finite
+    values; failures are recorded per entry and the sweep continues.
+    warm_start seeds each solve with the previous converged profile."""
     ks = [float(k) for k in k_values]
     if not ks:
         raise ValueError("K list is empty")
+    if not all(0.0 < k < math.inf for k in ks):
+        raise ValueError(f"K values must be positive and finite, got {ks}")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("K values must be strictly ascending")
     if not warm_start:

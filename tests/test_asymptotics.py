@@ -381,3 +381,46 @@ def test_high_energy_input_validation():
         high_energy_experiment(spec, 4.0, [0.1, 0.2])
     with pytest.raises(ValueError):
         high_energy_experiment(spec, 4.0, [1.5])
+
+
+@pytest.mark.parametrize(
+    "policy, point, scale, message",
+    [
+        (KdvGridPolicy(), 0.0, 1.0, "eps = 0 must be positive"),
+        (KdvGridPolicy(), math.inf, 1.0, "eps = inf needs spacing 0 at half period 25"),
+        (KdvGridPolicy(), 1e308, 1.0, "eps = 1e+308 needs spacing 6.25e-310"),
+        (KdvGridPolicy(), 0.1, 0.0, "eps = 0.1 needs spacing 0 at half period 300"),
+        (KdvGridPolicy(l_floor=math.inf), 0.1, 1.0, "eps = 0.1 needs spacing 0.125 at half period inf"),
+        (HighEnergyGridPolicy(), 0.0, 1.0, "delta = 0 must lie in (0, 1)"),
+        (HighEnergyGridPolicy(eps_proxy=0.0), 0.1, 1.0, "delta = 0.1 needs spacing 0 at half period 25"),
+        (HighEnergyGridPolicy(half_period=1e308), 0.1, 1.0,
+         "delta = 0.1 needs spacing 0.0139754 at half period 1e+308"),
+    ],
+)
+def test_family_grid_sizing_names_the_point(policy, point, scale, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        policy.grid_for(point, scale)
+
+
+def test_eta0_beyond_the_gamma_range_is_a_value_error():
+    with pytest.raises(ValueError, match="m = 1e\\+308"):
+        eta0_predicted(1.0, -1.0, 1e308)
+
+
+@pytest.mark.parametrize(
+    "experiment, args",
+    [(kdv_experiment, (exp_nonlinearity(), [0.4, 0.3])),
+     (high_energy_experiment, (4.0, [0.3, 0.2]))],
+    ids=["kdv", "high-energy"],
+)
+def test_family_builds_each_point_kernel_once(monkeypatch, experiment, args):
+    built = []
+    build = KernelSpec.build
+
+    def counted(self, grid):
+        built.append(grid)
+        return build(self, grid)
+
+    monkeypatch.setattr(KernelSpec, "build", counted)
+    experiment(KernelSpec(kind="gaussian", width=1.0), *args, max_iter=2)
+    assert len(built) == 2

@@ -1,6 +1,8 @@
 """End-to-end checks of the batch front end (in-process, per-command)."""
 
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -247,6 +249,19 @@ def test_sweep_k_failed_row(tmp_path):
         ("uniqueness-probe", {**_solve_config(), "distance_tol": "1e-6"},
          "distance_tol in config"),
         ("solve", _solve_config(K=10**400), "K in solver section"),
+        # a kernel kind is a string
+        ("solve", {**_solve_config(), "kernel": {"kind": ["gaussian"]}},
+         "kind in kernel section"),
+        # integer keys stop at 2**53
+        ("solve", {**_solve_config(), "grid": {"half_period": 25.0, "point_count": 10**400}},
+         "point_count in grid section"),
+        ("solve", _solve_config(max_iter=2**60), "max_iter in solver section"),
+        # the slack is a number when given; only its absence means the default
+        ("solve", _solve_config(monotonicity_slack=None),
+         "monotonicity_slack in solver section"),
+        # k_list supplies sweep-k's K
+        ("sweep-k", {**_solve_config(), "k_list": [1.0]},
+         "unknown keys ['K'] in solver section"),
     ],
 )
 def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, config, key):
@@ -556,3 +571,113 @@ def test_decay_outputs_do_not_depend_on_blas_threads(tmp_path):
         outputs.append({name: (out / name).read_bytes()
                         for name in ("solution.json", "V.csv", "U.csv", "decay.json")})
     assert outputs[0] == outputs[1]
+
+
+# one small valid config per command: n = 256 and at most 50 iterations.
+# Every solve in them converges, so a mutant reaches the checks after the
+# solve too; validate-kernel's two_bump kernel fails validation (exit 2)
+# after the whole report is computed.
+_GAUSSIAN = {"kind": "gaussian", "width": 1.0}
+_SMALL_CONFIGS = {
+    "solve": {"command": "solve", "grid": {"half_period": 16.0, "point_count": 256},
+              "kernel": _GAUSSIAN, "nonlinearity": {"kind": "exp"},
+              "solver": {"K": 1.0, "tol_residual": 1e-4, "max_iter": 50,
+                         "init_width": 2.0, "monotonicity_slack": 1e-12}},
+    "sweep-k": {"grid": {"half_period": 16.0, "point_count": 256}, "kernel": _GAUSSIAN,
+                "nonlinearity": {"kind": "exp"},
+                "solver": {"tol_residual": 1e-4, "max_iter": 50},
+                "k_list": [1.0, 1.5], "warm_start": True},
+    "kdv": {"kernel": _GAUSSIAN, "nonlinearity": {"kind": "exp"}, "eps_list": [0.4],
+            "solver": {"tol_residual": 1e-4, "max_iter": 50},
+            "grid_policy": {"l_floor": 16.0, "l_over_eps": 1.0, "kernel_fraction": 0.125,
+                            "feature_fraction": 0.0625, "max_points": 256}},
+    "high-energy": {"kernel": _GAUSSIAN, "nonlinearity": {"kind": "singular", "m": 4},
+                    "delta_list": [0.3], "solver": {"max_iter": 50},
+                    "grid_policy": {"half_period": 16.0, "kernel_fraction": 0.125,
+                                    "peak_fraction": 0.5, "eps_proxy": 0.5,
+                                    "max_points": 256}},
+    "decay": {"grid": {"half_period": 20.0, "point_count": 256}, "kernel": {"kind": "ode"},
+              "nonlinearity": {"kind": "quadratic", "alpha": 1.0, "beta": 2.0},
+              "solver": {"K": 0.95, "tol_residual": 1e-5, "max_iter": 50}, "c": 0.9,
+              "window": [0.5, 0.8]},
+    "validate-kernel": {"grid": {"half_period": 16.0, "point_count": 256},
+                        "kernel": {"kind": "two_bump", "width": 0.6, "separation": 6.0}},
+    "uniqueness-probe": {"grid": {"half_period": 16.0, "point_count": 256},
+                         "kernel": _GAUSSIAN, "nonlinearity": {"kind": "exp"},
+                         "solver": {"K": 1.0, "tol_residual": 1e-4, "max_iter": 50},
+                         "n_starts": 2, "seed": 0, "distance_tol": 1e-6},
+}
+
+# every JSON type, signs, zero, the float range's ends and beyond it.  No
+# large representable size (such as 2**31) is listed: a grid of that many
+# points would be allocated, not rejected.
+_MUTANT_VALUES = [None, True, 0, -1, 2.5, 3, 1e308, 1e-300, -1e-300, math.nan, math.inf,
+                  -math.inf, 10**400, "x", "", [], [1], [1.0, 2.0], {}, {"a": 1}]
+
+
+def _value_paths(node, path=()):
+    """The path of every key's value, nested keys and the first element of
+    each list included."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list) and node:
+        children = [(0, node[0])]
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _value_paths(child, path + (key,))
+
+
+def test_no_config_mutation_raises_out_of_main(tmp_path):
+    raised = []
+    for command, config in _SMALL_CONFIGS.items():
+        for path in _value_paths(config):
+            for value in _MUTANT_VALUES:
+                mutant = copy.deepcopy(config)
+                parent = mutant
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
+                try:
+                    with np.errstate(all="ignore"):
+                        code, _ = _run(tmp_path, command, mutant, name="mutant")
+                except Exception as exc:
+                    raised.append(f"{command} {path} = {value!r}: {exc!r}")
+                else:
+                    assert code in (0, 2, 3), (command, path, value)
+    assert raised == []
+
+
+@pytest.mark.parametrize("k_list", [[-1.0, 0.5], [0.5, math.inf]])
+def test_sweep_k_rejects_a_bad_k_before_any_solve(tmp_path, capsys, k_list):
+    config = {**_solve_config(), "solver": {}, "k_list": k_list}
+    code, out = _run(tmp_path, "sweep-k", config)
+    assert code == 2
+    assert "positive" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
+def test_allow_nonstandard_slack_applies_only_when_left_out(tmp_path):
+    def slack(config, name):
+        _, out = _run(tmp_path, "solve", config, "--allow-nonstandard", name=name)
+        return json.loads((out / "meta.json").read_text())["config"]["solver"][
+            "monotonicity_slack"]
+
+    assert slack(_solve_config(), "default") == "inf"
+    assert slack(_solve_config(monotonicity_slack=1e-9), "given") == 1e-9
+
+
+def test_decay_without_convergence_writes_no_fit(tmp_path, capsys):
+    config = {
+        "grid": {"half_period": 40.0, "point_count": 4096},
+        "kernel": {"kind": "ode"},
+        "nonlinearity": {"kind": "quadratic", "alpha": 1.0, "beta": 2.0},
+        "solver": {"K": 0.95, "max_iter": 30},
+    }
+    code, out = _run(tmp_path, "decay", config)
+    assert code == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["U.csv", "V.csv", "meta.json",
+                                                    "solution.json"]
+    assert json.loads((out / "solution.json").read_text())["converged"] is False

@@ -186,6 +186,9 @@ def test_kernel_spec_round_trip_and_errors():
     ):
         with pytest.raises(ValueError, match="takes no"):
             kernel_spec_from_config(cfg)
+    # the kind is a string
+    with pytest.raises(ValueError, match="kind in kernel section"):
+        kernel_spec_from_config({"kind": ["gaussian"]})
 
 
 def test_convolve_preserves_mass():

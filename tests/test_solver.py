@@ -270,6 +270,10 @@ def test_sweep_matches_single_solve_and_orders_output():
         sweep_K([2.0, 1.0], cfg, KERNEL, NL)
     with pytest.raises(ValueError):
         sweep_K([], cfg, KERNEL, NL)
+    with pytest.raises(ValueError):
+        sweep_K([-1.0, 0.5], cfg, KERNEL, NL)
+    with pytest.raises(ValueError):
+        sweep_K([float("nan")], cfg, KERNEL, NL)
 
 
 def test_sweep_isolates_per_entry_failures():
