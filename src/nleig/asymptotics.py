@@ -159,9 +159,13 @@ def decay_report(
     window: tuple[float, float] = (0.5, 0.8),
 ) -> DecayReport:
     """Assemble the decay diagnostics; c defaults to the midpoint of the
-    admissible interval (alpha/sigma, 1)."""
+    admissible interval (alpha/sigma, 1), and a c outside it is a
+    ValueError."""
+    lower = nl.alpha / sol.sigma
     if c is None:
-        c = 0.5 * (nl.alpha / sol.sigma + 1.0)
+        c = 0.5 * (lower + 1.0)
+    elif not lower < c < 1.0:
+        raise ValueError(f"c = {c:.6g} must lie in (alpha/sigma, 1) = ({lower:.6g}, 1)")
     a_c = modified_kernel_ac(kernel, c)
     lam_theory = decay_rate_theory(kernel, sol.sigma, nl.alpha)
     lam_fit, r2, win = fit_tail_rate(sol.U, window)

@@ -126,6 +126,13 @@ def _window(value) -> list[float]:
     return window
 
 
+def _decay_c(value) -> float | None:
+    c = optional_number(value)
+    if c is not None and not 0.0 < c < 1.0:
+        raise ValueError(f"must lie in (0, 1), got {c}")
+    return c
+
+
 def _as_is(value):
     return value
 
@@ -427,7 +434,7 @@ _COMMANDS = {
     "decay": _Command(
         _run_decay,
         _SOLVER_FIELDS,
-        {"c": (optional_number, None), "window": (_window, [0.5, 0.8])},
+        {"c": (_decay_c, None), "window": (_window, [0.5, 0.8])},
     ),
     "validate-kernel": _Command(_run_validate),
     "uniqueness-probe": _Command(

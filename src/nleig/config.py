@@ -5,15 +5,18 @@ mandatory; read_fields checks an object's type, keys and values by it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, fields
 
 REQUIRED = object()
 
 
 def as_number(value) -> float:
-    """A JSON number (int or float) as a float; a bool or a numeric string
-    is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A JSON number (int or float) as a float; a bool, a numeric string or
+    a NaN (which Python's json reads, though JSON has none) is not one.
+    Infinity is, as an unbounded slack."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and math.isnan(value)):
         raise ValueError(f"expected a number, got {value!r}")
     try:
         return float(value)

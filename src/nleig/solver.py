@@ -11,9 +11,9 @@ projected away.  An energy decrease beyond slack signals discretization
 failure and aborts the run.
 
 Where the plain map contracts slowly (near sigma = f'(0), the small-K
-limit), the loop mixes the last iterates by safeguarded Anderson
-acceleration; a mixed candidate replaces the plain step only when it keeps
-P nondecreasing and the iterate in the cone.
+limit), the loop mixes its last two iterates by a safeguarded secant step;
+a mixed candidate replaces the plain step only when it keeps P
+nondecreasing and the iterate in the cone.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ class SolverConfig:
             raise ValueError(f"K must be positive, got {self.K}")
         if not math.isfinite(self.K):
             raise ValueError(f"K must be finite, got {self.K}")
-        if not self.tol_residual > 0:
-            raise ValueError(f"tol_residual must be positive, got {self.tol_residual}")
+        # ||T(V) - V|| <= 2 ||V|| since T keeps the norm: 2 or more always holds
+        if not 0 < self.tol_residual < 2:
+            raise ValueError(f"tol_residual must lie in (0, 2), got {self.tol_residual}")
         if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.init_width is not None and not self.init_width > 0:
@@ -111,8 +112,8 @@ class Solution:
     trace: IterationTrace | None = None
     max_p_drop: float = 0.0  # largest relative drop of P, also with the trace off
     contraction_rate: float = math.nan  # mean residual ratio per step, last 10 steps
-    accelerated_steps: int = 0  # accepted Anderson candidates
-    rejected_steps: int = 0  # Anderson candidates the safeguard turned down
+    accelerated_steps: int = 0  # accepted secant candidates
+    rejected_steps: int = 0  # secant candidates the safeguard turned down
 
 
 def _finite(value: float, name: str, iteration: int) -> float:
@@ -170,7 +171,7 @@ def _cone_deviation(v: Profile) -> float:
     return worst / max(v.max, 1e-300)
 
 
-# Anderson mixing engages once the plain residuals shrink by less than
+# Mixing engages once the plain residuals shrink by less than
 # _GATE_RATE per step over _RATE_WINDOW steps.  Measured per-step rates:
 # decay 0.893, sweep-k at most 0.948 (K = 0.25), high-energy at most 0.04,
 # the small-K sweep at least 0.98.  Mixing wherever the window is full
@@ -179,7 +180,6 @@ def _cone_deviation(v: Profile) -> float:
 # 2.0e-4, against 3.4e-6 for the plain iteration.
 _RATE_WINDOW = 10
 _GATE_RATE = 0.97
-_DEPTH = 5
 
 
 def _rate(residuals) -> float:
@@ -187,49 +187,18 @@ def _rate(residuals) -> float:
     return (residuals[-1] / residuals[0]) ** (1.0 / (len(residuals) - 1))
 
 
-class _Anderson:
-    """Type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011)
-    of the map G with residual f = G(V) - V.  The history holds at most
-    _DEPTH differences of f and of G between successive iterates, plus the
-    last (f, G(V)) pair.  The coefficients solve the normal equations of
-    the f differences, whose Gram matrix (at most _DEPTH x _DEPTH) gains
-    one row of dot products per step."""
-
-    def __init__(self):
-        self.restart()
-
-    def restart(self) -> None:
-        self.last = None  # (f, g) of the previous iterate
-        self.df = deque(maxlen=_DEPTH)
-        self.dg = deque(maxlen=_DEPTH)
-        self.gram = np.empty((0, 0))
-
-    def candidate(self, f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-        """Record the pair (f, g = G(V)) of the current iterate and return
-        the mixed samples, or None when the history holds no difference.  A
-        singular system restarts the history and also returns None."""
-        last, self.last = self.last, (f, g)
-        if last is None:
-            return None
-        df, dg = f - last[0], g - last[1]
-        row = np.array([dot(col, df) for col in self.df] + [dot(df, df)])
-        gram = self.gram
-        if len(self.df) == _DEPTH:
-            gram, row = gram[1:, 1:], row[1:]
-        self.gram = np.block([[gram, row[:-1, None]], [row[None, :]]])
-        self.df.append(df)
-        self.dg.append(dg)
-        try:
-            gamma = np.linalg.solve(self.gram, [dot(col, f) for col in self.df])
-        except np.linalg.LinAlgError:  # a difference repeated exactly
-            gamma = [math.nan]
-        if not np.all(np.isfinite(gamma)):
-            self.restart()
-            return None
-        mixed = g.copy()
-        for coefficient, col in zip(gamma, self.dg):
-            mixed -= coefficient * col
-        return mixed
+def _secant(f: np.ndarray, g: np.ndarray, last) -> np.ndarray | None:
+    """Secant step (Anderson mixing of depth 1) of G from the current pair
+    (f, g) = (G(V) - V, G(V)) and the previous pair `last`:
+    g - gamma (g - g_prev), gamma = <df, f>/<df, df> with df = f - f_prev.
+    None when there is no previous pair, df = 0 or gamma is not finite."""
+    if last is None:
+        return None
+    df = f - last[0]
+    df_df = dot(df, df)
+    # a numpy quotient overflows to inf where a float one raises
+    gamma = np.float64(dot(df, f)) / df_df if df_df > 0.0 else math.nan
+    return g - gamma * (g - last[1]) if math.isfinite(gamma) else None
 
 
 def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
@@ -237,12 +206,13 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     residual ||T(V) - V|| / ||V|| drops below tol_residual.
 
     Once the residuals shrink by less than _GATE_RATE per step, each step
-    mixes the symmetrized, renormalized map G over the last iterates.  The
-    mixed candidate, renormalized to the sphere, is accepted only when P
-    does not drop and its cone deviation is no worse than that of G(V);
-    otherwise the iterate stays, the mixing history restarts and the next
-    step is the plain one.  Every step, accepted or not, costs one gradient
-    and one convolution of the new iterate, and counts as one iteration.
+    with a previous pair takes the secant step of the symmetrized,
+    renormalized map G over the last two iterates.  The mixed candidate,
+    renormalized to the sphere, is accepted only when P does not drop and
+    its cone deviation is no worse than that of G(V); otherwise the iterate
+    stays, the pair is dropped and the next step is the plain one.  Every
+    step, accepted or not, costs one gradient and one convolution of the
+    new iterate, and counts as one iteration.
 
     Returns a Solution with converged=False when max_iter is exhausted; the
     caller decides whether that is fatal.  Raises MonotonicityViolationError
@@ -273,7 +243,8 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     iterations = 0
     max_p_drop = 0.0
     recent = deque(maxlen=_RATE_WINDOW + 1)  # residuals of the last iterates
-    mixing = None  # the Anderson history, once the gate has opened
+    mixing = False  # set once the gate has opened
+    last = None  # (f, G(V)) of the previous iterate, while mixing
     accelerated = rejected = 0
 
     for iterations in range(1, cfg.max_iter + 1):
@@ -281,14 +252,15 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         diff = t_samples - v.samples
         residual = float(np.sqrt(h * dot(diff, diff)) / target_norm)
         recent.append(residual)
-        if mixing is None and len(recent) == recent.maxlen and _rate(recent) > _GATE_RATE:
-            mixing = _Anderson()
+        if not mixing and len(recent) == recent.maxlen and _rate(recent) > _GATE_RATE:
+            mixing = True
 
         t_samples = 0.5 * (t_samples + mirror(t_samples))
         g = _rescaled_to_k(Profile(grid, t_samples), cfg.K)
         mixed = None
-        if mixing is not None:
-            mixed = mixing.candidate(g.samples - v.samples, g.samples)
+        if mixing:
+            f = g.samples - v.samples
+            mixed, last = _secant(f, g.samples, last), (f, g.samples)
 
         if mixed is None:
             u = kernel.convolve(g)
@@ -308,7 +280,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
                 v, u, p_prev = candidate, u_candidate, p_candidate
                 accelerated += 1
             else:
-                mixing.restart()
+                last = None
                 rejected += 1
 
         if cfg.record_trace:

@@ -313,6 +313,18 @@ def test_decay_report_on_ode_oracle():
     assert np.min(ratio) > 0
 
 
+def test_decay_report_rejects_c_outside_the_admissible_interval():
+    g = make_grid(20.0, 256)
+    k = spectral_ode_kernel(g)
+    nl = quadratic_nonlinearity(1.0, 2.0)
+    sol = solve(SolverConfig(K=0.95, tol_residual=1e-5), k, nl)
+    lower = nl.alpha / sol.sigma
+    for c in (lower, 0.5 * lower, -1.0, 1.0):
+        with pytest.raises(ValueError, match=r"\(alpha/sigma, 1\)"):
+            decay_report(k, nl, sol, c=c)
+    assert decay_report(k, nl, sol, c=0.5 * (lower + 1.0)).c == 0.5 * (lower + 1.0)
+
+
 # ---------------------------------------------------------------------------
 # high-energy limit
 

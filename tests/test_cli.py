@@ -262,6 +262,15 @@ def test_sweep_k_failed_row(tmp_path):
         # k_list supplies sweep-k's K
         ("sweep-k", {**_solve_config(), "k_list": [1.0]},
          "unknown keys ['K'] in solver section"),
+        # a number is not NaN, which Python's json reads though JSON has none
+        ("kdv", {"kernel": {"kind": "gaussian", "width": 1.0},
+                 "nonlinearity": {"kind": "exp"}, "eps_list": [0.2],
+                 "grid_policy": {"feature_fraction": math.nan}},
+         "feature_fraction in grid_policy section"),
+        ("uniqueness-probe", {**_solve_config(), "distance_tol": math.nan},
+         "distance_tol in config"),
+        ("solve", {**_solve_config(), "kernel": {"kind": "gaussian", "width": math.nan}},
+         "width in kernel section"),
     ],
 )
 def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, config, key):
@@ -495,6 +504,14 @@ def test_decay_command_on_spectral_kernel(tmp_path, capsys):
     )
     assert report["fit_r2"] > 0.999
     assert (out / "a_c.csv").read_text().startswith("x,value")
+
+
+@pytest.mark.parametrize("c", [-1.0, 0.0, 1.0, -math.inf])
+def test_decay_rejects_c_outside_the_unit_interval_before_any_solve(tmp_path, capsys, c):
+    code, out = _run(tmp_path, "decay", {**_solve_config(), "c": c})
+    assert code == 2
+    assert "c in config: must lie in (0, 1)" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
 
 
 def test_uniqueness_probe_command(tmp_path, capsys):

@@ -35,6 +35,7 @@ from nleig import (
     sweep_K,
     uniqueness_probe,
 )
+from nleig.solver import _secant
 from oracles import random_cone_profile
 
 G = make_grid(25.0, 2000)
@@ -155,6 +156,21 @@ def test_near_branch_point_solve_converges():
     assert sol.cone.in_cone(1e-9 * sol.V.max)
 
 
+def test_secant_step_solves_an_affine_map():
+    # for G(v) = a v + b with scalar a, the residuals of two plain iterates
+    # are parallel, so one secant step lands on the fixed point b / (1 - a)
+    rng = np.random.default_rng(3)
+    a, b = 0.9, rng.standard_normal(64)
+    v0 = rng.standard_normal(64)
+    v1 = a * v0 + b
+    g0, g1 = v1, a * v1 + b
+    mixed = _secant(g1 - v1, g1, (g0 - v0, g0))
+    assert np.max(np.abs(mixed - b / (1.0 - a))) <= 1e-12 * np.max(np.abs(b / (1.0 - a)))
+    # no previous pair, or a repeated one, gives no candidate
+    assert _secant(g1 - v1, g1, None) is None
+    assert _secant(g1 - v1, g1, (g1 - v1, g1)) is None
+
+
 def test_solve_respects_initial_profile():
     init = profile_from_function(G, lambda x: 1.0 / (1.0 + x * x))
     cfg = SolverConfig(K=1.0, init_profile=init, tol_residual=1e-10)
@@ -186,6 +202,9 @@ def test_solve_validates_config():
         ("max_iter", 0),
         ("init_width", -1.0),
         ("monotonicity_slack", -1.0),
+        ("tol_residual", np.inf),
+        ("tol_residual", 1e308),
+        ("tol_residual", 2.0),
     ],
 )
 def test_solver_config_rejects_unusable_values(field, value):
