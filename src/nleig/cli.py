@@ -456,6 +456,7 @@ def _solver_counters(sol) -> dict:
         "contraction_rate": rate if math.isfinite(rate) else None,
         "accelerated_steps": sol.accelerated_steps,
         "rejected_steps": sol.rejected_steps,
+        "transforms": sol.transforms,
     }
 
 

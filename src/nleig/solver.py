@@ -11,9 +11,10 @@ projected away.  An energy decrease beyond slack signals discretization
 failure and aborts the run.
 
 Where the plain map contracts slowly (near sigma = f'(0), the small-K
-limit), the loop mixes its last two iterates by a safeguarded secant step;
-a mixed candidate replaces the plain step only when it keeps P
-nondecreasing and the iterate in the cone.
+limit), the loop mixes a Fourier-preconditioned map instead, the fixed-K
+form of accelerated imaginary-time evolution, by a safeguarded secant step
+over its last two iterates; a mixed candidate replaces the plain step only
+when it keeps P nondecreasing and the iterate in the cone.
 """
 
 from __future__ import annotations
@@ -112,8 +113,9 @@ class Solution:
     trace: IterationTrace | None = None
     max_p_drop: float = 0.0  # largest relative drop of P, also with the trace off
     contraction_rate: float = math.nan  # mean residual ratio per step, last 10 steps
-    accelerated_steps: int = 0  # accepted secant candidates
-    rejected_steps: int = 0  # secant candidates the safeguard turned down
+    accelerated_steps: int = 0  # accepted mixed candidates
+    rejected_steps: int = 0  # mixed candidates the safeguard turned down
+    transforms: int = 0  # FFTs: 2 per convolution, 4 per mixed candidate
 
 
 def _finite(value: float, name: str, iteration: int) -> float:
@@ -201,18 +203,43 @@ def _secant(f: np.ndarray, g: np.ndarray, last) -> np.ndarray | None:
     return g - gamma * (g - last[1]) if math.isfinite(gamma) else None
 
 
+def _preconditioned(g: np.ndarray, v: np.ndarray, kernel: Kernel,
+                    alpha: float) -> np.ndarray | None:
+    """One accelerated imaginary-time step at fixed K (Yang & Lakoba 2008)
+    from g = grad P(V): V + M^-1 (g - lam V) with the Fourier-diagonal
+    M = mu - alpha bhat^2, mu = <g, V>/<V, V> and lam = <g, W>/<V, W>,
+    W = M^-1 V.  None unless min M > 0 (the paper gives sigma > f'(0) only
+    at solutions) or when the result is not finite.  M depends only on the
+    frequency, so node order needs no shift; 4 FFTs when min M > 0."""
+    # a numpy quotient gives inf or nan where a float one raises
+    mu = np.float64(dot(g, v)) / dot(v, v)
+    m = mu - alpha * kernel.symbol**2
+    if not np.min(m) > 0.0:
+        return None
+    n = kernel.grid.point_count
+    v_hat = np.fft.rfft(v)
+    w = np.fft.irfft(v_hat / m, n)
+    lam = np.float64(dot(g, w)) / dot(v, w)
+    out = v + np.fft.irfft((np.fft.rfft(g) - lam * v_hat) / m, n)
+    return out if np.all(np.isfinite(out)) else None
+
+
 def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     """Iterate the improvement map at fixed K until the relative fixed-point
     residual ||T(V) - V|| / ||V|| drops below tol_residual.
 
-    Once the residuals shrink by less than _GATE_RATE per step, each step
-    with a previous pair takes the secant step of the symmetrized,
-    renormalized map G over the last two iterates.  The mixed candidate,
+    Once the residuals shrink by less than _GATE_RATE per step, the loop
+    mixes the preconditioned map Gp: the even part of _preconditioned's
+    step, renormalized to K.  The candidate is the secant step of Gp over
+    the last two iterates, or Gp(V) itself without a previous pair; there is
+    none, and the step is plain, where min M <= 0.  The candidate,
     renormalized to the sphere, is accepted only when P does not drop and
-    its cone deviation is no worse than that of G(V); otherwise the iterate
-    stays, the pair is dropped and the next step is the plain one.  Every
-    step, accepted or not, costs one gradient and one convolution of the
-    new iterate, and counts as one iteration.
+    its cone deviation is no worse than that of the plain step G(V), the
+    symmetrized, renormalized T(V); otherwise the iterate stays, the pair
+    is dropped and the next step is plain, since Gp(V) would repeat the
+    same candidate.  Every step, accepted or not, costs one gradient and
+    one convolution of the new iterate, plus 4 FFTs for a mixed candidate,
+    and counts as one iteration.
 
     Returns a Solution with converged=False when max_iter is exhausted; the
     caller decides whether that is fatal.  Raises MonotonicityViolationError
@@ -244,23 +271,34 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     max_p_drop = 0.0
     recent = deque(maxlen=_RATE_WINDOW + 1)  # residuals of the last iterates
     mixing = False  # set once the gate has opened
-    last = None  # (f, G(V)) of the previous iterate, while mixing
+    resting = False  # set by a rejected candidate: the next step is plain
+    last = None  # (f, Gp(V)) of the previous iterate, while mixing
     accelerated = rejected = 0
+    transforms = 4  # the convolutions of the first iterate and of the result
 
     for iterations in range(1, cfg.max_iter + 1):
-        t_samples, _ = _step(u, target_norm, kernel, nl, iterations)
+        t_samples, mu = _step(u, target_norm, kernel, nl, iterations)
         diff = t_samples - v.samples
         residual = float(np.sqrt(h * dot(diff, diff)) / target_norm)
         recent.append(residual)
         if not mixing and len(recent) == recent.maxlen and _rate(recent) > _GATE_RATE:
             mixing = True
+        transforms += 4
 
-        t_samples = 0.5 * (t_samples + mirror(t_samples))
-        g = _rescaled_to_k(Profile(grid, t_samples), cfg.K)
+        g = _rescaled_to_k(Profile(grid, 0.5 * (t_samples + mirror(t_samples))), cfg.K)
         mixed = None
-        if mixing:
-            f = g.samples - v.samples
-            mixed, last = _secant(f, g.samples, last), (f, g.samples)
+        if mixing and not resting:
+            pre = _preconditioned(t_samples / mu, v.samples, kernel, nl.alpha)
+            if pre is None:
+                last = None
+            else:
+                transforms += 4
+                gp = _rescaled_to_k(Profile(grid, 0.5 * (pre + mirror(pre))), cfg.K).samples
+                f = gp - v.samples
+                mixed, last = _secant(f, gp, last), (f, gp)
+                if mixed is None:
+                    mixed = gp
+        resting = False
 
         if mixed is None:
             u = kernel.convolve(g)
@@ -280,7 +318,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
                 v, u, p_prev = candidate, u_candidate, p_candidate
                 accelerated += 1
             else:
-                last = None
+                last, resting = None, True
                 rejected += 1
 
         if cfg.record_trace:
@@ -324,6 +362,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         contraction_rate=_rate(recent) if len(recent) > 1 else math.nan,
         accelerated_steps=accelerated,
         rejected_steps=rejected,
+        transforms=transforms,
     )
 
 

@@ -281,11 +281,12 @@ def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, config, key
 
 def test_solver_counters_go_to_meta_json_only(tmp_path):
     keys = ["K", "accelerated_steps", "contraction_rate", "iterations",
-            "rejected_steps"]
+            "rejected_steps", "transforms"]
     _, out = _run(tmp_path, "solve", _solve_config(), name="solve")
     (counters,) = json.loads((out / "meta.json").read_text())["solves"]
     assert sorted(counters) == keys
     assert counters["accelerated_steps"] == counters["rejected_steps"] == 0
+    assert counters["transforms"] == 4 * (counters["iterations"] + 1)
     assert 0 < counters["contraction_rate"] < 0.97
     assert "accelerated_steps" not in (out / "solution.json").read_text()
     # the small-K point contracts slowly, so its solve mixes
@@ -296,6 +297,10 @@ def test_solver_counters_go_to_meta_json_only(tmp_path):
     assert sorted(counters) == keys
     assert counters["K"] == pytest.approx(0.008)
     assert counters["accelerated_steps"] > 0
+    # 4 FFTs per step and for the first iterate and the result, 4 more for
+    # each preconditioned candidate
+    mixed = counters["accelerated_steps"] + counters["rejected_steps"]
+    assert counters["transforms"] == 4 * (counters["iterations"] + 1 + mixed)
     header = (out / "kdv.csv").read_text().splitlines()[0]
     assert header == "eps,sigma,d_ratio,profile_err"
 

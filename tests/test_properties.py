@@ -1,7 +1,9 @@
 """Property tests of the paper's invariants over random kernels,
 nonlinearities and cone profiles: the improvement step preserves the norm,
 never lowers P and keeps a cone profile in the cone; a solve converges to
-a cone profile with sigma > f'(0) and P > Q."""
+a cone profile with sigma > f'(0) and P > Q; a solve that takes mixed
+steps keeps P nondecreasing and every iterate on the sphere and in the
+cone."""
 
 import numpy as np
 import pytest
@@ -67,3 +69,25 @@ def test_converged_solve_beats_the_linear_problem(width, nl, k_fraction):
     assert sol.sigma > nl.alpha
     assert sol.energies.P > sol.energies.Q
     assert sol.energies.Q == pytest.approx(eval_Q(sol.V, kernel, nl.alpha), rel=1e-12)
+
+
+# wide kernels and weak quadratic nonlinearities: near the branch point of
+# the localized solution, where the plain map contracts slowly (about 4 in 5
+# of these solves mix)
+@settings(max_examples=20, deadline=None)
+@given(st.floats(min_value=1.0, max_value=1.5), st.floats(min_value=1.0, max_value=2.0),
+       st.floats(min_value=0.4, max_value=0.8), st.floats(min_value=0.5, max_value=0.8))
+def test_mixed_steps_keep_the_invariants(width, alpha, beta, k_fraction):
+    kernel = gaussian_kernel(G, width=width)
+    nl = quadratic_nonlinearity(alpha, beta)
+    cfg = SolverConfig(K=k_fraction * kernel.k_max_norm, tol_residual=1e-9,
+                       max_iter=5_000, record_trace=True)
+    sol = solve(cfg, kernel, nl)
+    if sol.accelerated_steps == 0:
+        return
+    p = sol.trace.p_values
+    assert np.all(np.diff(p) >= -1e-12 * np.abs(p[:-1]))
+    assert np.max(sol.trace.constraint_errors) <= 1e-12
+    assert np.max(sol.trace.cone_deviations) <= 1e-12
+    assert sol.sigma > nl.alpha
+    assert sol.energies.P > sol.energies.Q

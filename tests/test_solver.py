@@ -35,7 +35,8 @@ from nleig import (
     sweep_K,
     uniqueness_probe,
 )
-from nleig.solver import _secant
+from nleig import solver
+from nleig.solver import _preconditioned, _secant
 from oracles import random_cone_profile
 
 G = make_grid(25.0, 2000)
@@ -169,6 +170,67 @@ def test_secant_step_solves_an_affine_map():
     # no previous pair, or a repeated one, gives no candidate
     assert _secant(g1 - v1, g1, None) is None
     assert _secant(g1 - v1, g1, (g1 - v1, g1)) is None
+
+
+def test_preconditioned_step_is_one_inverse_iteration_step():
+    # on the linear map g = (s + A) V with A = alpha bhat^2 Fourier-diagonal,
+    # M = mu - A and V + M^-1 (g - lam V) = (s + mu - lam) M^-1 V: one step of
+    # inverse iteration with the shift mu
+    alpha, s = 0.8, 0.3
+    v = random_cone_profile(np.random.default_rng(5), G).samples
+    a_sym = alpha * KERNEL.symbol**2
+    g = np.fft.irfft((s + a_sym) * np.fft.rfft(v), G.point_count)
+    mu = np.dot(g, v) / np.dot(v, v)
+    m = mu - a_sym
+    # the inverse of M in FFT order on the full spectrum, as an independent
+    # check that node order needs no shift
+    n = G.point_count
+    m_full = m[np.minimum(np.arange(n), n - np.arange(n))]
+    w = np.fft.fftshift(np.fft.ifft(np.fft.fft(np.fft.ifftshift(v)) / m_full).real)
+    lam = np.dot(g, w) / np.dot(v, w)
+    step = _preconditioned(g, v, KERNEL, alpha)
+    assert np.max(np.abs(step - (s + mu - lam) * w)) <= 1e-12 * np.max(np.abs(step))
+    # without the shift mu <= alpha max bhat^2, so M is not positive
+    plain = np.fft.irfft(a_sym * np.fft.rfft(v), n)
+    assert np.dot(plain, v) / np.dot(v, v) <= np.max(a_sym)
+    assert _preconditioned(plain, v, KERNEL, alpha) is None
+    assert _preconditioned(g, v, KERNEL, 1.0001 * mu / np.max(KERNEL.symbol**2)) is None
+
+
+def test_rejected_candidate_is_followed_by_a_plain_step(monkeypatch):
+    # a preconditioner whose candidate, two bumps a quarter period off
+    # center, always lowers P: without a plain step after each rejection
+    # the iterate and so the candidate would repeat forever
+    monkeypatch.setattr(solver, "_preconditioned",
+                        lambda g, v, kernel, alpha: np.roll(v, len(v) // 4))
+    sol = solve(SolverConfig(K=0.1), KERNEL, NL)
+    assert sol.converged and sol.accelerated_steps == 0
+    assert 0 < sol.rejected_steps <= (sol.iterations + 1) // 2
+
+
+def test_small_k_sweep_takes_few_steps():
+    # sigma from solves at tol_residual 1e-13
+    reference = [1.00766452755435, 1.00190992120838, 1.00047709320490]
+    family = kdv_experiment(KernelSpec(kind="gaussian", width=1.0),
+                            exp_nonlinearity(), [0.2, 0.1, 0.05])
+    assert sum(sol.iterations for sol in family.solutions) <= 100
+    for sol, sigma in zip(family.solutions, reference):
+        assert sol.converged
+        assert sol.sigma == pytest.approx(sigma, rel=1e-10)
+
+
+def test_transforms_count_every_fft(reference_solution):
+    # 4 FFTs per step (the gradient's convolution and the new iterate's),
+    # 4 for the first iterate and the result, 4 per preconditioned candidate
+    sol = reference_solution
+    assert sol.transforms == 4 * (sol.iterations + 1)
+    grid = make_grid(16.0, 256)
+    kernel = gaussian_kernel(grid, width=1.5234375)
+    nl = quadratic_nonlinearity(1.71875, 1.0)
+    mixed = solve(SolverConfig(K=0.75 * kernel.k_max_norm, tol_residual=1e-9), kernel, nl)
+    candidates = mixed.accelerated_steps + mixed.rejected_steps
+    assert candidates > 0
+    assert mixed.transforms == 4 * (mixed.iterations + 1 + candidates)
 
 
 def test_solve_respects_initial_profile():
