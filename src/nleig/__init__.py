@@ -12,6 +12,7 @@ limit of singular nonlinearities.
 __version__ = "0.1.0"
 
 from .errors import (
+    ComputationError,
     DomainBreachError,
     EmptyResultError,
     GridMismatchError,

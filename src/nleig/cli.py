@@ -2,7 +2,7 @@
 
 One command per process: read a single JSON config, compute, write output
 files atomically into --output, exit 0 on success, 2 on validation failure,
-3 on non-convergence or a runtime solve failure.  Identical configs produce
+3 on non-convergence or a ComputationError.  Identical configs produce
 byte-identical numeric outputs; meta.json echoes the fully resolved config
 (defaults included) plus version and wall-clock and CPU timings.
 
@@ -43,31 +43,11 @@ from .config import (
     optional_number,
     read_fields,
 )
-from .errors import (
-    DomainBreachError,
-    EmptyResultError,
-    KernelAssumptionError,
-    MonotonicityViolationError,
-    NleigError,
-    NonPositiveTailError,
-    NumericalOverflowError,
-    SymbolPoleError,
-    ZeroGradientError,
-)
+from .errors import ComputationError, EmptyResultError, KernelAssumptionError, NleigError
 from .grid import Grid, atomic_write_text, make_grid, write_profile_csv
 from .kernels import Kernel, KernelSpec, kernel_spec_from_config, validate_kernel
 from .nonlinearity import Nonlinearity, nonlinearity_from_config, nonlinearity_to_config
 from .solver import SolverConfig, save_solution, solve, sweep_K, uniqueness_probe
-
-# exit 3; every other ValueError, KeyError or NleigError exits 2
-_RUNTIME_ERRORS = (
-    MonotonicityViolationError,
-    DomainBreachError,
-    ZeroGradientError,
-    SymbolPoleError,
-    NonPositiveTailError,
-    NumericalOverflowError,
-)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -525,7 +505,7 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.command].run(job, out, args)
         _write_meta(out, args, job)
         return code
-    except _RUNTIME_ERRORS as exc:
+    except ComputationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, NleigError) as exc:

@@ -6,7 +6,11 @@ assertions can point at the failing condition directly.
 
 
 class NleigError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; the CLI exits 2 on one."""
+
+
+class ComputationError(NleigError):
+    """A computation failed at run time on valid input; the CLI exits 3."""
 
 
 class GridMismatchError(NleigError):
@@ -21,7 +25,7 @@ class UnderResolvedError(NleigError):
     """Grid too coarse (or too short) to resolve the requested kernel."""
 
 
-class DomainBreachError(NleigError):
+class DomainBreachError(ComputationError):
     """Nonlinearity evaluated at or beyond its domain boundary."""
 
     def __init__(self, sup_value: float, sup_domain: float):
@@ -33,23 +37,23 @@ class DomainBreachError(NleigError):
         )
 
 
-class ZeroGradientError(NleigError):
+class ZeroGradientError(ComputationError):
     """Energy gradient vanished; the improvement step is undefined."""
 
 
-class MonotonicityViolationError(NleigError):
+class MonotonicityViolationError(ComputationError):
     """Energy decreased beyond slack; signals discretization failure."""
 
 
-class NumericalOverflowError(NleigError):
+class NumericalOverflowError(ComputationError):
     """A norm, an energy or a convolution left the floating-point range."""
 
 
-class SymbolPoleError(NleigError):
+class SymbolPoleError(ComputationError):
     """Modified-kernel symbol denominator 1 - c*bhat^2 is not positive."""
 
 
-class NonPositiveTailError(NleigError):
+class NonPositiveTailError(ComputationError):
     """Tail-rate fit requires strictly positive samples in the window."""
 
 

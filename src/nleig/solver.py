@@ -115,7 +115,7 @@ class Solution:
     contraction_rate: float = math.nan  # mean residual ratio per step, last 10 steps
     accelerated_steps: int = 0  # accepted mixed candidates
     rejected_steps: int = 0  # mixed candidates the safeguard turned down
-    transforms: int = 0  # FFTs: 2 per convolution, 4 per mixed candidate
+    transforms: int = 0  # FFTs: 4 per step, 4 per mixed candidate, 4 outside the loop
 
 
 def _finite(value: float, name: str, iteration: int) -> float:
@@ -145,11 +145,16 @@ def improvement_step(v: Profile, kernel: Kernel, nl: Nonlinearity):
     return Profile(v.grid, t), mu
 
 
+def _start_width(cfg: SolverConfig, kernel: Kernel) -> float:
+    """init_width, else twice the kernel's root second moment."""
+    if cfg.init_width is not None:
+        return cfg.init_width
+    return 2.0 * float(np.sqrt(kernel.second_moment))
+
+
 def _default_initial(cfg: SolverConfig, kernel: Kernel) -> Profile:
     grid = kernel.grid
-    width = cfg.init_width
-    if width is None:
-        width = 2.0 * float(np.sqrt(kernel.second_moment))
+    width = _start_width(cfg, kernel)
     x = grid.nodes
     # a numpy square overflows to inf (a flat start) where a float one raises
     return Profile(grid, np.exp(-(x**2) / (2.0 * np.float64(width) ** 2)))
@@ -228,18 +233,20 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     """Iterate the improvement map at fixed K until the relative fixed-point
     residual ||T(V) - V|| / ||V|| drops below tol_residual.
 
-    Once the residuals shrink by less than _GATE_RATE per step, the loop
-    mixes the preconditioned map Gp: the even part of _preconditioned's
-    step, renormalized to K.  The candidate is the secant step of Gp over
-    the last two iterates, or Gp(V) itself without a previous pair; there is
-    none, and the step is plain, where min M <= 0.  The candidate,
-    renormalized to the sphere, is accepted only when P does not drop and
-    its cone deviation is no worse than that of the plain step G(V), the
-    symmetrized, renormalized T(V); otherwise the iterate stays, the pair
-    is dropped and the next step is plain, since Gp(V) would repeat the
-    same candidate.  Every step, accepted or not, costs one gradient and
-    one convolution of the new iterate, plus 4 FFTs for a mixed candidate,
-    and counts as one iteration.
+    Each step is one proposal, one evaluation and one acceptance.  The
+    proposal is the plain step G(V), the symmetrized, renormalized T(V), or,
+    once the residuals shrink by less than _GATE_RATE per step, a mixed
+    candidate in its place: the secant step of the preconditioned map Gp
+    (the even part of _preconditioned's step, renormalized to K) over the
+    last two iterates, or Gp(V) without a previous pair, renormalized to K;
+    where min M <= 0 there is none.  The evaluation convolves the proposal
+    and computes its P.  A plain step is accepted subject to the
+    monotonicity guard, a candidate only when P does not drop and its cone
+    deviation is no worse than G(V)'s; a rejected candidate leaves the
+    iterate, drops the pair and makes the next step plain, since Gp(V)
+    would repeat it.  A step counts as one iteration and costs 4 FFTs, a
+    candidate 4 more, the solve 4 outside the loop: transforms =
+    4 (1 + iterations + accelerated_steps + rejected_steps).
 
     Returns a Solution with converged=False when max_iter is exhausted; the
     caller decides whether that is fatal.  Raises MonotonicityViolationError
@@ -274,7 +281,6 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     resting = False  # set by a rejected candidate: the next step is plain
     last = None  # (f, Gp(V)) of the previous iterate, while mixing
     accelerated = rejected = 0
-    transforms = 4  # the convolutions of the first iterate and of the result
 
     for iterations in range(1, cfg.max_iter + 1):
         t_samples, mu = _step(u, target_norm, kernel, nl, iterations)
@@ -283,43 +289,41 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         recent.append(residual)
         if not mixing and len(recent) == recent.maxlen and _rate(recent) > _GATE_RATE:
             mixing = True
-        transforms += 4
 
+        # proposal: the plain step G(V), or a mixed candidate in its place
         g = _rescaled_to_k(Profile(grid, 0.5 * (t_samples + mirror(t_samples))), cfg.K)
-        mixed = None
+        proposal = g
+        pre = None
         if mixing and not resting:
             pre = _preconditioned(t_samples / mu, v.samples, kernel, nl.alpha)
-            if pre is None:
-                last = None
-            else:
-                transforms += 4
-                gp = _rescaled_to_k(Profile(grid, 0.5 * (pre + mirror(pre))), cfg.K).samples
-                f = gp - v.samples
-                mixed, last = _secant(f, gp, last), (f, gp)
-                if mixed is None:
-                    mixed = gp
         resting = False
+        if pre is None:
+            last = None
+        else:
+            gp = _rescaled_to_k(Profile(grid, 0.5 * (pre + mirror(pre))), cfg.K).samples
+            f = gp - v.samples
+            secant, last = _secant(f, gp, last), (f, gp)
+            proposal = _rescaled_to_k(Profile(grid, gp if secant is None else secant), cfg.K)
 
-        if mixed is None:
-            u = kernel.convolve(g)
-            p_next = _finite(p_of_u(u, nl), "P", iterations)
+        # evaluation
+        u_next = kernel.convolve(proposal)
+        p_next = _finite(p_of_u(u_next, nl), "P", iterations)
+
+        # acceptance
+        if proposal is g:
             if p_next < p_prev - cfg.monotonicity_slack * abs(p_prev):
                 raise MonotonicityViolationError(
                     f"P decreased from {p_prev:.17g} to {p_next:.17g} at iteration "
                     f"{iterations}; slack {cfg.monotonicity_slack:g} exceeded"
                 )
             max_p_drop = max(max_p_drop, (p_prev - p_next) / max(abs(p_prev), 1e-300))
-            v, p_prev = g, p_next
+            v, u, p_prev = g, u_next, p_next
+        elif p_next >= p_prev and _cone_deviation(proposal) <= _cone_deviation(g):
+            v, u, p_prev = proposal, u_next, p_next
+            accelerated += 1
         else:
-            candidate = _rescaled_to_k(Profile(grid, mixed), cfg.K)
-            u_candidate = kernel.convolve(candidate)
-            p_candidate = _finite(p_of_u(u_candidate, nl), "P", iterations)
-            if p_candidate >= p_prev and _cone_deviation(candidate) <= _cone_deviation(g):
-                v, u, p_prev = candidate, u_candidate, p_candidate
-                accelerated += 1
-            else:
-                last, resting = None, True
-                rejected += 1
+            last, resting = None, True
+            rejected += 1
 
         if cfg.record_trace:
             trace_p.append(p_prev)
@@ -362,7 +366,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         contraction_rate=_rate(recent) if len(recent) > 1 else math.nan,
         accelerated_steps=accelerated,
         rejected_steps=rejected,
-        transforms=transforms,
+        transforms=4 * (1 + iterations + accelerated + rejected),
     )
 
 
@@ -469,9 +473,7 @@ def uniqueness_probe(
     profile within distance_tol."""
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
-    base_width = cfg.init_width
-    if base_width is None:
-        base_width = 2.0 * float(np.sqrt(kernel.second_moment))
+    base_width = _start_width(cfg, kernel)
     rng = np.random.default_rng(seed)
     factors = np.exp(rng.uniform(np.log(1.0 / 3.0), np.log(3.0), size=n_starts))
     factors[0] = 1.0
@@ -495,11 +497,7 @@ def uniqueness_probe(
             max_sigma_gap = max(
                 max_sigma_gap, abs(converged[i].sigma - converged[j].sigma)
             )
-    supports = (
-        len(converged) == n_starts
-        and n_starts >= 1
-        and max_distance <= distance_tol
-    )
+    supports = len(converged) == n_starts and max_distance <= distance_tol
     return UniquenessReport(
         n_starts=n_starts,
         widths=widths,

@@ -12,8 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nleig.cli
+import nleig.errors
 import nleig.solver
 from nleig.cli import main
+from nleig.errors import ComputationError, DomainBreachError, NleigError
 
 
 def _run(tmp_path, command, config, *flags, name="run"):
@@ -105,6 +108,32 @@ def test_solve_overflow_exits_3(tmp_path, capsys):
         code, _ = _run(tmp_path, "solve", _solve_config(K=1e6))
     assert code == 3
     assert "NumericalOverflowError" in capsys.readouterr().err
+
+
+_EXIT_3_ERRORS = {"ComputationError", "DomainBreachError", "ZeroGradientError",
+                  "MonotonicityViolationError", "NumericalOverflowError", "SymbolPoleError",
+                  "NonPositiveTailError"}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [cls for cls in vars(nleig.errors).values()
+     if isinstance(cls, type) and issubclass(cls, NleigError)],
+    ids=lambda cls: cls.__name__,
+)
+def test_exit_code_follows_the_error_type(tmp_path, monkeypatch, capsys, error):
+    # a computation that fails on valid input exits 3, any other error 2
+    runtime = error.__name__ in _EXIT_3_ERRORS
+    assert issubclass(error, ComputationError) == runtime
+    exc = error(1.0, 1.0) if error is DomainBreachError else error("probe")
+
+    def failing_solve(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(nleig.cli, "solve", failing_solve)
+    code, _ = _run(tmp_path, "solve", _solve_config())
+    assert code == (3 if runtime else 2)
+    assert f"error: {error.__name__}: " in capsys.readouterr().err
 
 
 def test_missing_and_malformed_config_files(tmp_path, capsys):

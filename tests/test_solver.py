@@ -219,7 +219,28 @@ def test_small_k_sweep_takes_few_steps():
         assert sol.sigma == pytest.approx(sigma, rel=1e-10)
 
 
-def test_transforms_count_every_fft(reference_solution):
+def _count_ffts(monkeypatch) -> list:
+    """Wrap numpy's rfft and irfft; the list returned grows by one per call."""
+    calls = []
+    for name in ("rfft", "irfft"):
+        def counted(*args, _real=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def _shifted_a_quarter_period(g, v, kernel, alpha):
+    # the rest rule's always-rejected candidate, np.roll(v, n/4), made as two
+    # eighth-period shifts in Fourier space: 4 FFTs, as a real candidate costs
+    n = len(v)
+    phase = np.exp(-0.25j * np.pi * np.arange(n // 2 + 1))
+    for _ in range(2):
+        v = np.fft.irfft(phase * np.fft.rfft(v), n)
+    return v
+
+
+def test_transforms_count_every_fft(reference_solution, monkeypatch):
     # 4 FFTs per step (the gradient's convolution and the new iterate's),
     # 4 for the first iterate and the result, 4 per preconditioned candidate
     sol = reference_solution
@@ -227,10 +248,21 @@ def test_transforms_count_every_fft(reference_solution):
     grid = make_grid(16.0, 256)
     kernel = gaussian_kernel(grid, width=1.5234375)
     nl = quadratic_nonlinearity(1.71875, 1.0)
+    ffts = _count_ffts(monkeypatch)
+    plain = solve(SolverConfig(K=1.0, tol_residual=1e-10, record_trace=True), KERNEL, NL)
+    assert len(ffts) == plain.transforms == sol.transforms
+    ffts.clear()
     mixed = solve(SolverConfig(K=0.75 * kernel.k_max_norm, tol_residual=1e-9), kernel, nl)
     candidates = mixed.accelerated_steps + mixed.rejected_steps
     assert candidates > 0
     assert mixed.transforms == 4 * (mixed.iterations + 1 + candidates)
+    assert len(ffts) == mixed.transforms
+    # the rest rule: each rejected candidate is followed by a plain step
+    monkeypatch.setattr(solver, "_preconditioned", _shifted_a_quarter_period)
+    ffts.clear()
+    rested = solve(SolverConfig(K=0.1), KERNEL, NL)
+    assert rested.rejected_steps > 0 and rested.accelerated_steps == 0
+    assert len(ffts) == rested.transforms
 
 
 def test_solve_respects_initial_profile():
