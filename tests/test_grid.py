@@ -22,7 +22,7 @@ from nleig import (
     write_profile_csv,
     zeros,
 )
-from nleig.grid import dot
+from nleig.grid import _CSV_BLOCK, dot
 from oracles import direct_convolution, random_cone_profile, riemann
 
 
@@ -185,6 +185,25 @@ def test_profile_csv_round_trip(tmp_path):
     q = read_profile_csv(path)
     assert q.grid == g
     assert np.array_equal(q.samples, p.samples)
+    assert not list(tmp_path.glob("*.tmp*"))
+
+
+def test_profile_csv_bytes_over_several_blocks(tmp_path):
+    n = 3 * _CSV_BLOCK + 2
+    rng = np.random.default_rng(31)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    values[:6] = [-0.0, 5e-324, 1e-300, 1e300, -1e300, -5e-324]
+    values[_CSV_BLOCK - 1 : _CSV_BLOCK + 1] = [-0.0, 0.0]
+    # same point count, other half period: a cache keyed on anything less
+    # than the grid would hand the second file the first one's x column
+    for i, half_period in enumerate((5.0, 7.0)):
+        g = make_grid(half_period, n)
+        path = tmp_path / f"p{i}.csv"
+        write_profile_csv(Profile(g, values), path)
+        expected = "x,value\n" + "".join(
+            f"{x:.17g},{v:.17g}\n" for x, v in zip(g.nodes, values)
+        )
+        assert path.read_bytes() == expected.encode()
     assert not list(tmp_path.glob("*.tmp*"))
 
 

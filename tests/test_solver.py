@@ -112,7 +112,7 @@ def test_fast_contraction_takes_only_plain_steps(reference_solution):
     sol = reference_solution
     assert sol.accelerated_steps == 0 and sol.rejected_steps == 0
     assert sol.iterations == 149
-    assert sol.contraction_rate < 0.97
+    assert sol.contraction_rate < solver._GATE_RATE
 
 
 def test_accelerated_solve_keeps_the_invariants():
