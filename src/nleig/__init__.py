@@ -34,12 +34,9 @@ from .grid import (
     inner_product,
     l2_norm,
     make_grid,
-    profile_from_function,
     read_profile_csv,
     require_same_grid,
-    symmetrize,
     write_profile_csv,
-    zeros,
 )
 from .kernels import (
     Kernel,

@@ -44,14 +44,10 @@ from .config import (
     read_fields,
 )
 from .errors import ComputationError, EmptyResultError, KernelAssumptionError, NleigError
-from .grid import Grid, atomic_write_text, make_grid, write_profile_csv
+from .grid import Grid, atomic_write_text, make_grid, write_json, write_profile_csv
 from .kernels import Kernel, KernelSpec, kernel_spec_from_config, validate_kernel
 from .nonlinearity import Nonlinearity, nonlinearity_from_config, nonlinearity_to_config
 from .solver import SolverConfig, save_solution, solve, sweep_K, uniqueness_probe
-
-
-def _write_json(path: Path, payload) -> None:
-    atomic_write_text(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])
 
 
 def _format_cell(value) -> str:
@@ -74,17 +70,16 @@ def _write_rows(path: Path, rows) -> None:
     atomic_write_text(path, lines)
 
 
-def emit_plot_data(rows, predictors: dict, out_dir, csv_name: str,
-                   predictors_name: str = "predictors.json") -> None:
+def emit_plot_data(rows, predictors: dict, out_dir, csv_name: str) -> None:
     """Write experiment rows as a CSV (column order = dataclass field order)
-    plus a JSON sidecar with the predictor constants.  Reruns on identical
+    plus predictors.json with the predictor constants.  Reruns on identical
     rows are byte-identical; empty row lists are an error."""
     if not rows:
         raise EmptyResultError("no rows to emit")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_rows(out / csv_name, rows)
-    _write_json(out / predictors_name, predictors)
+    write_json(out / "predictors.json", predictors)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +337,8 @@ def _run_decay(job, out, args):
                   "lambda_max": report.lambda_theory.lambda_max}
     else:
         theory = {"kind": "root", "value": report.lambda_theory}
-    _write_json(out / "decay.json", {**_fields_of(report, "a_c"),
-                                     "lambda_theory": theory, "sigma": solution.sigma})
+    write_json(out / "decay.json", {**_fields_of(report, "a_c"),
+                                    "lambda_theory": theory, "sigma": solution.sigma})
     write_profile_csv(report.a_c, out / "a_c.csv")
     job.echo["c"] = report.c  # the c used, also when the config left it out
     print(
@@ -364,8 +359,8 @@ def _run_validate(job, out, args):
         "a_pp0": None if not np.isfinite(kernel.a_pp0) else kernel.a_pp0,
         "k_max_norm": kernel.k_max_norm,
     }
-    _write_json(out / "validation.json",
-                {"label": kernel.label, "metadata": metadata, **_fields_of(report)})
+    write_json(out / "validation.json",
+               {"label": kernel.label, "metadata": metadata, **_fields_of(report)})
     if not report.passed:
         detail = "; ".join(report.failures)
         print(f"kernel {kernel.label} fails validation: {detail}", file=sys.stderr)
@@ -378,9 +373,9 @@ def _run_probe(job, out, args):
     report = uniqueness_probe(SolverConfig(**job.solver), job.kernel, job.nl,
                               max_workers=args.threads, **job.extras)
     support = "yes" if report.supports_conjecture else "no"
-    _write_json(out / "probe.json",
-                {**_fields_of(report, "supports_conjecture", "entries"),
-                 "conjecture_support": support})
+    write_json(out / "probe.json",
+               {**_fields_of(report, "supports_conjecture", "entries"),
+                "conjecture_support": support})
     _report(job, [(f"width={width:g}: ", e.solution, e.error)
                   for width, e in zip(report.widths, report.entries)])
     print(
@@ -462,7 +457,7 @@ def _write_meta(out: Path, args, job: _Job) -> None:
         meta["solves"] = [_solver_counters(sol) for sol in job.solutions]
     if args.allow_nonstandard:
         meta["unvalidated"] = True
-    _write_json(out / "meta.json", meta)
+    write_json(out / "meta.json", meta)
 
 
 def main(argv=None) -> int:
@@ -487,12 +482,15 @@ def main(argv=None) -> int:
     args.cpu_started = time.process_time()
 
     try:
-        config = json.loads(Path(args.config).read_text())
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except FileNotFoundError:
         print(f"error: config file {args.config} not found", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8
+        print(f"error: cannot read config file {args.config}: {exc}", file=sys.stderr)
         return 2
     if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
@@ -501,7 +499,11 @@ def main(argv=None) -> int:
     out = Path(args.output)
     try:
         job = _load(args.command, config, args)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file, or a path under one
+            print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
+            return 2
         code = _COMMANDS[args.command].run(job, out, args)
         _write_meta(out, args, job)
         return code

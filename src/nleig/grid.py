@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -107,14 +108,6 @@ class Profile:
         return float(self.samples[self.grid.point_count // 2])
 
 
-def profile_from_function(grid: Grid, fn) -> Profile:
-    return Profile(grid, fn(grid.nodes))
-
-
-def zeros(grid: Grid) -> Profile:
-    return Profile(grid, np.zeros(grid.point_count))
-
-
 def require_same_grid(*profiles: Profile) -> Grid:
     grid = profiles[0].grid
     for p in profiles[1:]:
@@ -153,9 +146,10 @@ def mirror(samples: np.ndarray) -> np.ndarray:
     return np.concatenate((samples[:1], samples[1:][::-1]))
 
 
-def symmetrize(w: Profile) -> Profile:
-    """Even part of the profile under the periodic reflection x -> -x."""
-    return Profile(w.grid, 0.5 * (w.samples + mirror(w.samples)))
+def even_part(samples: np.ndarray) -> np.ndarray:
+    """Even part of node-ordered samples under the periodic reflection
+    x -> -x."""
+    return 0.5 * (samples + mirror(samples))
 
 
 @dataclass(frozen=True)
@@ -185,7 +179,7 @@ def cone_check(w: Profile) -> ConeReport:
     even_dev = float(np.max(np.abs(s - mirror(s))))
     min_value = float(np.min(s))
     # monotonicity is judged on the symmetrized right half x >= 0
-    right = 0.5 * (s + mirror(s))[n // 2 :]
+    right = even_part(s)[n // 2 :]
     increases = np.diff(right)
     unimodal_dev = float(max(0.0, np.max(increases, initial=0.0)))
     return ConeReport(even_dev, min_value, unimodal_dev)
@@ -205,6 +199,12 @@ def atomic_write_text(path, chunks) -> None:
     with tmp.open("w", newline="\n") as fh:
         fh.writelines(chunks)
     tmp.replace(path)
+
+
+def write_json(path, payload) -> None:
+    """Indented JSON with sorted keys and a final line feed, written
+    atomically."""
+    atomic_write_text(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])
 
 
 @lru_cache(maxsize=4)

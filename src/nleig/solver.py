@@ -19,7 +19,6 @@ when it keeps P nondecreasing and the iterate in the cone.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -36,12 +35,13 @@ from .errors import (
 from .functionals import EnergyRecord, energies_of_u, eval_K, grad_p_of_u, p_of_u
 from .grid import (
     ConeReport,
+    Grid,
     Profile,
-    atomic_write_text,
     cone_check,
     dot,
+    even_part,
     l2_norm,
-    mirror,
+    write_json,
     write_profile_csv,
 )
 from .kernels import Kernel
@@ -160,11 +160,12 @@ def _default_initial(cfg: SolverConfig, kernel: Kernel) -> Profile:
     return Profile(grid, np.exp(-(x**2) / (2.0 * np.float64(width) ** 2)))
 
 
-def _rescaled_to_k(v: Profile, K: float) -> Profile:
-    norm = l2_norm(v)
+def _on_sphere(samples: np.ndarray, grid: Grid, K: float) -> np.ndarray:
+    """The samples rescaled onto the sphere (1/2)||V||^2 = K."""
+    norm = float(np.sqrt(grid.spacing * dot(samples, samples)))
     if norm == 0.0:
         raise ValueError("cannot rescale the zero profile to a positive K")
-    return v.scaled(np.sqrt(2.0 * K) / norm)
+    return samples * float(np.sqrt(2.0 * K) / norm)
 
 
 def _cone_deviation(v: Profile) -> float:
@@ -237,7 +238,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     residual ||T(V) - V|| / ||V|| drops below tol_residual.
 
     Each step is one proposal, one evaluation and one acceptance.  The
-    proposal is the plain step G(V), the symmetrized, renormalized T(V), or,
+    proposal is the plain step G(V), the even part of T(V) on the sphere, or,
     once the residuals shrink by less than _GATE_RATE per step, a mixed
     candidate in its place: the secant step of the preconditioned map Gp
     (the even part of _preconditioned's step, renormalized to K) over the
@@ -268,7 +269,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     v0 = cfg.init_profile if cfg.init_profile is not None else _default_initial(cfg, kernel)
     if v0.grid != grid:
         raise ValueError("initial profile lives on a different grid than the kernel")
-    v = _rescaled_to_k(v0, cfg.K)
+    v = Profile(grid, _on_sphere(v0.samples, grid, cfg.K))
     target_norm = float(np.sqrt(2.0 * cfg.K))
 
     u = kernel.convolve(v)
@@ -294,19 +295,20 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
             mixing = True
 
         # proposal: the plain step G(V), or a mixed candidate in its place
-        g = _rescaled_to_k(Profile(grid, 0.5 * (t_samples + mirror(t_samples))), cfg.K)
+        g = Profile(grid, _on_sphere(even_part(t_samples), grid, cfg.K))
         proposal = g
         pre = None
         if mixing and not resting:
+            # t_samples / mu, not _step's gradient, whose rounding moves step counts
             pre = _preconditioned(t_samples / mu, v.samples, kernel, nl.alpha)
         resting = False
         if pre is None:
             last = None
         else:
-            gp = _rescaled_to_k(Profile(grid, 0.5 * (pre + mirror(pre))), cfg.K).samples
+            gp = Profile(grid, _on_sphere(even_part(pre), grid, cfg.K)).samples
             f = gp - v.samples
             secant, last = _secant(f, gp, last), (f, gp)
-            proposal = _rescaled_to_k(Profile(grid, gp if secant is None else secant), cfg.K)
+            proposal = Profile(grid, _on_sphere(gp if secant is None else secant, grid, cfg.K))
 
         # evaluation
         u_next = kernel.convolve(proposal)
@@ -539,10 +541,7 @@ def save_solution(sol: Solution, out_dir, stem: str = "") -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     prefix = f"{stem}_" if stem else ""
-    atomic_write_text(
-        out / f"{prefix}solution.json",
-        [json.dumps(solution_to_dict(sol), indent=2, sort_keys=True), "\n"],
-    )
+    write_json(out / f"{prefix}solution.json", solution_to_dict(sol))
     write_profile_csv(sol.V, out / f"{prefix}V.csv")
     write_profile_csv(sol.U, out / f"{prefix}U.csv")
 

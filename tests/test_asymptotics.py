@@ -31,8 +31,8 @@ from nleig import (
     kdv_profile,
     kernel_from_samples,
     make_grid,
+    Profile,
     modified_kernel_ac,
-    profile_from_function,
     quadratic_nonlinearity,
     solve,
     spectral_ode_kernel,
@@ -255,13 +255,13 @@ def test_decay_rate_blow_up_bounded_at_finite_abscissa():
 
 def test_fit_tail_rate_synthetic():
     g = make_grid(20.0, 1024)
-    exp2 = profile_from_function(g, lambda x: np.exp(-2.0 * np.abs(x)))
+    exp2 = Profile(g, np.exp(-2.0 * np.abs(g.nodes)))
     rate, r2, window = fit_tail_rate(exp2)
     assert rate == pytest.approx(2.0, abs=1e-6)
     assert r2 > 0.999999
     assert window == (10.0, 16.0)
     # algebraic decay is flagged by a visibly lower r^2
-    alg = profile_from_function(g, lambda x: (1.0 + np.abs(x)) ** -3)
+    alg = Profile(g, (1.0 + np.abs(g.nodes)) ** -3)
     _, r2_alg, _ = fit_tail_rate(alg)
     assert r2_alg < 0.999
     # window override
@@ -270,7 +270,7 @@ def test_fit_tail_rate_synthetic():
     assert rate == pytest.approx(2.0, abs=1e-6)
     with pytest.raises(ValueError):
         fit_tail_rate(exp2, window=(0.8, 0.5))
-    tent = profile_from_function(g, lambda x: np.maximum(0.0, 1.0 - np.abs(x)))
+    tent = Profile(g, np.maximum(0.0, 1.0 - np.abs(g.nodes)))
     with pytest.raises(NonPositiveTailError):
         fit_tail_rate(tent)
 

@@ -145,6 +145,30 @@ def test_missing_and_malformed_config_files(tmp_path, capsys):
     code = main(["solve", "--config", str(bad), "--output", str(tmp_path / "o")])
     assert code == 2
     assert "valid JSON" in capsys.readouterr().err
+    # a directory, and a file that is not UTF-8
+    code = main(["solve", "--config", str(tmp_path), "--output", str(tmp_path / "o")])
+    assert code == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"kernel": {"kind": "gaussian", "width": 1.0}, "note": "caf\xe9"}')
+    code = main(["solve", "--config", str(latin), "--output", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot read config file" in err and "utf-8" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unusable_output_paths_exit_2(tmp_path, capsys):
+    # an existing file, and a path under one, cannot be the output directory
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(_solve_config()))
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    for output in (taken, taken / "sub"):
+        code = main(["solve", "--config", str(cfg), "--output", str(output)])
+        assert code == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+    assert taken.read_text() == "kept"
 
 
 def test_unknown_command_is_an_argparse_error(tmp_path):

@@ -15,14 +15,11 @@ from nleig import (
     inner_product,
     l2_norm,
     make_grid,
-    profile_from_function,
     read_profile_csv,
     require_same_grid,
-    symmetrize,
     write_profile_csv,
-    zeros,
 )
-from nleig.grid import _CSV_BLOCK, dot
+from nleig.grid import _CSV_BLOCK, dot, even_part
 from oracles import direct_convolution, random_cone_profile, riemann
 
 
@@ -66,16 +63,16 @@ def test_profile_validation_and_immutability():
 
 def test_profile_helpers():
     g = make_grid(5.0, 64)
-    p = profile_from_function(g, lambda x: np.exp(-x * x))
+    p = Profile(g, np.exp(-g.nodes * g.nodes))
     assert p.value_at_zero() == pytest.approx(1.0)
     assert p.max == pytest.approx(1.0)
     assert p.scaled(2.0).samples[32] == pytest.approx(2.0)
-    assert zeros(g).samples.sum() == 0.0
+    assert Profile(g, np.zeros(g.point_count)).samples.sum() == 0.0
 
 
 def test_require_same_grid():
-    a = zeros(make_grid(5.0, 32))
-    b = zeros(make_grid(5.0, 64))
+    a = Profile(make_grid(5.0, 32), np.zeros(32))
+    b = Profile(make_grid(5.0, 64), np.zeros(64))
     with pytest.raises(GridMismatchError):
         require_same_grid(a, b)
 
@@ -114,30 +111,30 @@ def test_symmetrize_produces_even_average():
     g = make_grid(4.0, 64)
     rng = np.random.default_rng(3)
     w = Profile(g, rng.uniform(size=64))
-    s = symmetrize(w)
+    s = Profile(g, even_part(w.samples))
     # index 0 is x = -L, which is its own mirror image on the torus
     mirrored = np.concatenate((w.samples[:1], w.samples[1:][::-1]))
     assert np.allclose(s.samples, 0.5 * (w.samples + mirrored))
     assert cone_check(s).even_deviation <= 1e-15
     # idempotent on even input
-    assert np.array_equal(symmetrize(s).samples, s.samples)
+    assert np.array_equal(even_part(s.samples), s.samples)
 
 
 def test_cone_check_classifies_profiles():
     g = make_grid(6.0, 128)
-    good = profile_from_function(g, lambda x: 1.0 / (1.0 + x * x))
+    good = Profile(g, 1.0 / (1.0 + g.nodes * g.nodes))
     rep = cone_check(good)
     assert isinstance(rep, ConeReport)
     assert rep.in_cone(1e-12)
 
-    tilted = profile_from_function(g, lambda x: np.exp(-((x - 0.5) ** 2)))
+    tilted = Profile(g, np.exp(-((g.nodes - 0.5) ** 2)))
     assert cone_check(tilted).even_deviation > 1e-3
 
-    dip = profile_from_function(g, lambda x: np.exp(-(x**2)) + 0.2 * np.exp(-((np.abs(x) - 3.0) ** 2)))
+    dip = Profile(g, np.exp(-(g.nodes**2)) + 0.2 * np.exp(-((np.abs(g.nodes) - 3.0) ** 2)))
     assert cone_check(dip).unimodality_deviation > 1e-3
     assert not cone_check(dip).in_cone(1e-9)
 
-    negative = profile_from_function(g, lambda x: np.cos(x))
+    negative = Profile(g, np.cos(g.nodes))
     assert cone_check(negative).min_value < -0.9
 
 
@@ -159,7 +156,7 @@ def test_convolve_matches_direct_sum():
 def test_convolution_is_translation_equivariant(shift, width):
     g = make_grid(8.0, 128)
     kernel = gaussian_kernel(g, width=width)
-    base = profile_from_function(g, lambda x: np.exp(-x * x))
+    base = Profile(g, np.exp(-g.nodes * g.nodes))
     rolled = Profile(g, np.roll(base.samples, shift))
     a = np.roll(kernel.convolve(base).samples, shift)
     b = kernel.convolve(rolled).samples
@@ -168,7 +165,7 @@ def test_convolution_is_translation_equivariant(shift, width):
 
 def test_convolve_rejects_grid_mismatch():
     k = gaussian_kernel(make_grid(8.0, 64), width=1.0)
-    w = zeros(make_grid(8.0, 128))
+    w = Profile(make_grid(8.0, 128), np.zeros(128))
     with pytest.raises(GridMismatchError):
         k.convolve(w)
 
@@ -210,6 +207,6 @@ def test_profile_csv_bytes_over_several_blocks(tmp_path):
 def test_profile_csv_grid_mismatch(tmp_path):
     g = make_grid(5.0, 64)
     path = tmp_path / "p.csv"
-    write_profile_csv(zeros(g), path)
+    write_profile_csv(Profile(g, np.zeros(g.point_count)), path)
     with pytest.raises(GridMismatchError):
         read_profile_csv(path, grid=make_grid(5.0, 128))

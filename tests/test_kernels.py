@@ -15,11 +15,9 @@ from nleig import (
     kernel_from_samples,
     kernel_spec_from_config,
     make_grid,
-    profile_from_function,
     spectral_ode_kernel,
     two_bump_kernel,
     validate_kernel,
-    zeros,
 )
 from oracles import riemann
 
@@ -193,13 +191,13 @@ def test_kernel_spec_round_trip_and_errors():
 
 def test_convolve_preserves_mass():
     k = gaussian_kernel(G)
-    w = profile_from_function(G, lambda x: np.exp(-0.5 * x * x))
+    w = Profile(G, np.exp(-0.5 * G.nodes * G.nodes))
     out = k.convolve(w)
     assert riemann(out.samples, G.spacing) == pytest.approx(
         riemann(w.samples, G.spacing), rel=1e-12
     )
     # convolving the zero profile stays zero
-    assert np.all(k.convolve(zeros(G)).samples == 0.0)
+    assert np.all(k.convolve(Profile(G, np.zeros(G.point_count))).samples == 0.0)
 
 
 def test_convolve_overflow_is_a_named_error():

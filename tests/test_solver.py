@@ -25,7 +25,6 @@ from nleig import (
     kdv_profile,
     l2_norm,
     make_grid,
-    profile_from_function,
     quadratic_nonlinearity,
     read_profile_csv,
     save_solution,
@@ -36,6 +35,7 @@ from nleig import (
     uniqueness_probe,
 )
 from nleig import solver
+from nleig.grid import even_part, mirror
 from nleig.solver import _preconditioned, _secant
 from oracles import random_cone_profile
 
@@ -113,6 +113,36 @@ def test_fast_contraction_takes_only_plain_steps(reference_solution):
     assert sol.accelerated_steps == 0 and sol.rejected_steps == 0
     assert sol.iterations == 149
     assert sol.contraction_rate < solver._GATE_RATE
+
+
+def test_plain_step_is_the_even_part_of_t_on_the_sphere(monkeypatch):
+    # the reference config's steps are all plain: one step takes the even
+    # part of T(V) and rescales it onto the sphere K(V) = K
+    cfg = SolverConfig(K=1.0, max_iter=1)
+    v = solve(cfg, KERNEL, NL).V
+    assert np.array_equal(v.samples, mirror(v.samples))
+    assert abs(eval_K(v) - 1.0) <= 1e-14
+    start = solver._default_initial(cfg, KERNEL)
+    t, _ = improvement_step(start.scaled(np.sqrt(2.0) / l2_norm(start)), KERNEL, NL)
+    even = Profile(G, even_part(t.samples))
+    expected = even.scaled(np.sqrt(2.0) / l2_norm(even))
+    assert np.max(np.abs(v.samples - expected.samples)) <= 1e-13
+    # a plain step builds 4 Profiles: f(U), grad P = b*f(U), G(V) and b*G(V)
+    built = []
+    post_init = Profile.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Profile, "__post_init__", counted)
+    counts = []
+    for max_iter in (5, 6):
+        built.clear()
+        sol = solve(replace(cfg, max_iter=max_iter), KERNEL, NL)
+        assert sol.iterations == max_iter and sol.accelerated_steps == 0
+        counts.append(len(built))
+    assert counts[1] - counts[0] == 4
 
 
 def test_accelerated_solve_keeps_the_invariants():
@@ -266,7 +296,7 @@ def test_transforms_count_every_fft(reference_solution, monkeypatch):
 
 
 def test_solve_respects_initial_profile():
-    init = profile_from_function(G, lambda x: 1.0 / (1.0 + x * x))
+    init = Profile(G, 1.0 / (1.0 + G.nodes * G.nodes))
     cfg = SolverConfig(K=1.0, init_profile=init, tol_residual=1e-10)
     sol = solve(cfg, KERNEL, NL)
     assert sol.converged
@@ -283,7 +313,8 @@ def test_solve_validates_config():
     with pytest.raises(ValueError):
         solve(SolverConfig(K=KERNEL.k_max_norm), KERNEL, nl)
     # initial profile must share the kernel's grid
-    init = profile_from_function(make_grid(25.0, 4096), lambda x: np.exp(-x * x))
+    other = make_grid(25.0, 4096)
+    init = Profile(other, np.exp(-other.nodes * other.nodes))
     with pytest.raises(ValueError):
         solve(SolverConfig(K=1.0, init_profile=init), KERNEL, NL)
 
@@ -314,7 +345,7 @@ def test_solve_overflow_is_a_named_error():
 
 
 def test_improvement_step_overflow_is_a_named_error():
-    tall = profile_from_function(G, lambda x: 1e3 * np.exp(-x * x))
+    tall = Profile(G, 1e3 * np.exp(-G.nodes * G.nodes))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalOverflowError, match="grad P"):
             improvement_step(tall, KERNEL, NL)
@@ -330,7 +361,7 @@ def test_solve_exhausting_max_iter_is_not_fatal():
 def test_monotonicity_guard_fires_for_far_off_center_start():
     # symmetrizing a start this far off center loses more potential than one
     # improvement step gains, so the slack check must abort the run
-    bump = profile_from_function(G, lambda x: np.exp(-0.5 * (x - 10.0) ** 2))
+    bump = Profile(G, np.exp(-0.5 * (G.nodes - 10.0) ** 2))
     cfg = SolverConfig(K=8.0, init_profile=bump)
     with pytest.raises(MonotonicityViolationError):
         solve(cfg, KERNEL, NL)
@@ -346,7 +377,7 @@ def test_energy_drop_is_recorded_with_the_trace_off():
         kind="wrong-antiderivative-probe", alpha=1.0, beta=1.0,
         f=np.expm1, f_prime=np.exp, antiderivative=lambda r: r - np.expm1(r),
     )
-    init = profile_from_function(G, lambda x: np.exp(-x * x / 8.0))
+    init = Profile(G, np.exp(-G.nodes * G.nodes / 8.0))
     cfg = SolverConfig(K=1.0, max_iter=20, init_profile=init,
                        monotonicity_slack=np.inf, record_trace=False)
     quiet = solve(cfg, KERNEL, wrong_f)
