@@ -110,15 +110,22 @@ def decay_rate_theory(kernel: Kernel, sigma: float, alpha: float):
     return float(0.5 * (lo + hi))
 
 
+def tail_window(window) -> tuple[float, float]:
+    """The fractions (w0, w1) of a tail window; a ValueError unless
+    0 < w0 < w1 <= 1."""
+    w0, w1 = window
+    if not 0.0 < w0 < w1 <= 1.0:
+        raise ValueError(f"window fractions must satisfy 0 < w0 < w1 <= 1, got {window}")
+    return w0, w1
+
+
 def fit_tail_rate(u: Profile, window: tuple[float, float] = (0.5, 0.8)):
     """Least-squares slope of log U on x in [w0*L, w1*L].
 
     Returns (rate, r_squared, (x_lo, x_hi)); raises NonPositiveTailError when
     the window contains non-positive samples.
     """
-    w0, w1 = window
-    if not 0.0 < w0 < w1 <= 1.0:
-        raise ValueError(f"window fractions must satisfy 0 < w0 < w1 <= 1, got {window}")
+    w0, w1 = tail_window(window)
     grid = u.grid
     x_lo, x_hi = w0 * grid.half_period, w1 * grid.half_period
     mask = (grid.nodes >= x_lo) & (grid.nodes <= x_hi)

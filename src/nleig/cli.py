@@ -33,6 +33,7 @@ from .asymptotics import (
     decay_report,
     high_energy_experiment,
     kdv_experiment,
+    tail_window,
 )
 from .config import (
     REQUIRED,
@@ -98,6 +99,7 @@ def _window(value) -> list[float]:
     window = [as_number(v) for v in value]
     if len(window) != 2:
         raise ValueError(f"expected two fractions, got {value!r}")
+    tail_window(window)
     return window
 
 
@@ -504,8 +506,12 @@ def main(argv=None) -> int:
         except OSError as exc:  # a file, or a path under one
             print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
             return 2
-        code = _COMMANDS[args.command].run(job, out, args)
-        _write_meta(out, args, job)
+        try:
+            code = _COMMANDS[args.command].run(job, out, args)
+            _write_meta(out, args, job)
+        except OSError as exc:  # an output file name taken by a directory, say
+            print(f"error: cannot write output in {out}: {exc}", file=sys.stderr)
+            return 2
         return code
     except ComputationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -137,8 +137,13 @@ def inner_product(w1: Profile, w2: Profile) -> float:
     return float(grid.spacing * dot(w1.samples, w2.samples))
 
 
+def norm(samples: np.ndarray, grid: Grid) -> float:
+    """Rectangle-rule L2 norm sqrt(h * sum(samples^2)) of samples on grid."""
+    return float(np.sqrt(grid.spacing * dot(samples, samples)))
+
+
 def l2_norm(w: Profile) -> float:
-    return float(np.sqrt(inner_product(w, w)))
+    return norm(w.samples, w.grid)
 
 
 def mirror(samples: np.ndarray) -> np.ndarray:
@@ -193,12 +198,18 @@ def atomic_write_text(path, chunks) -> None:
     """Write an iterable of text chunks with LF line endings through a temp
     file in the same directory, renamed over the target, so readers never
     see a partial file.  A generator is written as it yields, so a large
-    file is never held in memory whole."""
+    file is never held in memory whole.  When the write or the rename fails,
+    the temp file is removed and the error re-raised."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", newline="\n") as fh:
-        fh.writelines(chunks)
-    tmp.replace(path)
+    fh = tmp.open("w", newline="\n")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path, payload) -> None:
@@ -239,11 +250,16 @@ def read_profile_csv(path, grid: Grid | None = None) -> Profile:
     path = Path(path)
     with path.open("r", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"profile CSV {path} is empty")
         if tuple(header) != _CSV_HEADER:
             raise ValueError(f"unexpected profile CSV header {header!r}")
         xs, vs = [], []
         for row in reader:
+            if len(row) != 2:
+                raise ValueError(f"profile CSV line {reader.line_num} has "
+                                 f"{len(row)} fields, expected 2")
             xs.append(float(row[0]))
             vs.append(float(row[1]))
     x = np.asarray(xs)

@@ -3,7 +3,9 @@
 Each kernel couples a sampled profile with the DFT symbol used for fast
 convolution and with the scalar quantities the asymptotic predictions need:
 mass, second moment, bhat''(0), a(0) = integral of b^2, a''(0), and the
-energy ceiling K_max = 1/(2 a(0)) relevant to singular nonlinearities.
+energy ceiling K_max = 1/(2 a(0)) relevant to singular nonlinearities.  A
+kernel stores the second moment and a''(0); the others derive from them and
+from the profile.
 
 Sampled kernels (gaussian, indicator, two-bump) derive the symbol from their
 samples, so symbol-based convolution coincides with the direct circular sum.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -27,18 +30,15 @@ from .grid import ConeReport, Grid, Profile, cone_check, require_same_grid
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """A convolution kernel b with profile, DFT symbol and metadata."""
+    """A convolution kernel b: its profile, its DFT symbol and the two
+    constants measured on them, the second moment and a''(0); mass, a(0),
+    bhat''(0), K_max and a_smooth derive from these."""
 
     profile: Profile
     symbol: np.ndarray  # bhat at grid.rfft_frequencies
-    mass: float
     second_moment: float
-    bhat_pp0: float
-    a0: float
     a_pp0: float  # nan when a = b*b is not twice differentiable
-    k_max_norm: float
     spectral: bool
-    a_smooth: bool  # a and a'' bounded and integrable
     label: str
     exp_moment: Callable[[float], float] | None = None  # integral b(y) e^(lam y) dy
     moment_abscissa: float = np.inf
@@ -51,6 +51,29 @@ class Kernel:
     @property
     def grid(self) -> Grid:
         return self.profile.grid
+
+    @cached_property
+    def mass(self) -> float:
+        return float(self.grid.spacing * np.sum(self.profile.samples))
+
+    @cached_property
+    def a0(self) -> float:
+        """a(0) = integral of b^2."""
+        return float(self.grid.spacing * np.sum(self.profile.samples**2))
+
+    @property
+    def bhat_pp0(self) -> float:
+        return -self.second_moment
+
+    @property
+    def k_max_norm(self) -> float:
+        """The energy ceiling K_max = 1/(2 a(0))."""
+        return 1.0 / (2.0 * self.a0)
+
+    @property
+    def a_smooth(self) -> bool:
+        """a and a'' bounded and integrable."""
+        return math.isfinite(self.a_pp0)
 
     def convolve(self, w: Profile) -> Profile:
         """Circular convolution b * w through the stored symbol, in node order:
@@ -93,14 +116,6 @@ def _a_pp0_from_symbol(grid: Grid, symbol: np.ndarray) -> float:
     return float(-total / (2.0 * grid.half_period))
 
 
-def _metadata(grid: Grid, samples: np.ndarray):
-    h = grid.spacing
-    mass = float(h * np.sum(samples))
-    second_moment = float(h * np.sum(grid.nodes**2 * samples))
-    a0 = float(h * np.sum(samples**2))
-    return mass, second_moment, a0
-
-
 def _build(
     grid: Grid,
     samples: np.ndarray,
@@ -117,18 +132,12 @@ def _build(
             raise ValueError("kernel mass must be positive to normalize")
         samples = samples / raw_mass
     symbol = _symbol_from_samples(grid, samples)
-    mass, second_moment, a0 = _metadata(grid, samples)
     return Kernel(
         profile=Profile(grid, samples),
         symbol=symbol,
-        mass=mass,
-        second_moment=second_moment,
-        bhat_pp0=-second_moment,
-        a0=a0,
+        second_moment=float(grid.spacing * np.sum(grid.nodes**2 * samples)),
         a_pp0=_a_pp0_from_symbol(grid, symbol) if a_smooth else float("nan"),
-        k_max_norm=1.0 / (2.0 * a0),
         spectral=False,
-        a_smooth=a_smooth,
         label=label,
         exp_moment=exp_moment,
         moment_abscissa=moment_abscissa,
@@ -199,9 +208,6 @@ def spectral_ode_kernel(grid: Grid) -> Kernel:
         )
     k = grid.rfft_frequencies
     symbol = 1.0 / np.sqrt(1.0 + k * k)
-    samples = samples_from_symbol(grid, symbol)
-    mass, _, a0 = _metadata(grid, samples)
-    second_moment = -bhat_pp0_from_symbol(grid, symbol)
 
     def exp_moment(lam: float) -> float:
         if abs(lam) >= 1.0:
@@ -209,16 +215,11 @@ def spectral_ode_kernel(grid: Grid) -> Kernel:
         return float(1.0 / np.sqrt(1.0 - lam * lam))
 
     return Kernel(
-        profile=Profile(grid, samples),
+        profile=Profile(grid, samples_from_symbol(grid, symbol)),
         symbol=symbol,
-        mass=mass,
-        second_moment=second_moment,
-        bhat_pp0=-second_moment,
-        a0=a0,
+        second_moment=-bhat_pp0_from_symbol(grid, symbol),
         a_pp0=float("nan"),  # a = exp(-|x|)/2 is not C^2 at 0
-        k_max_norm=1.0 / (2.0 * a0),
         spectral=True,
-        a_smooth=False,
         label="ode",
         exp_moment=exp_moment,
         moment_abscissa=1.0,

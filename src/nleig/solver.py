@@ -41,6 +41,7 @@ from .grid import (
     dot,
     even_part,
     l2_norm,
+    norm,
     write_json,
     write_profile_csv,
 )
@@ -115,7 +116,11 @@ class Solution:
     contraction_rate: float = math.nan  # mean residual ratio per step, last 10 steps
     accelerated_steps: int = 0  # accepted mixed candidates
     rejected_steps: int = 0  # mixed candidates the safeguard turned down
-    transforms: int = 0  # FFTs: 4 per step, 4 per mixed candidate, 4 outside the loop
+
+    @property
+    def transforms(self) -> int:
+        """FFTs: 4 per step, 4 per mixed candidate, 4 outside the loop."""
+        return 4 * (1 + self.iterations + self.accelerated_steps + self.rejected_steps)
 
 
 def _finite(value: float, name: str, iteration: int) -> float:
@@ -126,14 +131,14 @@ def _finite(value: float, name: str, iteration: int) -> float:
     return value
 
 
-def _step(u: Profile, norm: float, kernel: Kernel, nl: Nonlinearity, iteration: int):
+def _step(u: Profile, norm_v: float, kernel: Kernel, nl: Nonlinearity, iteration: int):
     """Samples of T(V) = mu grad P(V) and mu = ||V|| / ||grad P(V)||, from
-    U = b*V and norm = ||V||."""
+    U = b*V and norm_v = ||V||."""
     g = grad_p_of_u(u, kernel, nl)
     norm_g = _finite(l2_norm(g), "||grad P||", iteration)
     if norm_g == 0.0:
         raise ZeroGradientError("grad P vanished; improvement step undefined")
-    mu = norm / norm_g
+    mu = norm_v / norm_g
     return mu * g.samples, mu
 
 
@@ -162,10 +167,10 @@ def _default_initial(cfg: SolverConfig, kernel: Kernel) -> Profile:
 
 def _on_sphere(samples: np.ndarray, grid: Grid, K: float) -> np.ndarray:
     """The samples rescaled onto the sphere (1/2)||V||^2 = K."""
-    norm = float(np.sqrt(grid.spacing * dot(samples, samples)))
-    if norm == 0.0:
+    length = norm(samples, grid)
+    if length == 0.0:
         raise ValueError("cannot rescale the zero profile to a positive K")
-    return samples * float(np.sqrt(2.0 * K) / norm)
+    return samples * float(np.sqrt(2.0 * K) / length)
 
 
 def _cone_deviation(v: Profile) -> float:
@@ -264,7 +269,6 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
             "for a singular nonlinearity"
         )
     grid = kernel.grid
-    h = grid.spacing
 
     v0 = cfg.init_profile if cfg.init_profile is not None else _default_initial(cfg, kernel)
     if v0.grid != grid:
@@ -288,8 +292,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
 
     for iterations in range(1, cfg.max_iter + 1):
         t_samples, mu = _step(u, target_norm, kernel, nl, iterations)
-        diff = t_samples - v.samples
-        residual = float(np.sqrt(h * dot(diff, diff)) / target_norm)
+        residual = norm(t_samples - v.samples, grid) / target_norm
         recent.append(residual)
         if not mixing and len(recent) == recent.maxlen and _rate(recent) > _GATE_RATE:
             mixing = True
@@ -344,8 +347,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     g = grad_p_of_u(u, kernel, nl)
     norm_v = l2_norm(v)
     sigma = l2_norm(g) / norm_v
-    el_diff = sigma * v.samples - g.samples
-    el_residual = float(np.sqrt(h * dot(el_diff, el_diff)) / (sigma * norm_v))
+    el_residual = norm(sigma * v.samples - g.samples, grid) / (sigma * norm_v)
 
     trace = None
     if cfg.record_trace:
@@ -371,7 +373,6 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         contraction_rate=_rate(recent) if len(recent) > 1 else math.nan,
         accelerated_steps=accelerated,
         rejected_steps=rejected,
-        transforms=4 * (1 + iterations + accelerated + rejected),
     )
 
 
@@ -497,8 +498,7 @@ def uniqueness_probe(
     for i in range(len(converged)):
         for j in range(i + 1, len(converged)):
             diff = converged[i].V.samples - converged[j].V.samples
-            h = kernel.grid.spacing
-            max_distance = max(max_distance, float(np.sqrt(h * dot(diff, diff))))
+            max_distance = max(max_distance, norm(diff, kernel.grid))
             max_sigma_gap = max(
                 max_sigma_gap, abs(converged[i].sigma - converged[j].sigma)
             )

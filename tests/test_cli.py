@@ -171,6 +171,23 @@ def test_unusable_output_paths_exit_2(tmp_path, capsys):
     assert taken.read_text() == "kept"
 
 
+@pytest.mark.parametrize("command, taken", [("validate-kernel", "validation.json"),
+                                            ("solve", "meta.json")])
+def test_output_name_taken_by_a_directory_exits_2(tmp_path, capsys, command, taken):
+    # solve writes meta.json after its other outputs
+    config = _solve_config()
+    if command == "validate-kernel":
+        config = {key: config[key] for key in ("grid", "kernel")}
+    out = tmp_path / "run"
+    (out / taken).mkdir(parents=True)
+    code, _ = _run(tmp_path, command, config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and str(out / taken) in err
+    assert (out / taken).is_dir()
+    assert not list(out.glob("*.tmp"))
+
+
 def test_unknown_command_is_an_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate", "--config", "x", "--output", "y"])
@@ -570,6 +587,14 @@ def test_decay_rejects_c_outside_the_unit_interval_before_any_solve(tmp_path, ca
     assert code == 2
     assert "c in config: must lie in (0, 1)" in capsys.readouterr().err
     assert list(out.glob("*")) == []
+
+
+def test_decay_rejects_a_bad_window_before_any_solve(tmp_path, capsys):
+    code, out = _run(tmp_path, "decay", {**_solve_config(), "window": [0.9, 0.5]})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "window in config: window fractions must satisfy 0 < w0 < w1 <= 1" in err
+    assert not (out / "solution.json").exists()
 
 
 def test_uniqueness_probe_command(tmp_path, capsys):

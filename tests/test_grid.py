@@ -19,7 +19,7 @@ from nleig import (
     require_same_grid,
     write_profile_csv,
 )
-from nleig.grid import _CSV_BLOCK, dot, even_part
+from nleig.grid import _CSV_BLOCK, dot, even_part, norm
 from oracles import direct_convolution, random_cone_profile, riemann
 
 
@@ -84,6 +84,7 @@ def test_inner_product_is_weighted_riemann_sum():
     b = Profile(g, rng.standard_normal(128))
     assert inner_product(a, b) == pytest.approx(riemann(a.samples * b.samples, g.spacing))
     assert l2_norm(a) == pytest.approx(np.sqrt(riemann(a.samples**2, g.spacing)))
+    assert norm(a.samples, g) == l2_norm(a)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 1000, 8191, 8192])
@@ -202,6 +203,17 @@ def test_profile_csv_bytes_over_several_blocks(tmp_path):
         )
         assert path.read_bytes() == expected.encode()
     assert not list(tmp_path.glob("*.tmp*"))
+
+
+def test_malformed_profile_csvs_raise_value_error(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match="is empty"):
+        read_profile_csv(empty)
+    short_row = tmp_path / "short_row.csv"
+    short_row.write_text("x,value\n-1,0.5\n0\n")
+    with pytest.raises(ValueError, match="line 3 has 1 fields, expected 2"):
+        read_profile_csv(short_row)
 
 
 def test_profile_csv_grid_mismatch(tmp_path):

@@ -42,6 +42,23 @@ def test_gaussian_metadata_closed_forms():
     assert direct == pytest.approx(k.exp_moment(lam), rel=1e-10)
 
 
+@pytest.mark.parametrize("build, smooth", [
+    (lambda: gaussian_kernel(G), True),
+    (lambda: indicator_kernel(G), False),
+    (lambda: spectral_ode_kernel(G), False),
+    (lambda: two_bump_kernel(G), True),
+    (lambda: kernel_from_samples(G, np.exp(-np.abs(G.nodes))), False),
+], ids=["gaussian", "indicator", "ode", "two_bump", "from_samples"])
+def test_derived_constants_follow_the_profile_and_moments(build, smooth):
+    k = build()
+    samples = k.profile.samples
+    assert k.mass == float(G.spacing * np.sum(samples))
+    assert k.a0 == float(G.spacing * np.sum(samples**2))
+    assert k.k_max_norm == 1.0 / (2.0 * k.a0)
+    assert k.bhat_pp0 == -k.second_moment
+    assert k.a_smooth == math.isfinite(k.a_pp0) == smooth
+
+
 def test_gaussian_width_scaling():
     k = gaussian_kernel(G, width=2.0)
     assert k.second_moment == pytest.approx(4.0, rel=1e-10)
