@@ -48,7 +48,14 @@ from .errors import ComputationError, EmptyResultError, KernelAssumptionError, N
 from .grid import Grid, atomic_write_text, make_grid, write_json, write_profile_csv
 from .kernels import Kernel, KernelSpec, kernel_spec_from_config, validate_kernel
 from .nonlinearity import Nonlinearity, nonlinearity_from_config, nonlinearity_to_config
-from .solver import SolverConfig, save_solution, solve, sweep_K, uniqueness_probe
+from .solver import (
+    SolverConfig,
+    probe_distance_tol,
+    save_solution,
+    solve,
+    sweep_K,
+    uniqueness_probe,
+)
 
 
 def _format_cell(value) -> str:
@@ -108,6 +115,10 @@ def _decay_c(value) -> float | None:
     if c is not None and not 0.0 < c < 1.0:
         raise ValueError(f"must lie in (0, 1), got {c}")
     return c
+
+
+def _distance_tol(value) -> float:
+    return probe_distance_tol(as_number(value))
 
 
 def _as_is(value):
@@ -418,7 +429,7 @@ _COMMANDS = {
         _run_probe,
         _SOLVER_FIELDS,
         {"n_starts": (integer, 5), "seed": (integer, 0),
-         "distance_tol": (as_number, 1e-6)},
+         "distance_tol": (_distance_tol, 1e-6)},
     ),
 }
 

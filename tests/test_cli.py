@@ -341,6 +341,13 @@ def test_sweep_k_failed_row(tmp_path):
          "distance_tol in config"),
         ("solve", {**_solve_config(), "kernel": {"kind": "gaussian", "width": math.nan}},
          "width in kernel section"),
+        # a distance_tol of 0 or less, or an infinite one
+        ("uniqueness-probe", {**_solve_config(), "distance_tol": -1.0},
+         "distance_tol in config"),
+        ("uniqueness-probe", {**_solve_config(), "distance_tol": 0.0},
+         "distance_tol in config"),
+        ("uniqueness-probe", {**_solve_config(), "distance_tol": math.inf},
+         "distance_tol in config"),
     ],
 )
 def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, config, key):

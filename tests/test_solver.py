@@ -171,6 +171,20 @@ def test_accelerated_solve_keeps_the_invariants():
     assert sol.cone.in_cone(1e-12 * sol.V.max)
 
 
+def test_slow_contraction_at_small_k_mixes():
+    # at K = 0.25 the plain map contracts at 0.948 per step (356 plain steps
+    # to converge), above the mixing gate's rate, so the solve mixes
+    kernel = gaussian_kernel(make_grid(50.0, 2048), width=1.0)
+    sol = solve(SolverConfig(K=0.25), kernel, NL)
+    assert sol.accelerated_steps > 0 and sol.iterations <= 100
+    assert sol.converged
+    assert sol.sigma > NL.alpha
+    assert sol.energies.P > sol.energies.Q
+    assert sol.cone.in_cone(1e-9 * sol.V.max)
+    # the plain iteration's sigma
+    assert sol.sigma == pytest.approx(1.0790586609686053, rel=1e-9)
+
+
 def test_near_branch_point_solve_converges():
     # where the localized solution branches off the constant one, the plain
     # map contracts at a rate near 1: without mixing this solve did not
@@ -483,6 +497,19 @@ def test_uniqueness_probe_singleton_and_small():
     assert two.supports_conjecture
     with pytest.raises(ValueError):
         uniqueness_probe(cfg, KERNEL, NL, n_starts=0)
+
+
+@pytest.mark.parametrize("distance_tol", [-1.0, 0.0, np.inf, np.nan])
+def test_uniqueness_probe_rejects_a_distance_tol_outside_0_inf(monkeypatch, distance_tol):
+    # a tolerance of 0 asks for bit-identical limits, a negative one is never
+    # met and an infinite one always is: the probe fails before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(solver, "attempt", no_solve)
+    with pytest.raises(ValueError, match="distance_tol"):
+        uniqueness_probe(SolverConfig(K=1.0), KERNEL, NL, n_starts=2,
+                         distance_tol=distance_tol)
 
 
 def test_save_solution_round_trip(tmp_path, reference_solution):
