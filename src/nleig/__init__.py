@@ -7,7 +7,17 @@ T(V) = mu(V) b*f(b*V); fixed points solve the eigenvalue equation with
 sigma = 1/mu.  The asymptotics module verifies the analytic predictions for
 tail decay rates, the shallow-water (small K) limit, and the high-energy
 limit of singular nonlinearities.
+
+Importing the package sets OPENBLAS_NUM_THREADS=1 unless it is already set,
+before any submodule imports numpy, so that OpenBLAS starts no worker
+threads: nleig makes no threaded BLAS call (grid.dot sums in chunks below
+OpenBLAS's threading threshold).  A value set before the import is kept, and
+a process that imported numpy first keeps the BLAS threads it started.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

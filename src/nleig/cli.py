@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -458,10 +459,14 @@ def _write_meta(out: Path, args, job: _Job) -> None:
     meta = {
         "config": resolved,
         "version": __version__,
+        # the BLAS thread setting behind cpu_seconds: "1" (nleig's default,
+        # set at import) unless the caller set it first
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "timings": {
             "total_seconds": round(time.perf_counter() - args.started, 6),
-            # CPU of all the process's threads: above total_seconds when
-            # threads other than the main one (BLAS, --threads) do work
+            # CPU of all the process's threads: above total_seconds when the
+            # --threads pool works, or when blas_threads above 1 starts
+            # OpenBLAS's (spinning) worker threads
             "cpu_seconds": round(time.process_time() - args.cpu_started, 6),
         },
         "warnings": job.warnings,

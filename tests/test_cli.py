@@ -653,12 +653,45 @@ def test_meta_records_cpu_seconds(tmp_path):
     assert timings["cpu_seconds"] >= 0
 
 
+def _fresh_env(openblas_threads):
+    """The environment of a fresh process that imports nleig from this source
+    tree, with OPENBLAS_NUM_THREADS set to `openblas_threads`, or unset when
+    it is None."""
+    src = str(Path(nleig.solver.__file__).parents[1])
+    env = {name: value for name, value in os.environ.items()
+           if name != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return env
+
+
+def test_import_pins_one_blas_thread_unless_set():
+    """Importing nleig sets OPENBLAS_NUM_THREADS to "1" before numpy loads
+    OpenBLAS, so the process starts no BLAS worker thread; a value set before
+    the import is kept.  The thread count is read where /proc exists."""
+    probe = ("import os, nleig; task = '/proc/self/task'; "
+             "print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+             "len(os.listdir(task)) if os.path.isdir(task) else 'absent')")
+
+    def run(openblas_threads):
+        return subprocess.run([sys.executable, "-c", probe], env=_fresh_env(openblas_threads),
+                              check=True, capture_output=True, text=True).stdout.split()
+
+    value, tasks = run(None)
+    assert value == "1"
+    assert tasks in ("1", "absent")
+    assert run("2")[0] == "2"
+
+
 def test_decay_outputs_do_not_depend_on_blas_threads(tmp_path):
     """The decay workload on n = 16384 writes the same bytes with one BLAS
-    thread and with two.  A ddot of more than 10000 entries splits over
-    OpenBLAS's threads, so summing long inner products in one call made the
-    outputs follow the thread count.  On a one-core host OpenBLAS runs a
-    single thread either way, and this test cannot fail there."""
+    thread, with two, and with the variable unset (nleig's default of one
+    thread), and meta.json names the setting each run had.  A ddot of more
+    than 10000 entries splits over OpenBLAS's threads, so summing long inner
+    products in one call made the outputs follow the thread count.  On a
+    one-core host OpenBLAS runs a single thread either way, and this test
+    cannot fail there."""
     config = tmp_path / "decay.json"
     config.write_text(json.dumps({
         "grid": {"half_period": 60.0, "point_count": 16384},
@@ -666,18 +699,16 @@ def test_decay_outputs_do_not_depend_on_blas_threads(tmp_path):
         "nonlinearity": {"kind": "quadratic", "alpha": 1.0, "beta": 2.0},
         "solver": {"K": 0.3},
     }))
-    src = str(Path(nleig.solver.__file__).parents[1])
     outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads_{threads}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for threads in ("1", "2", None):
+        out = tmp_path / f"threads_{threads or 'unset'}"
         subprocess.run([sys.executable, "-m", "nleig.cli", "decay", "--config",
-                        str(config), "--output", str(out)], env=env, check=True,
-                       capture_output=True)
+                        str(config), "--output", str(out)], env=_fresh_env(threads),
+                       check=True, capture_output=True)
         outputs.append({name: (out / name).read_bytes()
                         for name in ("solution.json", "V.csv", "U.csv", "decay.json")})
-    assert outputs[0] == outputs[1]
+        assert json.loads((out / "meta.json").read_text())["blas_threads"] == (threads or "1")
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 # one small valid config per command: n = 256 and at most 50 iterations.
