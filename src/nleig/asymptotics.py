@@ -119,24 +119,32 @@ def tail_window(window) -> tuple[float, float]:
     return w0, w1
 
 
+def tail_nodes(grid: Grid, window) -> tuple[np.ndarray, float, float]:
+    """The nodes of grid in the tail window [w0*L, w1*L], as a mask, with the
+    window's ends (x_lo, x_hi); a ValueError unless the fractions are valid
+    and the window holds at least 3 nodes, the fewest a line fit can judge."""
+    w0, w1 = tail_window(window)
+    x_lo, x_hi = w0 * grid.half_period, w1 * grid.half_period
+    mask = (grid.nodes >= x_lo) & (grid.nodes <= x_hi)
+    if np.count_nonzero(mask) < 3:
+        raise ValueError(f"tail window {list(window)} = [{x_lo:.4g}, {x_hi:.4g}] "
+                         "contains fewer than 3 grid points")
+    return mask, x_lo, x_hi
+
+
 def fit_tail_rate(u: Profile, window: tuple[float, float] = (0.5, 0.8)):
     """Least-squares slope of log U on x in [w0*L, w1*L].
 
     Returns (rate, r_squared, (x_lo, x_hi)); raises NonPositiveTailError when
     the window contains non-positive samples.
     """
-    w0, w1 = tail_window(window)
-    grid = u.grid
-    x_lo, x_hi = w0 * grid.half_period, w1 * grid.half_period
-    mask = (grid.nodes >= x_lo) & (grid.nodes <= x_hi)
-    if np.count_nonzero(mask) < 3:
-        raise ValueError("tail window contains fewer than 3 grid points")
+    mask, x_lo, x_hi = tail_nodes(u.grid, window)
     vals = u.samples[mask]
     if np.min(vals) <= 0.0:
         raise NonPositiveTailError(
             f"tail window [{x_lo:.4g}, {x_hi:.4g}] contains non-positive samples"
         )
-    x = grid.nodes[mask]
+    x = u.grid.nodes[mask]
     y = np.log(vals)
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept

@@ -34,6 +34,7 @@ from .asymptotics import (
     decay_report,
     high_energy_experiment,
     kdv_experiment,
+    tail_nodes,
     tail_window,
 )
 from .config import (
@@ -298,7 +299,7 @@ def _run_sweep(job, out, args):
     ks = job.extras["k_list"]
     # the solver section takes no K: sweep_K sets each entry's from k_list
     entries = sweep_K(ks, SolverConfig(K=ks[0], **job.solver), job.kernel, job.nl,
-                      warm_start=job.extras["warm_start"], max_workers=args.threads)
+                      warm_start=job.extras["warm_start"])
     rows = []
     for i, entry in enumerate(entries):
         sol = entry.solution
@@ -341,6 +342,7 @@ def _run_family(experiment, csv_name, label, job, out, args):
 
 
 def _run_decay(job, out, args):
+    tail_nodes(job.kernel.grid, job.extras["window"])  # 3 nodes to fit, before the solve
     solution, code = _solve_once(job, out)
     if code != 0:  # no tail fit of an unconverged profile
         return code
@@ -385,7 +387,7 @@ def _run_validate(job, out, args):
 
 def _run_probe(job, out, args):
     report = uniqueness_probe(SolverConfig(**job.solver), job.kernel, job.nl,
-                              max_workers=args.threads, **job.extras)
+                              **job.extras)
     support = "yes" if report.supports_conjecture else "no"
     write_json(out / "probe.json",
                {**_fields_of(report, "supports_conjecture", "entries"),
@@ -454,7 +456,6 @@ def _write_meta(out: Path, args, job: _Job) -> None:
         **job.echo,
         "output_dir": str(out),
         "allow_nonstandard": bool(args.allow_nonstandard),
-        "threads": int(args.threads),
     }
     meta = {
         "config": resolved,
@@ -464,9 +465,9 @@ def _write_meta(out: Path, args, job: _Job) -> None:
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "timings": {
             "total_seconds": round(time.perf_counter() - args.started, 6),
-            # CPU of all the process's threads: above total_seconds when the
-            # --threads pool works, or when blas_threads above 1 starts
-            # OpenBLAS's (spinning) worker threads
+            # CPU of all the process's threads: every command runs serially,
+            # so it exceeds total_seconds only when blas_threads above 1
+            # starts OpenBLAS's (spinning) worker threads
             "cpu_seconds": round(time.process_time() - args.cpu_started, 6),
         },
         "warnings": job.warnings,
@@ -494,7 +495,7 @@ def main(argv=None) -> int:
         "and stamps outputs unvalidated",
     )
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep entries")
+                        help="accepted and ignored: every command runs serially")
     args = parser.parse_args(argv)
     args.started = time.perf_counter()
     args.cpu_started = time.process_time()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -406,27 +405,17 @@ def attempt(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity, **changes) -> S
                               f"(residual {sol.residual:.3g})")
 
 
-def _map_in_order(fn, items, max_workers: int) -> list:
-    """[fn(item) for item in items], on a thread pool when max_workers > 1.
-    ThreadPoolExecutor is looked up when called, so a replaced pool class
-    takes effect."""
-    if max_workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def sweep_K(
     k_values,
     cfg: SolverConfig,
     kernel: Kernel,
     nl: Nonlinearity,
     warm_start: bool = False,
-    max_workers: int = 1,
 ) -> list[SweepEntry]:
     """Solve for each K of a strictly ascending list of positive, finite
-    values; failures are recorded per entry and the sweep continues.
-    warm_start seeds each solve with the previous converged profile."""
+    values, one after another; failures are recorded per entry and the sweep
+    continues.  Each solve starts from cfg.init_profile, or, under
+    warm_start, from the last converged profile once there is one."""
     ks = [float(k) for k in k_values]
     if not ks:
         raise ValueError("K list is empty")
@@ -434,14 +423,12 @@ def sweep_K(
         raise ValueError(f"K values must be positive and finite, got {ks}")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("K values must be strictly ascending")
-    if not warm_start:
-        return _map_in_order(lambda k: attempt(cfg, kernel, nl, K=k), ks, max_workers)
     entries = []
     previous = cfg.init_profile
     for k in ks:
         entry = attempt(cfg, kernel, nl, K=k, init_profile=previous)
         entries.append(entry)
-        if entry.error is None:
+        if warm_start and entry.error is None:
             previous = entry.solution.V
     return entries
 
@@ -482,12 +469,11 @@ def uniqueness_probe(
     n_starts: int = 5,
     seed: int = 0,
     distance_tol: float = 1e-6,
-    max_workers: int = 1,
 ) -> UniquenessReport:
-    """Solve from n_starts cone initializations with seeded bump widths and
-    compare the limits pairwise.  A failed start is recorded, not fatal;
-    the conjecture is supported only when every start converged to the same
-    profile within distance_tol."""
+    """Solve from n_starts cone initializations with seeded bump widths, one
+    after another, and compare the limits pairwise.  A failed start is
+    recorded, not fatal; the conjecture is supported only when every start
+    converged to the same profile within distance_tol."""
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     probe_distance_tol(distance_tol)
@@ -497,10 +483,8 @@ def uniqueness_probe(
     factors[0] = 1.0
     widths = tuple(float(base_width * f) for f in factors)
 
-    entries = _map_in_order(
-        lambda width: attempt(cfg, kernel, nl, init_profile=None, init_width=width),
-        widths, max_workers,
-    )
+    entries = [attempt(cfg, kernel, nl, init_profile=None, init_width=width)
+               for width in widths]
     converged = [entry.solution for entry in entries if entry.error is None]
     failures = tuple(f"width {width:.4g}: {entry.error}"
                      for width, entry in zip(widths, entries) if entry.error is not None)

@@ -250,6 +250,25 @@ def test_sweep_k_csv_and_per_entry_outputs(tmp_path):
     assert sigmas[0] < sigmas[1]
 
 
+def test_sweep_k_threads_flag_is_accepted_and_ignored(tmp_path, capsys):
+    config = {**_solve_config(tol_residual=1e-10), "k_list": [0.5, 1.0]}
+    del config["solver"]["K"]
+    runs = {}
+    for threads in ("1", "2"):
+        code, out = _run(tmp_path, "sweep-k", config, "--threads", threads,
+                         name=f"threads_{threads}")
+        assert code == 0
+        runs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+        meta = json.loads(runs[threads].pop("meta.json"))
+        assert "threads" not in meta["config"]
+    assert len(runs["1"]) == 7  # sweep.csv and 3 files per K
+    assert runs["1"] == runs["2"]
+    code, out = _run(tmp_path, "sweep-k", config, "--threads", "0", name="threads_0")
+    assert code == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_k_failed_row(tmp_path):
     config = {
         "grid": {"half_period": 25.0, "point_count": 512},
@@ -602,6 +621,15 @@ def test_decay_rejects_a_bad_window_before_any_solve(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "window in config: window fractions must satisfy 0 < w0 < w1 <= 1" in err
     assert not (out / "solution.json").exists()
+
+
+def test_decay_rejects_a_window_without_three_nodes_before_any_solve(tmp_path, capsys):
+    # L = 25 on 512 points: [12.5, 12.625] holds 2 nodes, too few for a fit
+    code, out = _run(tmp_path, "decay", {**_solve_config(), "window": [0.5, 0.505]})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "tail window [0.5, 0.505] = [12.5, 12.62] contains fewer than 3 grid points" in err
+    assert list(out.glob("*")) == []
 
 
 def test_uniqueness_probe_command(tmp_path, capsys):

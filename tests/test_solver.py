@@ -468,14 +468,6 @@ def test_attempt_records_each_outcome_in_the_entry():
     assert rejected.error.startswith("ValueError: K must be positive")
 
 
-def test_sweep_threading_is_deterministic():
-    cfg = SolverConfig(K=1.0, record_trace=False)
-    ks = [0.25, 0.5, 1.0]
-    serial = sweep_K(ks, cfg, KERNEL, NL, max_workers=1)
-    threaded = sweep_K(ks, cfg, KERNEL, NL, max_workers=3)
-    assert [e.solution.sigma for e in serial] == [e.solution.sigma for e in threaded]
-
-
 def test_sweep_warm_start_converges_faster():
     cfg = SolverConfig(K=0.5, record_trace=False)
     ks = [0.5, 0.6]
