@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +27,17 @@ from .errors import (
 )
 from .grid import Grid, Profile, dot, make_grid
 from .kernels import Kernel, KernelSpec, samples_from_symbol
-from .nonlinearity import Nonlinearity, singular_nonlinearity
-from .solver import Solution, SolverConfig, attempt
+from .nonlinearity import Nonlinearity
+from .solver import Solution, SolverConfig, SweepEntry, attempt
 
 _MOMENT_CAP = 1e12  # grid-truncated moments beyond this count as blown up
+
+# the fractions of the half period that the tail fit reads unless told otherwise
+TAIL_WINDOW = (0.5, 0.8)
+
+# the solve settings of every point of a family unless the caller sets them
+FAMILY_TOL_RESIDUAL = 1e-10
+FAMILY_MAX_ITER = 300_000
 
 
 def modified_kernel_ac(kernel: Kernel, c: float) -> Profile:
@@ -132,7 +139,7 @@ def tail_nodes(grid: Grid, window) -> tuple[np.ndarray, float, float]:
     return mask, x_lo, x_hi
 
 
-def fit_tail_rate(u: Profile, window: tuple[float, float] = (0.5, 0.8)):
+def fit_tail_rate(u: Profile, window: tuple[float, float] = TAIL_WINDOW):
     """Least-squares slope of log U on x in [w0*L, w1*L].
 
     Returns (rate, r_squared, (x_lo, x_hi)); raises NonPositiveTailError when
@@ -171,7 +178,7 @@ def decay_report(
     nl: Nonlinearity,
     sol: Solution,
     c: float | None = None,
-    window: tuple[float, float] = (0.5, 0.8),
+    window: tuple[float, float] = TAIL_WINDOW,
 ) -> DecayReport:
     """Assemble the decay diagnostics; c defaults to the midpoint of the
     admissible interval (alpha/sigma, 1), and a c outside it is a
@@ -200,14 +207,12 @@ def decay_report(
 
 @dataclass(frozen=True)
 class FamilyResult:
-    """Rows, predictor constants, solutions and failure strings of a family
-    sweep.  The lists run in point order; a point whose solve raised has
-    solution None, and a point that converged has failure None."""
+    """Rows, predictor constants and solves of a family sweep, in point
+    order: entries[i] is the SweepEntry of the solve behind rows[i]."""
 
     rows: list
     predictors: dict
-    solutions: list[Solution | None]
-    failures: list[str | None]
+    entries: list[SweepEntry]
 
 
 def _family_points(values, name: str, policy, spec: KernelSpec):
@@ -246,25 +251,20 @@ def _solve_family(nl, points, kernels, row_type, point, measure, predictors,
     """Solve at each point with its kernel and record one row_type(*head,
     sigma, *measured) row.  point(p, kernel) returns (head, K, initial
     profile); measure(p, kernel, solution) returns the row's remaining fields
-    for a converged solve.  A solve that raises gives a NaN row; one that
-    does not converge gives a NaN row that keeps its sigma.  Either way the
-    sweep continues."""
-    rows, solutions, failures = [], [], []
+    for a converged solve.  A failed point's row keeps the row type's NaN
+    measurements, and its sigma too when the solve returned without
+    converging; either way the sweep continues."""
+    rows, entries = [], []
     for p, kernel in zip(points, kernels):
         head, K, init = point(p, kernel)
         cfg = SolverConfig(K=K, tol_residual=tol_residual, max_iter=max_iter,
                            init_profile=init)
         entry = attempt(cfg, kernel, nl)
         sol = entry.solution
-        if entry.error is None:
-            measured = measure(p, kernel, sol)
-        else:
-            measured = [float("nan")] * (len(fields(row_type)) - len(head) - 1)
-        rows.append(row_type(*head, float("nan") if sol is None else sol.sigma, *measured))
-        solutions.append(sol)
-        failures.append(entry.error)
-    return FamilyResult(rows=rows, predictors=predictors, solutions=solutions,
-                        failures=failures)
+        measured = measure(p, kernel, sol) if entry.error is None else ()
+        rows.append(row_type(*head, math.nan if sol is None else sol.sigma, *measured))
+        entries.append(entry)
+    return FamilyResult(rows, predictors, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +349,8 @@ class KdvRow:
 
     eps: float
     sigma: float
-    d_ratio: float  # (sigma - alpha) / eps^2
-    profile_err: float  # L2 distance of the rescaled U to the limit wave
+    d_ratio: float = math.nan  # (sigma - alpha) / eps^2
+    profile_err: float = math.nan  # L2 distance of the rescaled U to the limit wave
 
 
 def kdv_experiment(
@@ -358,8 +358,8 @@ def kdv_experiment(
     nl: Nonlinearity,
     eps_list,
     policy: KdvGridPolicy | None = None,
-    tol_residual: float = 1e-10,
-    max_iter: int = 300_000,
+    tol_residual: float = FAMILY_TOL_RESIDUAL,
+    max_iter: int = FAMILY_MAX_ITER,
 ) -> FamilyResult:
     """Sweep K = eps^3 downward and compare against the shallow-water
     predictions; each eps gets its own grid from the policy and an initial
@@ -454,34 +454,34 @@ class HighEnergyRow:
     delta: float
     K: float
     sigma: float
-    eps_delta: float  # 1 - U(0)
-    eta: float  # sigma * eps_delta^(m + 1/2)
-    sup_err: float  # sup |U - a/a(0)|
+    eps_delta: float = math.nan  # 1 - U(0)
+    eta: float = math.nan  # sigma * eps_delta^(m + 1/2)
+    sup_err: float = math.nan  # sup |U - a/a(0)|
 
 
 def high_energy_experiment(
     spec: KernelSpec,
-    m: float,
+    nl: Nonlinearity,
     delta_list,
     policy: HighEnergyGridPolicy | None = None,
-    tol_residual: float = 1e-10,
-    max_iter: int = 300_000,
+    tol_residual: float = FAMILY_TOL_RESIDUAL,
+    max_iter: int = FAMILY_MAX_ITER,
 ) -> FamilyResult:
-    """Sweep K = (1 - delta) K_max downward in delta for the singular
-    nonlinearity of exponent m; requires a kernel whose autocorrelation
+    """Sweep K = (1 - delta) K_max downward in delta; requires the singular
+    nonlinearity, of exponent m = nl.m, and a kernel whose autocorrelation
     a = b*b is twice differentiable with a, a'' bounded and integrable."""
+    if nl.kind != "singular":
+        raise ValueError("high-energy requires the singular nonlinearity (kind 'singular')")
     deltas, probe_kernel, kernels = _family_points(delta_list, "delta",
                                                    policy or HighEnergyGridPolicy(), spec)
-    nl = singular_nonlinearity(m)
-
     if not probe_kernel.a_smooth:
         raise KernelAssumptionError(
             f"kernel {probe_kernel.label}: autocorrelation a = b*b lacks a bounded, "
             "integrable second derivative; the high-energy limit requires it"
         )
     predictors = {
-        "m": m,
-        "eta0": eta0_predicted(probe_kernel.a0, probe_kernel.a_pp0, m),
+        "m": nl.m,
+        "eta0": eta0_predicted(probe_kernel.a0, probe_kernel.a_pp0, nl.m),
         "a0": probe_kernel.a0,
         "a_pp0": probe_kernel.a_pp0,
         "k_max": probe_kernel.k_max_norm,
@@ -493,7 +493,7 @@ def high_energy_experiment(
 
     def measure(delta, kernel, sol):
         eps_delta = 1.0 - sol.U.value_at_zero()
-        eta = sol.sigma * eps_delta ** (m + 0.5)
+        eta = sol.sigma * eps_delta ** (nl.m + 0.5)
         a_profile = kernel.convolve(kernel.profile)
         sup_err = float(np.max(np.abs(sol.U.samples - a_profile.samples / kernel.a0)))
         return eps_delta, eta, sup_err

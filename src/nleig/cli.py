@@ -28,6 +28,9 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
+    FAMILY_MAX_ITER,
+    FAMILY_TOL_RESIDUAL,
+    TAIL_WINDOW,
     BlowUpBounded,
     HighEnergyGridPolicy,
     KdvGridPolicy,
@@ -52,6 +55,7 @@ from .kernels import Kernel, KernelSpec, kernel_spec_from_config, validate_kerne
 from .nonlinearity import Nonlinearity, nonlinearity_from_config, nonlinearity_to_config
 from .solver import (
     SolverConfig,
+    SweepEntry,
     probe_distance_tol,
     save_solution,
     solve,
@@ -146,7 +150,8 @@ def _policy(policy_type):
 _SOLVER_FIELDS = fields_table(SolverConfig, "init_profile", "record_trace")
 
 # the family experiments set K and the initial profile per point
-_FAMILY_SOLVER_FIELDS = {"tol_residual": (as_number, 1e-10), "max_iter": (integer, 300_000)}
+_FAMILY_SOLVER_FIELDS = {"tol_residual": (as_number, FAMILY_TOL_RESIDUAL),
+                         "max_iter": (integer, FAMILY_MAX_ITER)}
 
 
 @dataclass(frozen=True)
@@ -227,24 +232,31 @@ def _load(command: str, config: dict, args) -> _Job:
 # commands
 
 
-def _report(job: _Job, points) -> None:
-    """Record (label, solution, error) points for meta.json, in order: each
-    solution's counters, and the warnings.  A raised error (no solution) is
-    reported as it stands; an energy drop or a non-convergence follows the
-    point's label."""
-    for label, solution, error in points:
+def _report(job: _Job, entries, labels=None) -> None:
+    """Record SweepEntry solves for meta.json, in order: each solution's
+    counters, and the warnings.  A raised error (no solution) is reported as
+    it stands; an energy drop or a non-convergence follows the entry's label,
+    "K=<K>: " unless labels gives one per entry."""
+    if labels is None:
+        labels = [f"K={entry.K:g}: " for entry in entries]
+    for label, entry in zip(labels, entries):
+        solution, error = entry.solution, entry.error
         if solution is not None:
             job.solutions.append(solution)
-            if solution.max_p_drop > 1e-12:
+            # the solver's default slack: a drop within it is rounding
+            if solution.max_p_drop > SolverConfig.monotonicity_slack:
                 job.warnings.append(f"{label}energy decreased by relative "
                                     f"{solution.max_p_drop:.3g} during the run")
         if error is not None:
             job.warnings.append(error if solution is None else label + error)
 
 
-def _k_label(solution) -> str:
-    """The label of a point of a family in K; a raised point needs none."""
-    return "" if solution is None else f"K={solution.K:g}: "
+def _finished(job: _Job, name: str, entries) -> int:
+    """Report a sweep's entries and print how many converged."""
+    _report(job, entries)
+    converged = sum(entry.error is None for entry in entries)
+    print(f"{name} finished: {converged}/{len(entries)} entries converged")
+    return 0
 
 
 def _fields_of(report, *omit) -> dict:
@@ -263,7 +275,7 @@ def _solve_once(job: _Job, out: Path):
     """Solve at the config's K and save the solution.  Returns the solution
     and the exit code, 3 when the solve did not converge."""
     solution = solve(SolverConfig(**job.solver), job.kernel, job.nl)
-    _report(job, [("", solution, None)])
+    _report(job, [SweepEntry(solution.K, solution)], [""])
     save_solution(solution, out)
     if solution.converged:
         return solution, 0
@@ -311,34 +323,16 @@ def _run_sweep(job, out, args):
                               sol.converged))
         save_solution(sol, out, stem=f"k_{i:03d}")
     _write_rows(out / "sweep.csv", rows)
-    _report(job, [(_k_label(e.solution), e.solution, e.error) for e in entries])
-    converged = sum(e.error is None for e in entries)
-    print(f"sweep finished: {converged}/{len(entries)} entries converged")
-    return 0
+    return _finished(job, "sweep", entries)
 
 
-def _kdv(job):
-    return kdv_experiment(job.spec, job.nl, job.extras["eps_list"],
-                          policy=job.extras["grid_policy"], **job.solver)
-
-
-def _high_energy(job):
-    if job.nl.kind != "singular":
-        raise ValueError(
-            "high-energy requires the singular nonlinearity (kind 'singular')"
-        )
-    return high_energy_experiment(job.spec, job.nl.m, job.extras["delta_list"],
-                                  policy=job.extras["grid_policy"], **job.solver)
-
-
-def _run_family(experiment, csv_name, label, job, out, args):
-    result = experiment(job)
+def _run_family(experiment, points, csv_name, name, job, out):
+    """Run a family experiment on the job's points and write its rows and
+    predictors."""
+    result = experiment(job.spec, job.nl, job.extras[points],
+                        policy=job.extras["grid_policy"], **job.solver)
     emit_plot_data(result.rows, result.predictors, out, csv_name)
-    _report(job, [(_k_label(sol), sol, failure)
-                  for sol, failure in zip(result.solutions, result.failures)])
-    converged = result.failures.count(None)
-    print(f"{label} finished: {converged}/{len(result.rows)} entries converged")
-    return 0
+    return _finished(job, name, result.entries)
 
 
 def _run_decay(job, out, args):
@@ -392,8 +386,7 @@ def _run_probe(job, out, args):
     write_json(out / "probe.json",
                {**_fields_of(report, "supports_conjecture", "entries"),
                 "conjecture_support": support})
-    _report(job, [(f"width={width:g}: ", e.solution, e.error)
-                  for width, e in zip(report.widths, report.entries)])
+    _report(job, report.entries, [f"width={width:g}: " for width in report.widths])
     print(
         f"uniqueness probe: {report.n_converged}/{report.n_starts} converged, "
         f"max distance {report.max_l2_distance:.3g}, conjecture support: {support}"
@@ -408,15 +401,21 @@ _COMMANDS = {
         fields_table(SolverConfig, "K", "init_profile", "record_trace"),
         {"k_list": (_points, REQUIRED), "warm_start": (flag, False)},
     ),
+    # each family command looks its experiment up in this module when it
+    # runs, inside a lambda: perfbench's tracer and the tests rebind the
+    # module-level name, which a function bound here at import (in a
+    # partial, say) would bypass
     "kdv": _Command(
-        partial(_run_family, _kdv, "kdv.csv", "kdv sweep"),
+        lambda job, out, args: _run_family(kdv_experiment, "eps_list", "kdv.csv",
+                                           "kdv sweep", job, out),
         _FAMILY_SOLVER_FIELDS,
         {"eps_list": (_points, REQUIRED),
          "grid_policy": (_policy(KdvGridPolicy), KdvGridPolicy())},
         family="eps_list",
     ),
     "high-energy": _Command(
-        partial(_run_family, _high_energy, "high_energy.csv", "high-energy sweep"),
+        lambda job, out, args: _run_family(high_energy_experiment, "delta_list",
+                                           "high_energy.csv", "high-energy sweep", job, out),
         _FAMILY_SOLVER_FIELDS,
         {"delta_list": (_points, REQUIRED),
          "grid_policy": (_policy(HighEnergyGridPolicy), HighEnergyGridPolicy())},
@@ -425,7 +424,7 @@ _COMMANDS = {
     "decay": _Command(
         _run_decay,
         _SOLVER_FIELDS,
-        {"c": (_decay_c, None), "window": (_window, [0.5, 0.8])},
+        {"c": (_decay_c, None), "window": (_window, list(TAIL_WINDOW))},
     ),
     "validate-kernel": _Command(_run_validate),
     "uniqueness-probe": _Command(

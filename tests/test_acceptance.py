@@ -23,6 +23,7 @@ from nleig import (
     modified_kernel_ac,
     quadratic_nonlinearity,
     save_solution,
+    singular_nonlinearity,
     solve,
     spectral_ode_kernel,
     two_bump_kernel,
@@ -70,7 +71,8 @@ def kdv_result():
 @pytest.fixture(scope="module")
 def he_result():
     return high_energy_experiment(
-        KernelSpec(kind="gaussian", width=1.0), 4.0, [0.2, 0.1, 0.05, 0.02]
+        KernelSpec(kind="gaussian", width=1.0), singular_nonlinearity(4.0),
+        [0.2, 0.1, 0.05, 0.02],
     )
 
 
@@ -155,8 +157,8 @@ def test_criterion_06_kdv_limit(kdv_result):
     d0 = res.predictors["d0"]
     gaps = [abs(row.d_ratio - d0) for row in res.rows]
     errs = [row.profile_err for row in res.rows]
-    points = max(s.V.grid.point_count for s in res.solutions)
-    ok = (res.failures == [None] * 3
+    points = max(e.solution.V.grid.point_count for e in res.entries)
+    ok = ([e.error for e in res.entries] == [None] * 3
           and gaps[-1] <= 0.10 * d0
           and all(a > b for a, b in zip(gaps, gaps[1:]))
           and all(a > b for a, b in zip(errs, errs[1:]))
@@ -176,7 +178,7 @@ def test_criterion_07_high_energy_limit(he_result):
     eps = [row.eps_delta for row in res.rows]
     sups = [row.sup_err for row in res.rows]
     eta_gaps = [abs(row.eta - eta0) for row in res.rows]
-    ok = (res.failures == [None] * 4
+    ok = ([e.error for e in res.entries] == [None] * 4
           and all(a > b for a, b in zip(eps, eps[1:]))
           and all(a > b for a, b in zip(sups, sups[1:]))
           and all(a > b for a, b in zip(eta_gaps, eta_gaps[1:]))

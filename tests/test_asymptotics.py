@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from nleig import (
     Profile,
     modified_kernel_ac,
     quadratic_nonlinearity,
+    singular_nonlinearity,
     solve,
     spectral_ode_kernel,
     two_bump_kernel,
@@ -125,7 +127,7 @@ def test_kdv_experiment_single_eps_smoke():
         KernelSpec(kind="gaussian", width=1.0), exp_nonlinearity(), [0.25],
         tol_residual=1e-9,
     )
-    assert res.failures == [None]
+    assert [e.error for e in res.entries] == [None]
     row = res.rows[0]
     # beta enters the limit through the r^2 Taylor coefficient beta/2
     assert res.predictors["d0"] == pytest.approx(12.0 ** (-2.0 / 3.0), rel=1e-4)
@@ -159,8 +161,8 @@ def test_kdv_experiment_records_a_raising_solve():
         antiderivative=lambda r: np.expm1(r) - r, sup_domain=1e-9,
     )
     res = kdv_experiment(KernelSpec(kind="gaussian", width=1.0), capped, [0.25])
-    assert res.solutions == [None]
-    assert res.failures[0].startswith("DomainBreachError")
+    assert [e.solution for e in res.entries] == [None]
+    assert res.entries[0].error.startswith("DomainBreachError")
     row = res.rows[0]
     assert row.eps == 0.25
     assert all(math.isnan(v) for v in (row.sigma, row.d_ratio, row.profile_err))
@@ -171,7 +173,7 @@ def test_kdv_experiment_records_a_raising_solve():
     [
         (kdv_experiment, (exp_nonlinearity(), [0.2, 0.01]),
          "eps = 0.01 needs 65536 points, above the cap 32768"),
-        (high_energy_experiment, (4.0, [0.3, 0.001]),
+        (high_energy_experiment, (singular_nonlinearity(4.0), [0.3, 0.001]),
          "delta = 0.001 needs 65536 points, above the cap 32768"),
     ],
     ids=["kdv", "high-energy"],
@@ -196,8 +198,8 @@ def test_kdv_experiment_records_per_eps_failures():
         KernelSpec(kind="gaussian", width=1.0), exp_nonlinearity(), [0.25],
         max_iter=5,
     )
-    assert res.failures[0] is not None
-    assert "convergence" in res.failures[0]
+    assert res.entries[0].error is not None
+    assert "convergence" in res.entries[0].error
     assert math.isnan(res.rows[0].d_ratio)
     assert math.isfinite(res.rows[0].sigma)  # the row keeps the last sigma
 
@@ -366,8 +368,9 @@ def test_high_energy_grid_policy():
 
 
 def test_high_energy_experiment_smoke():
-    res = high_energy_experiment(KernelSpec(kind="gaussian", width=1.0), 4.0, [0.3])
-    assert res.failures == [None]
+    res = high_energy_experiment(KernelSpec(kind="gaussian", width=1.0),
+                                 singular_nonlinearity(4.0), [0.3])
+    assert [e.error for e in res.entries] == [None]
     row = res.rows[0]
     assert row.K == pytest.approx(0.7 * res.predictors["k_max"], rel=1e-12)
     assert 0.0 < row.eps_delta < 1.0
@@ -381,18 +384,18 @@ def test_high_energy_experiment_smoke():
 def test_high_energy_rejects_rough_autocorrelation():
     for spec in (KernelSpec(kind="indicator"), KernelSpec(kind="ode")):
         with pytest.raises(KernelAssumptionError) as err:
-            high_energy_experiment(spec, 4.0, [0.3])
+            high_energy_experiment(spec, singular_nonlinearity(4.0), [0.3])
         assert "autocorrelation" in str(err.value)
 
 
 def test_high_energy_input_validation():
     spec = KernelSpec(kind="gaussian", width=1.0)
     with pytest.raises(Exception):
-        high_energy_experiment(spec, 4.0, [])
+        high_energy_experiment(spec, singular_nonlinearity(4.0), [])
     with pytest.raises(ValueError):
-        high_energy_experiment(spec, 4.0, [0.1, 0.2])
+        high_energy_experiment(spec, singular_nonlinearity(4.0), [0.1, 0.2])
     with pytest.raises(ValueError):
-        high_energy_experiment(spec, 4.0, [1.5])
+        high_energy_experiment(spec, singular_nonlinearity(4.0), [1.5])
 
 
 @pytest.mark.parametrize(
@@ -420,12 +423,12 @@ def test_eta0_beyond_the_gamma_range_is_a_value_error():
 
 
 @pytest.mark.parametrize(
-    "experiment, args",
-    [(kdv_experiment, (exp_nonlinearity(), [0.4, 0.3])),
-     (high_energy_experiment, (4.0, [0.3, 0.2]))],
+    "experiment, args, point_K",
+    [(kdv_experiment, (exp_nonlinearity(), [0.4, 0.3]), lambda row: row.eps**3),
+     (high_energy_experiment, (singular_nonlinearity(4.0), [0.3, 0.2]), lambda row: row.K)],
     ids=["kdv", "high-energy"],
 )
-def test_family_builds_each_point_kernel_once(monkeypatch, experiment, args):
+def test_family_builds_each_point_kernel_once(monkeypatch, experiment, args, point_K):
     built = []
     build = KernelSpec.build
 
@@ -434,5 +437,30 @@ def test_family_builds_each_point_kernel_once(monkeypatch, experiment, args):
         return build(self, grid)
 
     monkeypatch.setattr(KernelSpec, "build", counted)
-    experiment(KernelSpec(kind="gaussian", width=1.0), *args, max_iter=2)
+    res = experiment(KernelSpec(kind="gaussian", width=1.0), *args, max_iter=2)
     assert len(built) == 2
+    # one entry per row, at the row's K
+    assert len(res.entries) == len(res.rows) == 2
+    assert [e.K for e in res.entries] == [point_K(row) for row in res.rows]
+    # neither point converges in 2 steps: each row keeps its sigma, NaN beyond
+    for entry, row in zip(res.entries, res.rows):
+        assert "no convergence in 2 iterations" in entry.error
+        assert row.sigma == entry.solution.sigma
+        names = [f.name for f in fields(row)]
+        assert all(math.isnan(getattr(row, name)) for name in names[names.index("sigma") + 1:])
+
+
+def test_high_energy_rejects_a_regular_nonlinearity_before_any_build(monkeypatch):
+    built = []
+    build = KernelSpec.build
+
+    def counted(self, grid):
+        built.append(grid)
+        return build(self, grid)
+
+    monkeypatch.setattr(KernelSpec, "build", counted)
+    with pytest.raises(ValueError, match=re.escape(
+            "high-energy requires the singular nonlinearity (kind 'singular')")):
+        high_energy_experiment(KernelSpec(kind="gaussian", width=1.0), exp_nonlinearity(),
+                               [0.3])
+    assert built == []

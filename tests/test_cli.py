@@ -468,6 +468,42 @@ def test_family_nonconvergence_warnings_name_the_point(tmp_path, command, config
                                   "iterations (residual ")
 
 
+def test_kdv_point_whose_solve_raises_keeps_a_nan_row(tmp_path, monkeypatch, capsys):
+    real_solve = nleig.solver.solve
+    calls = []
+
+    def second_raises(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("second solve fails")
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(nleig.solver, "solve", second_raises)
+    code, out = _run(tmp_path, "kdv", {**_SMALL_CONFIGS["kdv"], "eps_list": [0.4, 0.3]})
+    assert code == 0
+    rows = (out / "kdv.csv").read_text().splitlines()
+    assert rows[2] == "0.29999999999999999,nan,nan,nan"
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["warnings"] == ["RuntimeError: second solve fails"]
+    assert len(meta["solves"]) == 1
+    assert "kdv sweep finished: 1/2 entries converged" in capsys.readouterr().out
+
+
+def test_family_commands_call_the_module_level_experiment(tmp_path, monkeypatch):
+    # perfbench's tracer times an experiment by rebinding its name in nleig.cli
+    calls = {}
+    for name in ("kdv_experiment", "high_energy_experiment"):
+        def counted(*args, _name=name, _real=getattr(nleig.cli, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(nleig.cli, name, counted)
+    for command in ("kdv", "high-energy"):
+        code, _ = _run(tmp_path, command, _SMALL_CONFIGS[command], name=command)
+        assert code == 0
+    assert calls == {"kdv_experiment": 1, "high_energy_experiment": 1}
+
+
 def test_probe_failures_name_the_start(tmp_path):
     code, out = _run(tmp_path, "uniqueness-probe",
                      {**_solve_config(max_iter=5), "n_starts": 2})

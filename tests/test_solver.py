@@ -160,7 +160,7 @@ def test_accelerated_solve_keeps_the_invariants():
                 spec.build(grid), nl)
     assert sol.converged and sol.accelerated_steps > 0
     # the trace changes nothing along the path
-    untraced = family.solutions[0]
+    untraced = family.entries[0].solution
     assert (sol.iterations, sol.sigma) == (untraced.iterations, untraced.sigma)
     assert sol.accelerated_steps == untraced.accelerated_steps
     tr = sol.trace
@@ -257,8 +257,8 @@ def test_small_k_sweep_takes_few_steps():
     reference = [1.00766452755435, 1.00190992120838, 1.00047709320490]
     family = kdv_experiment(KernelSpec(kind="gaussian", width=1.0),
                             exp_nonlinearity(), [0.2, 0.1, 0.05])
-    assert sum(sol.iterations for sol in family.solutions) <= 100
-    for sol, sigma in zip(family.solutions, reference):
+    assert sum(e.solution.iterations for e in family.entries) <= 100
+    for sol, sigma in zip((e.solution for e in family.entries), reference):
         assert sol.converged
         assert sol.sigma == pytest.approx(sigma, rel=1e-10)
 
