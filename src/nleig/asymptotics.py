@@ -30,8 +30,6 @@ from .kernels import Kernel, KernelSpec, samples_from_symbol
 from .nonlinearity import Nonlinearity
 from .solver import Solution, SolverConfig, SweepEntry, attempt
 
-_MOMENT_CAP = 1e12  # grid-truncated moments beyond this count as blown up
-
 # the fractions of the half period that the tail fit reads unless told otherwise
 TAIL_WINDOW = (0.5, 0.8)
 
@@ -81,8 +79,9 @@ def decay_rate_theory(kernel: Kernel, sigma: float, alpha: float):
     M(lambda) is the squared exponential moment of b.
 
     Returns the root as a float, or BlowUpBounded(lambda_max) when M stays
-    below the target up to the moment's abscissa of convergence (detected
-    numerically, for sampled kernels, as the moment passing 1e12).
+    below the target up to just below the moment's abscissa of convergence,
+    lambda_max.  For a moment finite everywhere the bracket doubles from 1
+    up to 1e9, which is then lambda_max.
     """
     target = sigma / alpha
     if not target > 1.0:
@@ -93,19 +92,14 @@ def decay_rate_theory(kernel: Kernel, sigma: float, alpha: float):
         v = moment(lam)
         return v * v
 
-    if np.isfinite(kernel.moment_abscissa):
-        hi = kernel.moment_abscissa * (1.0 - 1e-13)
-        if big_m(hi) < target:
-            return BlowUpBounded(float(kernel.moment_abscissa))
-        lo = 0.0
-    else:
-        lo, hi = 0.0, 1.0
-        while big_m(hi) < target:
-            if big_m(hi) > _MOMENT_CAP:
-                return BlowUpBounded(hi)
-            lo, hi = hi, 2.0 * hi
-            if hi > 1e9:
-                return BlowUpBounded(hi)
+    abscissa = float(kernel.moment_abscissa)
+    finite = math.isfinite(abscissa)
+    top = abscissa * (1.0 - 1e-13) if finite else 1e9
+    lo, hi = 0.0, top if finite else 1.0
+    while big_m(hi) < target:
+        if hi >= top:
+            return BlowUpBounded(abscissa if finite else top)
+        lo, hi = hi, min(2.0 * hi, top)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if big_m(mid) < target:
@@ -292,9 +286,14 @@ def kdv_profile(kappa1: float, kappa2: float, xbar: np.ndarray) -> np.ndarray:
     return (1.5 * kappa1 / kappa2) * sech2
 
 
-def check_kdv_assumption(kernel: Kernel, slack: float = 1e-9):
+# how far bhat^2 may exceed 1/(1 + C k^2), in rounding, and still pass
+_KDV_SLACK = 1e-9
+
+
+def check_kdv_assumption(kernel: Kernel):
     """Verify the symbol bounds bhat^2 >= 1 - C k^2 and
-    bhat^2 <= 1/(1 + C k^2) on the grid for a single constant C.
+    bhat^2 <= 1/(1 + C k^2) on the grid for a single constant C, up to
+    _KDV_SLACK.
 
     Returns (ok, C, message); the tight C from the lower bound is tested
     against the upper bound.
@@ -306,7 +305,7 @@ def check_kdv_assumption(kernel: Kernel, slack: float = 1e-9):
         return False, c_low, "no positive curvature constant near k = 0"
     bound = 1.0 / (1.0 + c_low * k * k)
     worst = float(np.max(b2 - bound))
-    if worst > slack:
+    if worst > _KDV_SLACK:
         return (
             False,
             c_low,

@@ -180,7 +180,9 @@ class _Job:
     extras: dict
     echo: dict  # the resolved config that meta.json records
     warnings: list
-    solutions: list = field(default_factory=list)  # meta.json records their counters
+    # every solve the run returned or isolated; meta.json records their
+    # counters and warnings
+    entries: list = field(default_factory=list)
 
 
 def _load(command: str, config: dict, args) -> _Job:
@@ -232,28 +234,9 @@ def _load(command: str, config: dict, args) -> _Job:
 # commands
 
 
-def _report(job: _Job, entries, labels=None) -> None:
-    """Record SweepEntry solves for meta.json, in order: each solution's
-    counters, and the warnings.  A raised error (no solution) is reported as
-    it stands; an energy drop or a non-convergence follows the entry's label,
-    "K=<K>: " unless labels gives one per entry."""
-    if labels is None:
-        labels = [f"K={entry.K:g}: " for entry in entries]
-    for label, entry in zip(labels, entries):
-        solution, error = entry.solution, entry.error
-        if solution is not None:
-            job.solutions.append(solution)
-            # the solver's default slack: a drop within it is rounding
-            if solution.max_p_drop > SolverConfig.monotonicity_slack:
-                job.warnings.append(f"{label}energy decreased by relative "
-                                    f"{solution.max_p_drop:.3g} during the run")
-        if error is not None:
-            job.warnings.append(error if solution is None else label + error)
-
-
 def _finished(job: _Job, name: str, entries) -> int:
-    """Report a sweep's entries and print how many converged."""
-    _report(job, entries)
+    """Record a sweep's entries and print how many converged."""
+    job.entries += entries
     converged = sum(entry.error is None for entry in entries)
     print(f"{name} finished: {converged}/{len(entries)} entries converged")
     return 0
@@ -275,12 +258,12 @@ def _solve_once(job: _Job, out: Path):
     """Solve at the config's K and save the solution.  Returns the solution
     and the exit code, 3 when the solve did not converge."""
     solution = solve(SolverConfig(**job.solver), job.kernel, job.nl)
-    _report(job, [SweepEntry(solution.K, solution)], [""])
+    entry = SweepEntry.returned(solution, job.solver["max_iter"])
+    job.entries.append(entry)
     save_solution(solution, out)
-    if solution.converged:
+    if entry.error is None:
         return solution, 0
-    print(f"solve did not converge in {job.solver['max_iter']} iterations "
-          f"(residual {solution.residual:.3g})", file=sys.stderr)
+    print(f"error: {entry.error}", file=sys.stderr)
     return solution, 3
 
 
@@ -383,13 +366,17 @@ def _run_probe(job, out, args):
     report = uniqueness_probe(SolverConfig(**job.solver), job.kernel, job.nl,
                               **job.extras)
     support = "yes" if report.supports_conjecture else "no"
+    distance = report.max_l2_distance
+    # the distances are null, not left out, when fewer than two starts converged
     write_json(out / "probe.json",
                {**_fields_of(report, "supports_conjecture", "entries"),
+                "max_l2_distance": distance, "max_sigma_gap": report.max_sigma_gap,
                 "conjecture_support": support})
-    _report(job, report.entries, [f"width={width:g}: " for width in report.widths])
+    job.entries += report.entries
     print(
         f"uniqueness probe: {report.n_converged}/{report.n_starts} converged, "
-        f"max distance {report.max_l2_distance:.3g}, conjecture support: {support}"
+        f"max distance {'n/a' if distance is None else format(distance, '.3g')}, "
+        f"conjecture support: {support}"
     )
     return 0
 
@@ -469,10 +456,12 @@ def _write_meta(out: Path, args, job: _Job) -> None:
             # starts OpenBLAS's (spinning) worker threads
             "cpu_seconds": round(time.process_time() - args.cpu_started, 6),
         },
-        "warnings": job.warnings,
+        "warnings": job.warnings + [line for entry in job.entries
+                                    for line in entry.warnings()],
     }
-    if job.solutions:
-        meta["solves"] = [_solver_counters(sol) for sol in job.solutions]
+    solutions = [entry.solution for entry in job.entries if entry.solution is not None]
+    if solutions:
+        meta["solves"] = [_solver_counters(sol) for sol in solutions]
     if args.allow_nonstandard:
         meta["unvalidated"] = True
     write_json(out / "meta.json", meta)

@@ -170,8 +170,10 @@ def gaussian_kernel(grid: Grid, width: float = 1.0) -> Kernel:
 
 
 def indicator_kernel(grid: Grid) -> Kernel:
-    """Indicator of [-1/2, 1/2]; boundary nodes carry the half value so the
-    discrete mass and symbol stay second-order accurate."""
+    """Indicator of [-1/2, 1/2] as cell averages: each sample is the fraction
+    of [x - h/2, x + h/2] inside [-1/2, 1/2], so a node on an edge carries
+    the half value and the discrete mass and second moment converge at
+    second order in h on any grid, edges on nodes or not."""
     if grid.spacing > 1.0 / 8.0:
         raise UnderResolvedError(
             f"grid spacing {grid.spacing:.4g} exceeds 1/8 for the indicator kernel"
@@ -179,9 +181,7 @@ def indicator_kernel(grid: Grid) -> Kernel:
     if grid.half_period < 2.0:
         raise UnderResolvedError("half period below 2; b*b would wrap around")
     x = grid.nodes
-    samples = np.where(np.abs(x) < 0.5, 1.0, 0.0)
-    boundary = np.abs(np.abs(x) - 0.5) < grid.spacing / 4.0
-    samples[boundary] = 0.5
+    samples = np.clip((0.5 - np.abs(x)) / grid.spacing + 0.5, 0.0, 1.0)
 
     def exp_moment(lam: float) -> float:
         if lam == 0.0:
@@ -281,13 +281,18 @@ class KernelValidationReport:
     failures: tuple[str, ...]
 
 
-def validate_kernel(kernel: Kernel, tol: float = 1e-6) -> KernelValidationReport:
+# the mass error and the cone deviations, relative to max b, that still pass
+_VALIDATION_TOL = 1e-6
+
+
+def validate_kernel(kernel: Kernel) -> KernelValidationReport:
     """Check unit mass, finite positive moments, and cone membership of the
-    profile (evenness, nonnegativity, unimodality).  Cone checks are skipped
-    for spectral kernels whose samples carry a smoothed singularity."""
+    profile (evenness, nonnegativity, unimodality), each within
+    _VALIDATION_TOL.  Cone checks are skipped for spectral kernels whose
+    samples carry a smoothed singularity."""
     failures = []
     mass_error = abs(kernel.mass - 1.0)
-    if mass_error > tol:
+    if mass_error > _VALIDATION_TOL:
         failures.append(f"mass deviates from 1 by {mass_error:.3g}")
     if not np.isfinite(kernel.second_moment) or kernel.second_moment <= 0:
         failures.append("second moment not finite and positive")
@@ -298,11 +303,11 @@ def validate_kernel(kernel: Kernel, tol: float = 1e-6) -> KernelValidationReport
     if cone_checked:
         cone = cone_check(kernel.profile)
         scale = max(abs(kernel.profile.max), 1e-300)
-        if cone.even_deviation > tol * scale:
+        if cone.even_deviation > _VALIDATION_TOL * scale:
             failures.append(f"evenness violated by {cone.even_deviation:.3g}")
-        if cone.min_value < -tol * scale:
+        if cone.min_value < -_VALIDATION_TOL * scale:
             failures.append(f"nonnegativity violated: min = {cone.min_value:.3g}")
-        if cone.unimodality_deviation > tol * scale:
+        if cone.unimodality_deviation > _VALIDATION_TOL * scale:
             failures.append(
                 f"unimodality violated by {cone.unimodality_deviation:.3g}"
             )

@@ -113,7 +113,7 @@ class SuperlinearityReport:
 
     scaling_margin: min of f(lam r) - lam f(r) over sampled lam >= 1, r.
     moment_margin:  min of f'(r) r - 2 F(r) over sampled r.
-    Both are >= -tol for admissible nonlinearities.
+    Both are >= -_SUPERLINEARITY_TOL for admissible nonlinearities.
     """
 
     scaling_margin: float
@@ -121,33 +121,24 @@ class SuperlinearityReport:
     passed: bool
 
 
-def check_superlinearity(
-    nl: Nonlinearity,
-    lambdas=None,
-    rs=None,
-    tol: float = 1e-12,
-) -> SuperlinearityReport:
-    """Probe f(lam r) >= lam f(r) and f'(r) r >= 2 F(r) at sample points.
+# the scaling factors lam >= 1 and the margin below zero that still passes
+_SCALINGS = (1.0, 1.5, 2.0, 4.0, 8.0)
+_SUPERLINEARITY_TOL = 1e-12
 
-    Sample points landing outside the domain are excluded (the caller sees
+
+def check_superlinearity(nl: Nonlinearity) -> SuperlinearityReport:
+    """Probe f(lam r) >= lam f(r) and f'(r) r >= 2 F(r) at 40 points r
+    geometrically spaced from 1e-3 to 1 (to 0.9 of the domain's end for a
+    singular f), for each lam of _SCALINGS.
+
+    Points lam r landing outside the domain are excluded (the caller sees
     only in-domain behavior); margins are absolute.
     """
-    if lambdas is None:
-        lambdas = np.array([1.0, 1.5, 2.0, 4.0, 8.0])
-    else:
-        lambdas = np.asarray(lambdas, dtype=np.float64)
-    if np.any(lambdas < 1.0):
-        raise ValueError("scaling factors must be >= 1")
-    if rs is None:
-        upper = 1.0 if nl.sup_domain == np.inf else 0.9 * nl.sup_domain
-        rs = np.geomspace(1e-3, upper, 40)
-    else:
-        rs = np.asarray(rs, dtype=np.float64)
-    if np.any(rs < 0) or np.any(rs >= nl.sup_domain):
-        raise ValueError("sample points must lie inside the domain")
+    upper = 1.0 if nl.sup_domain == np.inf else 0.9 * nl.sup_domain
+    rs = np.geomspace(1e-3, upper, 40)
 
     scaling_margin = np.inf
-    for lam in lambdas:
+    for lam in _SCALINGS:
         inside = lam * rs < nl.sup_domain
         if not np.any(inside):
             continue
@@ -155,7 +146,8 @@ def check_superlinearity(
         margin = np.min(nl.f(lam * r) - lam * nl.f(r))
         scaling_margin = min(scaling_margin, float(margin))
     moment_margin = float(np.min(nl.f_prime(rs) * rs - 2.0 * nl.F(rs)))
-    passed = scaling_margin >= -tol and moment_margin >= -tol
+    passed = (scaling_margin >= -_SUPERLINEARITY_TOL
+              and moment_margin >= -_SUPERLINEARITY_TOL)
     return SuperlinearityReport(scaling_margin, moment_margin, passed)
 
 

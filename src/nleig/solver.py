@@ -19,6 +19,7 @@ when it keeps P nondecreasing and the iterate in the cone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, replace
@@ -379,30 +380,52 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
 
 @dataclass(frozen=True)
 class SweepEntry:
-    """One solve of a family, isolated: error is None when it converged,
+    """One solve, isolated: error is None when it converged,
     "no convergence in <max_iter> iterations (residual <r>)" when it ran out
     of iterations (solution kept), and "<Type>: <message>" when it raised
-    (solution None)."""
+    (solution None).  label names the solve within its run, as "K=2" or
+    "width=1.5"; a single solve has none."""
 
     K: float
     solution: Solution | None
     error: str | None = None
+    label: str = ""
+
+    @classmethod
+    def returned(cls, sol: Solution, max_iter: int, label: str = "") -> SweepEntry:
+        """The entry of a solve that returned, converged or not."""
+        if sol.converged:
+            return cls(sol.K, sol, None, label)
+        return cls(sol.K, sol, f"no convergence in {max_iter} iterations "
+                               f"(residual {sol.residual:.3g})", label)
+
+    def warnings(self) -> list[str]:
+        """What this solve warns about, each line after "<label>: " when it
+        has a label: an energy drop beyond the solver's default slack (a drop
+        within it is rounding), then the error, always the last line."""
+        lines = []
+        sol = self.solution
+        if sol is not None and sol.max_p_drop > SolverConfig.monotonicity_slack:
+            lines.append(f"energy decreased by relative {sol.max_p_drop:.3g} during the run")
+        if self.error is not None:
+            lines.append(self.error)
+        return [f"{self.label}: {line}" if self.label else line for line in lines]
 
 
-def attempt(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity, **changes) -> SweepEntry:
+def attempt(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity, label: str | None = None,
+            **changes) -> SweepEntry:
     """Solve at cfg with `changes` applied (as by dataclasses.replace, whose
     validation counts as part of the solve), recording a failure in the
-    entry instead of raising it, so a family continues past a bad point."""
+    entry instead of raising it, so a family continues past a bad point.
+    The entry is labelled "K=<K>" unless label gives one."""
     K = changes.get("K", cfg.K)
+    label = f"K={K:g}" if label is None else label
     try:
         run_cfg = replace(cfg, **changes)
         sol = solve(run_cfg, kernel, nl)
     except Exception as exc:  # per-point isolation: the family continues
-        return SweepEntry(K, None, f"{type(exc).__name__}: {exc}")
-    if sol.converged:
-        return SweepEntry(K, sol)
-    return SweepEntry(K, sol, f"no convergence in {run_cfg.max_iter} iterations "
-                              f"(residual {sol.residual:.3g})")
+        return SweepEntry(K, None, f"{type(exc).__name__}: {exc}", label)
+    return SweepEntry.returned(sol, run_cfg.max_iter, label)
 
 
 def sweep_K(
@@ -435,18 +458,20 @@ def sweep_K(
 
 @dataclass(frozen=True)
 class UniquenessReport:
-    """Outcome of repeated solves from varied initializations.  entries
-    holds each start's solve in the order of widths, so the counters of
-    every solve that returned (iterations, max_p_drop, accelerated and
-    rejected steps) stay visible; failures holds the error of each start
-    that did not converge, prefixed with its width."""
+    """Outcome of repeated solves from varied initializations, start by
+    start in the order of widths: sigmas[i] is start i's sigma, None unless
+    it converged, and entries[i] its solve, so the counters of every solve
+    that returned (iterations, max_p_drop, accelerated and rejected steps)
+    stay visible.  failures holds the labelled error of each start that did
+    not converge, as its warnings end.  The largest pairwise distance and
+    sigma gap between converged starts are None with fewer than two."""
 
     n_starts: int
     widths: tuple[float, ...]
-    sigmas: tuple[float, ...]
+    sigmas: tuple[float | None, ...]
     n_converged: int
-    max_l2_distance: float
-    max_sigma_gap: float
+    max_l2_distance: float | None
+    max_sigma_gap: float | None
     distance_tol: float
     supports_conjecture: bool
     failures: tuple[str, ...]
@@ -471,9 +496,9 @@ def uniqueness_probe(
     distance_tol: float = 1e-6,
 ) -> UniquenessReport:
     """Solve from n_starts cone initializations with seeded bump widths, one
-    after another, and compare the limits pairwise.  A failed start is
-    recorded, not fatal; the conjecture is supported only when every start
-    converged to the same profile within distance_tol."""
+    after another, and compare the converged limits pairwise.  A failed
+    start is recorded, not fatal; the conjecture is supported only when every
+    start converged, and all to the same profile within distance_tol."""
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     probe_distance_tol(distance_tol)
@@ -483,33 +508,24 @@ def uniqueness_probe(
     factors[0] = 1.0
     widths = tuple(float(base_width * f) for f in factors)
 
-    entries = [attempt(cfg, kernel, nl, init_profile=None, init_width=width)
-               for width in widths]
+    entries = tuple(attempt(cfg, kernel, nl, label=f"width={width:g}", init_profile=None,
+                            init_width=width) for width in widths)
     converged = [entry.solution for entry in entries if entry.error is None]
-    failures = tuple(f"width {width:.4g}: {entry.error}"
-                     for width, entry in zip(widths, entries) if entry.error is not None)
-
-    max_distance = 0.0
-    max_sigma_gap = 0.0
-    for i in range(len(converged)):
-        for j in range(i + 1, len(converged)):
-            diff = converged[i].V.samples - converged[j].V.samples
-            max_distance = max(max_distance, norm(diff, kernel.grid))
-            max_sigma_gap = max(
-                max_sigma_gap, abs(converged[i].sigma - converged[j].sigma)
-            )
-    supports = len(converged) == n_starts and max_distance <= distance_tol
+    pairs = list(itertools.combinations(converged, 2))
+    distances = [norm(a.V.samples - b.V.samples, kernel.grid) for a, b in pairs]
     return UniquenessReport(
         n_starts=n_starts,
         widths=widths,
-        sigmas=tuple(float(s.sigma) for s in converged),
+        sigmas=tuple(entry.solution.sigma if entry.error is None else None
+                     for entry in entries),
         n_converged=len(converged),
-        max_l2_distance=max_distance,
-        max_sigma_gap=max_sigma_gap,
+        max_l2_distance=max(distances, default=None),
+        max_sigma_gap=max((abs(a.sigma - b.sigma) for a, b in pairs), default=None),
         distance_tol=distance_tol,
-        supports_conjecture=supports,
-        failures=failures,
-        entries=tuple(entries),
+        supports_conjecture=len(converged) == n_starts
+        and all(d <= distance_tol for d in distances),
+        failures=tuple(entry.warnings()[-1] for entry in entries if entry.error is not None),
+        entries=entries,
     )
 
 

@@ -255,6 +255,22 @@ def test_decay_rate_blow_up_bounded_at_finite_abscissa():
     assert out.lambda_max == 1.0
 
 
+def test_decay_rate_finds_a_large_root_of_a_moment_finite_everywhere():
+    # M(lambda) = exp(w^2 lambda^2) passes 1e12 below the root, which a cap on
+    # the moment would have read as a blow-up at lambda = 4
+    k = gaussian_kernel(make_grid(25.0, 2000), width=1.34)
+    lam = decay_rate_theory(k, 1e13, 1.0)
+    assert lam == pytest.approx(math.sqrt(math.log(1e13)) / 1.34, rel=1e-12)
+
+
+def test_decay_rate_blow_up_bounded_when_a_moment_finite_everywhere_stays_low():
+    g = make_grid(20.0, 1024)
+    k = kernel_from_samples(g, np.exp(-np.abs(g.nodes)), exp_moment=lambda lam: 1.5,
+                            moment_abscissa=math.inf)
+    assert decay_rate_theory(k, 2.0, 1.0) < 1e-13  # M = 2.25 > 2 from lambda = 0 on
+    assert decay_rate_theory(k, 5.0, 1.0) == BlowUpBounded(1e9)
+
+
 def test_fit_tail_rate_synthetic():
     g = make_grid(20.0, 1024)
     exp2 = Profile(g, np.exp(-2.0 * np.abs(g.nodes)))

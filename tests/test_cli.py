@@ -67,9 +67,11 @@ def test_solve_reruns_are_byte_identical(tmp_path):
 def test_solve_nonconvergence_exits_3_but_writes_outputs(tmp_path, capsys):
     code, out = _run(tmp_path, "solve", _solve_config(max_iter=5))
     assert code == 3
-    assert "did not converge" in capsys.readouterr().err
     summary = json.loads((out / "solution.json").read_text())
     assert summary["converged"] is False
+    line = f"no convergence in 5 iterations (residual {summary['residual']:.3g})"
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert json.loads((out / "meta.json").read_text())["warnings"] == [line]
     assert (out / "V.csv").is_file()
 
 
@@ -285,7 +287,7 @@ def test_sweep_k_failed_row(tmp_path):
     assert lines[2] == f"2,nan,nan,nan,nan,nan,0,false,{error}"
     assert (out / "k_000_solution.json").is_file()
     assert not list(out.glob("k_001_*"))
-    assert json.loads((out / "meta.json").read_text())["warnings"] == [error]
+    assert json.loads((out / "meta.json").read_text())["warnings"] == [f"K=2: {error}"]
 
 
 @pytest.mark.parametrize(
@@ -484,7 +486,7 @@ def test_kdv_point_whose_solve_raises_keeps_a_nan_row(tmp_path, monkeypatch, cap
     rows = (out / "kdv.csv").read_text().splitlines()
     assert rows[2] == "0.29999999999999999,nan,nan,nan"
     meta = json.loads((out / "meta.json").read_text())
-    assert meta["warnings"] == ["RuntimeError: second solve fails"]
+    assert meta["warnings"] == ["K=0.027: RuntimeError: second solve fails"]
     assert len(meta["solves"]) == 1
     assert "kdv sweep finished: 1/2 entries converged" in capsys.readouterr().out
 
@@ -511,21 +513,56 @@ def test_probe_failures_name_the_start(tmp_path):
     probe = json.loads((out / "probe.json").read_text())
     meta = json.loads((out / "meta.json").read_text())
     assert probe["n_converged"] == 0 and len(probe["failures"]) == 2
-    for width, failure, warning in zip(probe["widths"], probe["failures"],
-                                       meta["warnings"]):
-        detail = failure.removeprefix(f"width {width:.4g}: ")
-        assert detail.startswith("no convergence in 5 iterations (residual ")
-        assert warning == f"width={width:g}: {detail}"
-    # a start that raised is warned about with its error as it stands
+    assert probe["failures"] == meta["warnings"]
+    for width, failure in zip(probe["widths"], probe["failures"]):
+        assert failure.startswith(f"width={width:g}: no convergence in 5 iterations "
+                                  "(residual ")
+    # a start that raised is warned about with its label too
     singular = {**_solve_config(K=2.0), "nonlinearity": {"kind": "singular", "m": 4},
                 "n_starts": 2}
     _, out = _run(tmp_path, "uniqueness-probe", singular, name="raised")
     error = ("ValueError: K = 2 must stay below K_max = 1.77245 "
              "for a singular nonlinearity")
-    assert json.loads((out / "meta.json").read_text())["warnings"] == [error, error]
-    widths = json.loads((out / "probe.json").read_text())["widths"]
-    assert json.loads((out / "probe.json").read_text())["failures"] == [
-        f"width {width:.4g}: {error}" for width in widths]
+    probe = json.loads((out / "probe.json").read_text())
+    expected = [f"width={width:g}: {error}" for width in probe["widths"]]
+    assert json.loads((out / "meta.json").read_text())["warnings"] == expected
+    assert probe["failures"] == expected
+
+
+def test_probe_sigmas_line_up_with_widths(tmp_path, capsys):
+    # 1 of these 5 starts converges within 50 steps
+    config = {**_solve_config(tol_residual=1e-5, max_iter=50), "n_starts": 5, "seed": 3}
+    code, out = _run(tmp_path, "uniqueness-probe", config)
+    assert code == 0
+    probe = json.loads((out / "probe.json").read_text())
+    meta = json.loads((out / "meta.json").read_text())
+    converged = [sigma is not None for sigma in probe["sigmas"]]
+    assert len(probe["sigmas"]) == len(probe["widths"]) == 5
+    assert converged.count(True) == probe["n_converged"] == 1
+    # every start's solve is recorded in width order, failed ones included
+    assert [s["iterations"] < 50 for s in meta["solves"]] == converged
+    failed = [width for width, ok in zip(probe["widths"], converged) if not ok]
+    assert len(probe["failures"]) == len(failed) == 4
+    for width, failure in zip(failed, probe["failures"]):
+        assert failure.startswith(f"width={width:g}: no convergence in 50 iterations "
+                                  "(residual ")
+    assert probe["failures"] == meta["warnings"]
+    # one converged start leaves nothing to compare
+    assert probe["max_l2_distance"] is None and probe["max_sigma_gap"] is None
+    assert probe["conjecture_support"] == "no"
+    assert "1/5 converged, max distance n/a, conjecture support: no" in capsys.readouterr().out
+
+
+def test_singleton_probe_has_null_distances_and_supports(tmp_path, capsys):
+    code, out = _run(tmp_path, "uniqueness-probe", {**_solve_config(), "n_starts": 1})
+    assert code == 0
+    probe = json.loads((out / "probe.json").read_text())
+    assert probe["max_l2_distance"] is None and probe["max_sigma_gap"] is None
+    assert probe["n_converged"] == 1 and probe["sigmas"][0] > 1.0
+    assert probe["failures"] == []
+    assert probe["conjecture_support"] == "yes"
+    assert "1/1 converged, max distance n/a, conjecture support: yes" in (
+        capsys.readouterr().out)
 
 
 def test_report_payload_keys(tmp_path):
@@ -879,7 +916,10 @@ def test_decay_without_convergence_writes_no_fit(tmp_path, capsys):
     }
     code, out = _run(tmp_path, "decay", config)
     assert code == 3
-    assert "did not converge" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["U.csv", "V.csv", "meta.json",
                                                     "solution.json"]
-    assert json.loads((out / "solution.json").read_text())["converged"] is False
+    summary = json.loads((out / "solution.json").read_text())
+    assert summary["converged"] is False
+    line = f"no convergence in 30 iterations (residual {summary['residual']:.3g})"
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert json.loads((out / "meta.json").read_text())["warnings"] == [line]

@@ -14,6 +14,7 @@ from nleig import (
     NumericalOverflowError,
     Profile,
     SolverConfig,
+    SweepEntry,
     ZeroGradientError,
     attempt,
     eval_K,
@@ -468,6 +469,29 @@ def test_attempt_records_each_outcome_in_the_entry():
     assert rejected.error.startswith("ValueError: K must be positive")
 
 
+def test_entry_warnings_follow_one_rule(reference_solution):
+    error = ("ValueError: K = 2 must stay below K_max = 1.77245 "
+             "for a singular nonlinearity")
+    raised = attempt(SolverConfig(K=1.0), KERNEL, singular_nonlinearity(4.0), K=2.0)
+    assert raised.label == "K=2"
+    assert raised.warnings() == [f"K=2: {error}"]
+    named = attempt(SolverConfig(K=1.0), KERNEL, NL, label="start", max_iter=3)
+    assert named.label == "start" and not named.solution.converged
+    # an energy drop beyond the solver's default slack comes first, the error last
+    dropped = replace(named, solution=replace(named.solution, max_p_drop=2e-6))
+    assert dropped.warnings() == [
+        "start: energy decreased by relative 2e-06 during the run", f"start: {named.error}"]
+    # a drop within the slack is rounding
+    within = replace(named.solution, max_p_drop=SolverConfig.monotonicity_slack)
+    assert replace(named, solution=within, error=None).warnings() == []
+    # an entry without a label, as of a single solve, warns without a prefix
+    single = SweepEntry.returned(named.solution, 3)
+    assert single.label == "" and single.error == named.error
+    assert single.warnings() == [named.error]
+    converged = SweepEntry.returned(reference_solution, 3, "K=1")
+    assert converged.error is None and converged.warnings() == []
+
+
 def test_sweep_warm_start_converges_faster():
     cfg = SolverConfig(K=0.5, record_trace=False)
     ks = [0.5, 0.6]
@@ -481,7 +505,9 @@ def test_uniqueness_probe_singleton_and_small():
     cfg = SolverConfig(K=1.0, record_trace=False)
     one = uniqueness_probe(cfg, KERNEL, NL, n_starts=1, seed=3)
     assert one.n_converged == 1
-    assert one.max_l2_distance == 0.0
+    # one converged start has no pair to compare
+    assert one.max_l2_distance is None and one.max_sigma_gap is None
+    assert one.sigmas == (one.entries[0].solution.sigma,)
     assert one.supports_conjecture
     two = uniqueness_probe(cfg, KERNEL, NL, n_starts=2, seed=3)
     assert two.n_converged == 2
