@@ -28,7 +28,7 @@ from .errors import (
 from .grid import Grid, Profile, dot, make_grid
 from .kernels import Kernel, KernelSpec, samples_from_symbol
 from .nonlinearity import Nonlinearity
-from .solver import Solution, SolverConfig, SweepEntry, attempt
+from .solver import Solution, SolverConfig, SweepEntry, attempt, point_label
 
 # the fractions of the half period that the tail fit reads unless told otherwise
 TAIL_WINDOW = (0.5, 0.8)
@@ -240,10 +240,11 @@ def _power_of_two_grid(point: str, half_period: float, h_max: float,
     return make_grid(half_period, n)
 
 
-def _solve_family(nl, points, kernels, row_type, point, measure, predictors,
+def _solve_family(nl, name, points, kernels, row_type, point, measure, predictors,
                   tol_residual, max_iter) -> FamilyResult:
-    """Solve at each point with its kernel and record one row_type(*head,
-    sigma, *measured) row.  point(p, kernel) returns (head, K, initial
+    """Solve at each point with its kernel, its entry labelled by the point
+    as point_label(name, p), and record one row_type(*head, sigma,
+    *measured) row.  point(p, kernel) returns (head, K, initial
     profile); measure(p, kernel, solution) returns the row's remaining fields
     for a converged solve.  A failed point's row keeps the row type's NaN
     measurements, and its sigma too when the solve returned without
@@ -253,7 +254,7 @@ def _solve_family(nl, points, kernels, row_type, point, measure, predictors,
         head, K, init = point(p, kernel)
         cfg = SolverConfig(K=K, tol_residual=tol_residual, max_iter=max_iter,
                            init_profile=init)
-        entry = attempt(cfg, kernel, nl)
+        entry = attempt(cfg, kernel, nl, label=point_label(name, p))
         sol = entry.solution
         measured = measure(p, kernel, sol) if entry.error is None else ()
         rows.append(row_type(*head, math.nan if sol is None else sol.sigma, *measured))
@@ -400,8 +401,8 @@ def kdv_experiment(
         diff = sol.U.samples / eps**2 - limit
         return d_ratio, float(np.sqrt(eps * grid.spacing * dot(diff, diff)))
 
-    return _solve_family(nl, eps_values, kernels, KdvRow, point, measure, predictors,
-                         tol_residual, max_iter)
+    return _solve_family(nl, "eps", eps_values, kernels, KdvRow, point, measure,
+                         predictors, tol_residual, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -497,5 +498,5 @@ def high_energy_experiment(
         sup_err = float(np.max(np.abs(sol.U.samples - a_profile.samples / kernel.a0)))
         return eps_delta, eta, sup_err
 
-    return _solve_family(nl, deltas, kernels, HighEnergyRow, point, measure, predictors,
-                         tol_residual, max_iter)
+    return _solve_family(nl, "delta", deltas, kernels, HighEnergyRow, point, measure,
+                         predictors, tol_residual, max_iter)

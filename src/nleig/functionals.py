@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalOverflowError
 from .grid import Profile, inner_product
 from .kernels import Kernel
 from .nonlinearity import Nonlinearity
@@ -43,8 +44,19 @@ def q_of_u(u: Profile, alpha: float) -> float:
 
 
 def grad_p_of_u(u: Profile, kernel: Kernel, nl: Nonlinearity) -> Profile:
-    """L2 gradient of P, b * f(U), using the kernel's evenness."""
-    return kernel.convolve(Profile(u.grid, nl.f(u.samples)))
+    """L2 gradient of P, b * f(U), using the kernel's evenness; raises
+    NumericalOverflowError when f(U) is not finite."""
+    try:
+        f_profile = Profile(u.grid, nl.f(u.samples))
+    except ValueError:
+        # Profile's finiteness check is the only pass over a finite f(U), whose
+        # samples are freed before the convolution allocates its own
+        if np.all(np.isfinite(nl.f(u.samples))):
+            raise
+        raise NumericalOverflowError(
+            f"f(U) is not finite at max U = {u.max:.6g}; U overflowed f"
+        ) from None
+    return kernel.convolve(f_profile)
 
 
 def energies_of_u(v: Profile, u: Profile, P: float, alpha: float) -> EnergyRecord:

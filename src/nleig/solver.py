@@ -14,7 +14,7 @@ Where the plain map contracts slowly (near sigma = f'(0), the small-K
 limit), the loop mixes a Fourier-preconditioned map instead, the fixed-K
 form of accelerated imaginary-time evolution, by a safeguarded secant step
 over its last two iterates; a mixed candidate replaces the plain step only
-when it keeps P nondecreasing and the iterate in the cone.
+when P falls by no more than its rounding and the iterate stays in the cone.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class Solution:
     converged: bool
     cone: ConeReport
     trace: IterationTrace | None = None
-    max_p_drop: float = 0.0  # largest relative drop of P, also with the trace off
+    max_p_drop: float = 0.0  # largest relative drop of P on an accepted step
     contraction_rate: float = math.nan  # mean residual ratio per step, last 10 steps
     accelerated_steps: int = 0  # accepted mixed candidates
     rejected_steps: int = 0  # mixed candidates the safeguard turned down
@@ -185,24 +185,39 @@ def _cone_deviation(v: Profile) -> float:
 
 
 # Mixing engages once the plain residuals shrink by less than
-# _GATE_RATE per step over _RATE_WINDOW steps.  The gate is about cost: a
-# candidate takes 4 more FFTs and may be rejected, so where the plain map
-# already contracts fast, mixing takes more steps (ungated, sweep-k's
+# _GATE_RATE per step over the last _GATE_WINDOW steps.  The gate is about
+# cost: a candidate takes 4 more FFTs and may be rejected, so where the plain
+# map already contracts fast, mixing takes more steps (ungated, sweep-k's
 # K = 4 ... 32 took 110/61/47/33 steps against 62/36/29/22 plain); below a
 # rate of about 0.8 it does not pay.  Measured plain rates: sweep-k
 # 0.948/0.920/0.876/0.813/... from K = 0.25 up, decay 0.893, high-energy at
 # most 0.04, the small-K sweep at least 0.98.  So 0.9 mixes sweep-k's two
-# smallest K and the small-K sweep and leaves decay plain.  Mixing does not
-# cost tail accuracy (decay mixed at a gate of 0.8 fits the converged tail
-# rate), but a gate below decay's rate waits on a benchmark that reads
-# decay's tail gap against a converged tail.
-_RATE_WINDOW = 10
+# smallest K and the small-K sweep and leaves decay plain.  The largest
+# single-step ratio of a plain solve is 0.893 on decay and 0.876 on sweep-k's
+# K = 1, so no window opens the gate there.  Three steps, because the
+# small-K sweep's first plain steps contract at 0.984-0.996 and gain almost
+# nothing (windows of 10/5/3/2/1 steps took that sweep 56/42/36/34/31
+# steps), and a mean over three ratios does not open on one transient ratio.
+# Mixing does not cost tail accuracy (decay mixed at a gate of 0.8 fits the
+# converged tail rate), but a gate below decay's rate waits on a benchmark
+# that reads decay's tail gap against a converged tail.
+_GATE_WINDOW = 3
 _GATE_RATE = 0.9
+_RATE_WINDOW = 10  # steps behind Solution.contraction_rate
+
+# How far P may fall on an accepted mixed candidate, relative to |P|: P's
+# rounding, which it cannot resolve near convergence.  The small-K sweep's
+# candidates "lowered" P by 2e-16 to 8e-15 relative; turning each down cost
+# a plain step that gained nothing.  Unlike monotonicity_slack, which only
+# decides when a plain step's drop is an error, this allowance is fixed, so
+# an infinite slack leaves the safeguard on.
+_P_ROUNDING = 64 * np.finfo(np.float64).eps
 
 
-def _rate(residuals) -> float:
-    """Mean factor per step by which the residuals shrank."""
-    return (residuals[-1] / residuals[0]) ** (1.0 / (len(residuals) - 1))
+def _rate(residuals, steps: int) -> float:
+    """Mean factor per step by which the residuals shrank over the last
+    `steps` steps."""
+    return (residuals[-1] / residuals[-1 - steps]) ** (1.0 / steps)
 
 
 def _secant(f: np.ndarray, g: np.ndarray, last) -> np.ndarray | None:
@@ -246,13 +261,14 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
 
     Each step is one proposal, one evaluation and one acceptance.  The
     proposal is the plain step G(V), the even part of T(V) on the sphere, or,
-    once the residuals shrink by less than _GATE_RATE per step, a mixed
-    candidate in its place: the secant step of the preconditioned map Gp
-    (the even part of _preconditioned's step, renormalized to K) over the
-    last two iterates, or Gp(V) without a previous pair, renormalized to K;
-    where min M <= 0 there is none.  The evaluation convolves the proposal
-    and computes its P.  A plain step is accepted subject to the
-    monotonicity guard, a candidate only when P does not drop and its cone
+    once the residuals shrink by less than _GATE_RATE per step over the last
+    _GATE_WINDOW steps, a mixed candidate in its place: the secant step of
+    the preconditioned map Gp (the even part of _preconditioned's step,
+    renormalized to K) over the last two iterates, or Gp(V) without a
+    previous pair, renormalized to K; where min M <= 0 there is none.  The
+    evaluation convolves the proposal and computes its P.  A plain step is
+    accepted subject to the monotonicity guard, a candidate only when P
+    falls by at most _P_ROUNDING relative (whatever the slack) and its cone
     deviation is no worse than G(V)'s; a rejected candidate leaves the
     iterate, drops the pair and makes the next step plain, since Gp(V)
     would repeat it.  A step counts as one iteration and costs 4 FFTs, a
@@ -296,8 +312,8 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         t_samples, mu = _step(u, target_norm, kernel, nl, iterations)
         residual = norm(t_samples - v.samples, grid) / target_norm
         recent.append(residual)
-        if not mixing and len(recent) == recent.maxlen and _rate(recent) > _GATE_RATE:
-            mixing = True
+        if not mixing and len(recent) > _GATE_WINDOW:
+            mixing = _rate(recent, _GATE_WINDOW) > _GATE_RATE
 
         # proposal: the plain step G(V), or a mixed candidate in its place
         g = Profile(grid, _on_sphere(even_part(t_samples), grid, cfg.K))
@@ -320,17 +336,16 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         p_next = _finite(p_of_u(u_next, nl), "P", iterations)
 
         # acceptance
-        if proposal is g:
-            if p_next < p_prev - cfg.monotonicity_slack * abs(p_prev):
-                raise MonotonicityViolationError(
-                    f"P decreased from {p_prev:.17g} to {p_next:.17g} at iteration "
-                    f"{iterations}; slack {cfg.monotonicity_slack:g} exceeded"
-                )
+        if proposal is g and p_next < p_prev - cfg.monotonicity_slack * abs(p_prev):
+            raise MonotonicityViolationError(
+                f"P decreased from {p_prev:.17g} to {p_next:.17g} at iteration "
+                f"{iterations}; slack {cfg.monotonicity_slack:g} exceeded"
+            )
+        if proposal is g or (p_next >= p_prev - _P_ROUNDING * abs(p_prev)
+                             and _cone_deviation(proposal) <= _cone_deviation(g)):
             max_p_drop = max(max_p_drop, (p_prev - p_next) / max(abs(p_prev), 1e-300))
-            v, u, p_prev = g, u_next, p_next
-        elif p_next >= p_prev and _cone_deviation(proposal) <= _cone_deviation(g):
+            accelerated += proposal is not g
             v, u, p_prev = proposal, u_next, p_next
-            accelerated += 1
         else:
             last, resting = None, True
             rejected += 1
@@ -372,7 +387,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         cone=cone_check(v),
         trace=trace,
         max_p_drop=max_p_drop,
-        contraction_rate=_rate(recent) if len(recent) > 1 else math.nan,
+        contraction_rate=_rate(recent, len(recent) - 1) if len(recent) > 1 else math.nan,
         accelerated_steps=accelerated,
         rejected_steps=rejected,
     )
@@ -412,14 +427,23 @@ class SweepEntry:
         return [f"{self.label}: {line}" if self.label else line for line in lines]
 
 
+def point_label(name: str, value: float) -> str:
+    """"<name>=<value>", the label of one point of a run: the value as
+    formatted by :g when that reads back as the same float, else its repr,
+    so two distinct points never share a label."""
+    value = float(value)
+    short = f"{value:g}"
+    return f"{name}={short if float(short) == value else repr(value)}"
+
+
 def attempt(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity, label: str | None = None,
             **changes) -> SweepEntry:
     """Solve at cfg with `changes` applied (as by dataclasses.replace, whose
     validation counts as part of the solve), recording a failure in the
     entry instead of raising it, so a family continues past a bad point.
-    The entry is labelled "K=<K>" unless label gives one."""
+    The entry is labelled point_label("K", K) unless label gives one."""
     K = changes.get("K", cfg.K)
-    label = f"K={K:g}" if label is None else label
+    label = point_label("K", K) if label is None else label
     try:
         run_cfg = replace(cfg, **changes)
         sol = solve(run_cfg, kernel, nl)
@@ -508,8 +532,8 @@ def uniqueness_probe(
     factors[0] = 1.0
     widths = tuple(float(base_width * f) for f in factors)
 
-    entries = tuple(attempt(cfg, kernel, nl, label=f"width={width:g}", init_profile=None,
-                            init_width=width) for width in widths)
+    entries = tuple(attempt(cfg, kernel, nl, label=point_label("width", width),
+                            init_profile=None, init_width=width) for width in widths)
     converged = [entry.solution for entry in entries if entry.error is None]
     pairs = list(itertools.combinations(converged, 2))
     distances = [norm(a.V.samples - b.V.samples, kernel.grid) for a, b in pairs]

@@ -17,6 +17,7 @@ import nleig.errors
 import nleig.solver
 from nleig.cli import main
 from nleig.errors import ComputationError, DomainBreachError, NleigError
+from nleig.solver import point_label
 
 
 def _run(tmp_path, command, config, *flags, name="run"):
@@ -422,6 +423,24 @@ def test_sweep_k_reports_nonconverged_entries(tmp_path, capsys):
     assert json.loads((out / "meta.json").read_text())["warnings"] == expected
 
 
+def test_sweep_k_labels_tell_close_points_apart(tmp_path):
+    # K = 1 and 1.0000001 agree to 6 significant digits, so :g would give
+    # both warnings the label "K=1"
+    config = {
+        "grid": {"half_period": 25.0, "point_count": 512},
+        "kernel": {"kind": "gaussian", "width": 1.0},
+        "nonlinearity": {"kind": "exp"},
+        "solver": {"max_iter": 3},
+        "k_list": [1.0, 1.0000001],
+    }
+    code, out = _run(tmp_path, "sweep-k", config)
+    assert code == 0
+    warnings = json.loads((out / "meta.json").read_text())["warnings"]
+    assert len(warnings) == len(set(warnings)) == 2
+    assert warnings[0].startswith("K=1: no convergence in 3 iterations ")
+    assert warnings[1].startswith("K=1.0000001: no convergence in 3 iterations ")
+
+
 @pytest.mark.parametrize(
     "command, module, config",
     [
@@ -447,7 +466,8 @@ def test_energy_drops_are_reported_per_point(tmp_path, monkeypatch, command,
     warnings = json.loads((out / "meta.json").read_text())["warnings"]
     drops = [w for w in warnings if "energy decreased by relative 2e-06" in w]
     assert len(drops) == len(config.get("k_list", config.get("delta_list")))
-    assert all(w.startswith("K=") for w in drops)
+    prefix = "delta=" if command == "high-energy" else "K="
+    assert all(w.startswith(prefix) for w in drops)
 
 
 @pytest.mark.parametrize(
@@ -465,8 +485,9 @@ def test_family_nonconvergence_warnings_name_the_point(tmp_path, command, config
     assert code == 0
     meta = json.loads((out / "meta.json").read_text())
     assert len(meta["warnings"]) == len(meta["solves"]) == 2
-    for warning, counters in zip(meta["warnings"], meta["solves"]):
-        assert warning.startswith(f"K={counters['K']:g}: no convergence in 2 "
+    name = "eps" if command == "kdv" else "delta"
+    for warning, value in zip(meta["warnings"], config[f"{name}_list"]):
+        assert warning.startswith(f"{name}={value:g}: no convergence in 2 "
                                   "iterations (residual ")
 
 
@@ -486,7 +507,7 @@ def test_kdv_point_whose_solve_raises_keeps_a_nan_row(tmp_path, monkeypatch, cap
     rows = (out / "kdv.csv").read_text().splitlines()
     assert rows[2] == "0.29999999999999999,nan,nan,nan"
     meta = json.loads((out / "meta.json").read_text())
-    assert meta["warnings"] == ["K=0.027: RuntimeError: second solve fails"]
+    assert meta["warnings"] == ["eps=0.3: RuntimeError: second solve fails"]
     assert len(meta["solves"]) == 1
     assert "kdv sweep finished: 1/2 entries converged" in capsys.readouterr().out
 
@@ -515,8 +536,8 @@ def test_probe_failures_name_the_start(tmp_path):
     assert probe["n_converged"] == 0 and len(probe["failures"]) == 2
     assert probe["failures"] == meta["warnings"]
     for width, failure in zip(probe["widths"], probe["failures"]):
-        assert failure.startswith(f"width={width:g}: no convergence in 5 iterations "
-                                  "(residual ")
+        assert failure.startswith(f"{point_label('width', width)}: no convergence in "
+                                  "5 iterations (residual ")
     # a start that raised is warned about with its label too
     singular = {**_solve_config(K=2.0), "nonlinearity": {"kind": "singular", "m": 4},
                 "n_starts": 2}
@@ -524,7 +545,7 @@ def test_probe_failures_name_the_start(tmp_path):
     error = ("ValueError: K = 2 must stay below K_max = 1.77245 "
              "for a singular nonlinearity")
     probe = json.loads((out / "probe.json").read_text())
-    expected = [f"width={width:g}: {error}" for width in probe["widths"]]
+    expected = [f"{point_label('width', width)}: {error}" for width in probe["widths"]]
     assert json.loads((out / "meta.json").read_text())["warnings"] == expected
     assert probe["failures"] == expected
 
@@ -544,8 +565,8 @@ def test_probe_sigmas_line_up_with_widths(tmp_path, capsys):
     failed = [width for width, ok in zip(probe["widths"], converged) if not ok]
     assert len(probe["failures"]) == len(failed) == 4
     for width, failure in zip(failed, probe["failures"]):
-        assert failure.startswith(f"width={width:g}: no convergence in 50 iterations "
-                                  "(residual ")
+        assert failure.startswith(f"{point_label('width', width)}: no convergence in "
+                                  "50 iterations (residual ")
     assert probe["failures"] == meta["warnings"]
     # one converged start leaves nothing to compare
     assert probe["max_l2_distance"] is None and probe["max_sigma_gap"] is None
@@ -738,8 +759,8 @@ def test_uniqueness_probe_reports_counters_and_energy_drops(tmp_path, monkeypatc
     probe = json.loads((out / "probe.json").read_text())
     assert probe == json.loads((plain / "probe.json").read_text())
     meta = json.loads((out / "meta.json").read_text())
-    assert meta["warnings"] == [f"width={w:g}: energy decreased by relative 2e-06 "
-                                "during the run" for w in probe["widths"]]
+    assert meta["warnings"] == [f"{point_label('width', w)}: energy decreased by "
+                                "relative 2e-06 during the run" for w in probe["widths"]]
     assert len(meta["solves"]) == 2
     assert all(s["K"] == 1.0 and s["iterations"] > 0 for s in meta["solves"])
 

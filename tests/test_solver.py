@@ -1,6 +1,7 @@
 """Improvement iteration: fixed points, invariants, sweeps, multistart."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from nleig import (
     eval_K,
     eval_P,
     exp_nonlinearity,
+    grad_P,
     gaussian_kernel,
     improvement_step,
     kdv_experiment,
@@ -253,14 +255,47 @@ def test_rejected_candidate_is_followed_by_a_plain_step(monkeypatch):
     assert 0 < sol.rejected_steps <= (sol.iterations + 1) // 2
 
 
+def test_candidate_lowering_p_is_rejected_under_infinite_slack(monkeypatch):
+    # the rounding allowance is fixed: an infinite monotonicity_slack, which
+    # only stops a plain step's drop from raising, leaves the safeguard on
+    monkeypatch.setattr(solver, "_preconditioned",
+                        lambda g, v, kernel, alpha: np.roll(v, len(v) // 4))
+    sol = solve(SolverConfig(K=0.1, monotonicity_slack=math.inf), KERNEL, NL)
+    assert sol.converged and sol.accelerated_steps == 0
+    assert 0 < sol.rejected_steps <= (sol.iterations + 1) // 2
+    assert sol.max_p_drop <= solver._P_ROUNDING
+
+
+def test_accepted_candidate_drops_stay_within_p_rounding():
+    # the small-K sweep's eps = 0.2 point, traced: one accepted candidate
+    # lowers P by rounding, which max_p_drop records like a plain step's drop
+    spec, nl, eps = KernelSpec(kind="gaussian", width=1.0), exp_nonlinearity(), 0.2
+    predictors = kdv_experiment(spec, nl, [eps]).predictors
+    grid = KdvGridPolicy().grid_for(eps, spec.length_scale)
+    kernel = spec.build(grid)
+    init = Profile(grid, eps**2 * kdv_profile(predictors["kappa1"], predictors["kappa2"],
+                                              eps * grid.nodes))
+    sol = solve(SolverConfig(K=eps**3, init_profile=init, record_trace=True), kernel, nl)
+    assert sol.converged and sol.rejected_steps == 0
+    p0 = eval_P(Profile(grid, solver._on_sphere(init.samples, grid, eps**3)), kernel, nl)
+    p = np.concatenate(([p0], sol.trace.p_values))
+    drops = -np.diff(p) / np.maximum(np.abs(p[:-1]), 1e-300)
+    assert sol.max_p_drop == max(np.max(drops), 0.0)
+    assert 0.0 < sol.max_p_drop <= solver._P_ROUNDING
+    # the first _GATE_WINDOW steps are plain: the largest drop is a candidate's
+    assert np.argmax(drops) >= solver._GATE_WINDOW
+
+
 def test_small_k_sweep_takes_few_steps():
     # sigma from solves at tol_residual 1e-13
     reference = [1.00766452755435, 1.00190992120838, 1.00047709320490]
     family = kdv_experiment(KernelSpec(kind="gaussian", width=1.0),
                             exp_nonlinearity(), [0.2, 0.1, 0.05])
-    assert sum(e.solution.iterations for e in family.entries) <= 100
+    assert sum(e.solution.iterations for e in family.entries) <= 40
     for sol, sigma in zip((e.solution for e in family.entries), reference):
-        assert sol.converged
+        assert sol.converged and sol.rejected_steps == 0
+        # the gate opens once the first _GATE_WINDOW + 1 residuals are in
+        assert sol.iterations - sol.accelerated_steps <= solver._GATE_WINDOW + 1
         assert sol.sigma == pytest.approx(sigma, rel=1e-10)
 
 
@@ -364,6 +399,16 @@ def test_improvement_step_overflow_is_a_named_error():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalOverflowError, match="grad P"):
             improvement_step(tall, KERNEL, NL)
+
+
+def test_overflowing_f_is_a_named_error():
+    # exp(U) overflows where U = b*V passes about 710, here at max U = 1155
+    taller = Profile(G, 2000.0 * np.exp(-G.nodes * G.nodes))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalOverflowError, match=r"f\(U\)"):
+            improvement_step(taller, KERNEL, NL)
+        with pytest.raises(NumericalOverflowError, match=r"f\(U\)"):
+            grad_P(taller, KERNEL, NL)
 
 
 def test_solve_exhausting_max_iter_is_not_fatal():
