@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 from .errors import (
     ComputationError,
     DomainBreachError,
-    EmptyResultError,
     GridMismatchError,
     KernelAssumptionError,
     MonotonicityViolationError,

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyResultError,
-    KernelAssumptionError,
-    NonPositiveTailError,
-    SymbolPoleError,
-)
+from .errors import KernelAssumptionError, NonPositiveTailError, SymbolPoleError
 from .grid import Grid, Profile, dot, make_grid
 from .kernels import Kernel, KernelSpec, samples_from_symbol
 from .nonlinearity import Nonlinearity
@@ -32,10 +27,6 @@ from .solver import Solution, SolverConfig, SweepEntry, attempt, point_label
 
 # the fractions of the half period that the tail fit reads unless told otherwise
 TAIL_WINDOW = (0.5, 0.8)
-
-# the solve settings of every point of a family unless the caller sets them
-FAMILY_TOL_RESIDUAL = 1e-10
-FAMILY_MAX_ITER = 300_000
 
 
 def modified_kernel_ac(kernel: Kernel, c: float) -> Profile:
@@ -217,7 +208,7 @@ def _family_points(values, name: str, policy, spec: KernelSpec):
     sweep at once."""
     points = [float(v) for v in values]
     if not points:
-        raise EmptyResultError(f"{name} list is empty")
+        raise ValueError(f"{name} list is empty")
     if any(b >= a for a, b in zip(points, points[1:])):
         raise ValueError(f"{name} values must be strictly descending")
     grids = [policy.grid_for(p, spec.length_scale) for p in points]
@@ -358,8 +349,8 @@ def kdv_experiment(
     nl: Nonlinearity,
     eps_list,
     policy: KdvGridPolicy | None = None,
-    tol_residual: float = FAMILY_TOL_RESIDUAL,
-    max_iter: int = FAMILY_MAX_ITER,
+    tol_residual: float = SolverConfig.tol_residual,
+    max_iter: int = SolverConfig.max_iter,
 ) -> FamilyResult:
     """Sweep K = eps^3 downward and compare against the shallow-water
     predictions; each eps gets its own grid from the policy and an initial
@@ -464,8 +455,8 @@ def high_energy_experiment(
     nl: Nonlinearity,
     delta_list,
     policy: HighEnergyGridPolicy | None = None,
-    tol_residual: float = FAMILY_TOL_RESIDUAL,
-    max_iter: int = FAMILY_MAX_ITER,
+    tol_residual: float = SolverConfig.tol_residual,
+    max_iter: int = SolverConfig.max_iter,
 ) -> FamilyResult:
     """Sweep K = (1 - delta) K_max downward in delta; requires the singular
     nonlinearity, of exponent m = nl.m, and a kernel whose autocorrelation

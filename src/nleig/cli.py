@@ -3,8 +3,9 @@
 One command per process: read a single JSON config, compute, write output
 files atomically into --output, exit 0 on success, 2 on validation failure,
 3 on non-convergence or a ComputationError.  Identical configs produce
-byte-identical numeric outputs; meta.json echoes the fully resolved config
-(defaults included) plus version and wall-clock and CPU timings.
+byte-identical numeric outputs; meta.json echoes the resolved config
+(defaults included, less the kernel parameters left at their defaults) plus
+version and wall-clock and CPU timings.
 
 Each command declares in _COMMANDS the config it takes; _load reads every
 config object through config.read_fields, builds and gates the kernel and
@@ -28,8 +29,6 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
-    FAMILY_MAX_ITER,
-    FAMILY_TOL_RESIDUAL,
     TAIL_WINDOW,
     BlowUpBounded,
     HighEnergyGridPolicy,
@@ -49,7 +48,7 @@ from .config import (
     optional_number,
     read_fields,
 )
-from .errors import ComputationError, EmptyResultError, KernelAssumptionError, NleigError
+from .errors import ComputationError, KernelAssumptionError, NleigError
 from .grid import Grid, atomic_write_text, make_grid, write_json, write_profile_csv
 from .kernels import Kernel, KernelSpec, kernel_spec_from_config, validate_kernel
 from .nonlinearity import Nonlinearity, nonlinearity_from_config, nonlinearity_to_config
@@ -89,7 +88,7 @@ def emit_plot_data(rows, predictors: dict, out_dir, csv_name: str) -> None:
     plus predictors.json with the predictor constants.  Reruns on identical
     rows are byte-identical; empty row lists are an error."""
     if not rows:
-        raise EmptyResultError("no rows to emit")
+        raise ValueError("no rows to emit")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_rows(out / csv_name, rows)
@@ -149,9 +148,10 @@ def _policy(policy_type):
 # the solve sets init_profile itself, and the CLI writes no trace
 _SOLVER_FIELDS = fields_table(SolverConfig, "init_profile", "record_trace")
 
-# the family experiments set K and the initial profile per point
-_FAMILY_SOLVER_FIELDS = {"tol_residual": (as_number, FAMILY_TOL_RESIDUAL),
-                         "max_iter": (integer, FAMILY_MAX_ITER)}
+# the family experiments set K and the initial profile per point, and keep
+# the solver's default slack
+_FAMILY_SOLVER_FIELDS = fields_table(SolverConfig, "K", "init_profile", "init_width",
+                                     "monotonicity_slack", "record_trace")
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,7 @@ def _solve_once(job: _Job, out: Path):
     """Solve at the config's K and save the solution.  Returns the solution
     and the exit code, 3 when the solve did not converge."""
     solution = solve(SolverConfig(**job.solver), job.kernel, job.nl)
-    entry = SweepEntry.returned(solution, job.solver["max_iter"])
+    entry = SweepEntry.returned(solution)
     job.entries.append(entry)
     save_solution(solution, out)
     if entry.error is None:

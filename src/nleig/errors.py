@@ -57,10 +57,6 @@ class NonPositiveTailError(ComputationError):
     """Tail-rate fit requires strictly positive samples in the window."""
 
 
-class EmptyResultError(NleigError):
-    """Plot-data emission called with no rows."""
-
-
 class KernelAssumptionError(NleigError):
     """Kernel fails an assumption required by the requested computation."""
 

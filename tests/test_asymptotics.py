@@ -108,6 +108,12 @@ def test_kdv_assumption_gate():
     ok, _, message = check_kdv_assumption(two_bump_kernel(g, width=0.6, separation=6.0))
     assert not ok
     assert "exceeds" in message
+    # a spike of mass 2 has bhat = 2 at every k, so 1 - bhat^2 < 0 everywhere
+    spike = np.zeros(g.point_count)
+    spike[g.point_count // 2] = 2.0 / g.spacing
+    ok, c, message = check_kdv_assumption(kernel_from_samples(g, spike, normalize=False))
+    assert not ok and c < 0
+    assert message == "no positive curvature constant near k = 0"
 
 
 def test_kdv_grid_policy():
@@ -143,7 +149,7 @@ def test_kdv_experiment_single_eps_smoke():
 def test_kdv_experiment_input_validation():
     spec = KernelSpec(kind="gaussian", width=1.0)
     nl = exp_nonlinearity()
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="eps list is empty"):
         kdv_experiment(spec, nl, [])
     with pytest.raises(ValueError):
         kdv_experiment(spec, nl, [0.1, 0.2])
@@ -364,6 +370,8 @@ def test_eta0_closed_form_m4():
         eta0_predicted(0.0, -1.0, 4.0)
     with pytest.raises(ValueError):
         eta0_predicted(1.0, 0.0, 4.0)
+    with pytest.raises(ValueError, match="m must be positive"):
+        eta0_predicted(1.0, -1.0, 0.0)
 
 
 def test_eta0_gamma_ratio_stirling_tail():
@@ -406,7 +414,7 @@ def test_high_energy_rejects_rough_autocorrelation():
 
 def test_high_energy_input_validation():
     spec = KernelSpec(kind="gaussian", width=1.0)
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="delta list is empty"):
         high_energy_experiment(spec, singular_nonlinearity(4.0), [])
     with pytest.raises(ValueError):
         high_energy_experiment(spec, singular_nonlinearity(4.0), [0.1, 0.2])

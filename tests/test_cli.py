@@ -15,9 +15,9 @@ import pytest
 import nleig.cli
 import nleig.errors
 import nleig.solver
-from nleig.cli import main
+from nleig.cli import emit_plot_data, main
 from nleig.errors import ComputationError, DomainBreachError, NleigError
-from nleig.solver import point_label
+from nleig.solver import SolverConfig, point_label
 
 
 def _run(tmp_path, command, config, *flags, name="run"):
@@ -489,6 +489,29 @@ def test_family_nonconvergence_warnings_name_the_point(tmp_path, command, config
     for warning, value in zip(meta["warnings"], config[f"{name}_list"]):
         assert warning.startswith(f"{name}={value:g}: no convergence in 2 "
                                   "iterations (residual ")
+
+
+@pytest.mark.parametrize("command", ["kdv", "high-energy"])
+def test_family_solver_section_takes_the_solvers_defaults(tmp_path, capsys, command):
+    # a family's solve settings default to SolverConfig's own; K, the start
+    # and the slack are not the section's to set
+    config = {key: value for key, value in _SMALL_CONFIGS[command].items()
+              if key != "solver"}
+    code, out = _run(tmp_path, command, config)
+    assert code == 0
+    solver = json.loads((out / "meta.json").read_text())["config"]["solver"]
+    assert solver == {"tol_residual": SolverConfig.tol_residual,
+                      "max_iter": SolverConfig.max_iter}
+    for key in ("K", "init_profile", "init_width", "monotonicity_slack", "record_trace"):
+        code, _ = _run(tmp_path, command, {**config, "solver": {key: 1.0}}, name=key)
+        assert code == 2
+        assert f"unknown keys ['{key}'] in solver section" in capsys.readouterr().err
+
+
+def test_emit_plot_data_rejects_no_rows(tmp_path):
+    with pytest.raises(ValueError, match="no rows to emit"):
+        emit_plot_data([], {}, tmp_path / "out", "rows.csv")
+    assert not (tmp_path / "out").exists()
 
 
 def test_kdv_point_whose_solve_raises_keeps_a_nan_row(tmp_path, monkeypatch, capsys):

@@ -13,6 +13,7 @@ from nleig import (
     grad_P,
     make_grid,
     exp_nonlinearity,
+    Nonlinearity,
     singular_nonlinearity,
     Profile,
 )
@@ -78,3 +79,12 @@ def test_eval_p_propagates_domain_breach():
     tall = Profile(G, np.full(G.point_count, 2.0))
     with pytest.raises(DomainBreachError):
         eval_P(tall, KERNEL, nl)
+
+
+def test_grad_p_rejects_an_f_of_the_wrong_shape():
+    # a finite f(U) of the wrong shape is the profile's own error, not overflow
+    short = Nonlinearity(kind="short-probe", alpha=1.0, beta=1.0, f=lambda r: r[1:],
+                         f_prime=lambda r: np.ones_like(r), antiderivative=lambda r: r)
+    v = Profile(G, np.exp(-0.5 * G.nodes**2))
+    with pytest.raises(ValueError, match="does not match grid"):
+        grad_P(v, KERNEL, short)

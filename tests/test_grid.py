@@ -214,11 +214,22 @@ def test_malformed_profile_csvs_raise_value_error(tmp_path):
     short_row.write_text("x,value\n-1,0.5\n0\n")
     with pytest.raises(ValueError, match="line 3 has 1 fields, expected 2"):
         read_profile_csv(short_row)
+    header = tmp_path / "header.csv"
+    header.write_text("x,V\n-1,0.5\n0,1\n")
+    with pytest.raises(ValueError, match="unexpected profile CSV header"):
+        read_profile_csv(header)
+    one_row = tmp_path / "one_row.csv"
+    one_row.write_text("x,value\n0,1\n")
+    with pytest.raises(ValueError, match="too short to infer a grid"):
+        read_profile_csv(one_row)
 
 
 def test_profile_csv_grid_mismatch(tmp_path):
     g = make_grid(5.0, 64)
     path = tmp_path / "p.csv"
     write_profile_csv(Profile(g, np.zeros(g.point_count)), path)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(GridMismatchError, match="64 rows, expected 128"):
         read_profile_csv(path, grid=make_grid(5.0, 128))
+    # as many rows as the grid has nodes, but at other x
+    with pytest.raises(GridMismatchError, match="nodes do not match"):
+        read_profile_csv(path, grid=make_grid(6.0, 64))

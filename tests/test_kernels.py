@@ -91,6 +91,7 @@ def test_indicator_metadata():
     # exponential moment 2 sinh(lambda/2)/lambda
     lam = 2.0
     assert k.exp_moment(lam) == pytest.approx(2.0 * math.sinh(1.0) / 2.0, rel=1e-4)
+    assert k.exp_moment(0.0) == 1.0  # the limit, not 0/0
 
 
 def test_indicator_cell_averages_converge_where_no_node_meets_an_edge():
@@ -123,8 +124,11 @@ def test_spectral_ode_kernel_symbol_and_tail():
     x1 = g.point_count // 2 + int(round(1.0 / g.spacing))
     assert a.samples[x1] / a.value_at_zero() == pytest.approx(math.exp(-1.0), abs=1e-3)
     # second moment of b is 1 (half that of a, whose symbol curvature is -2)
-    assert k.second_moment == pytest.approx(1.0, abs=1e-3)
+    assert k.second_moment == 1.0
     assert k.bhat_pp0 == pytest.approx(-1.0, abs=1e-3)
+    # the moment 1/sqrt(1 - lam^2) diverges at the abscissa |lam| = 1
+    assert k.exp_moment(0.6) == pytest.approx(1.25, rel=1e-15)
+    assert k.exp_moment(1.0) == k.exp_moment(-2.0) == math.inf
     # far-field samples decay essentially to zero (ringing stays tiny)
     far = np.abs(k.profile.samples[:g.point_count // 8])
     assert np.max(far) <= 1e-6
@@ -136,6 +140,13 @@ def test_spectral_ode_kernel_symbol_and_tail():
 def test_spectral_ode_kernel_needs_fine_grid():
     with pytest.raises(UnderResolvedError):
         spectral_ode_kernel(make_grid(25.0, 128))
+
+
+def test_indicator_resolution_gates():
+    with pytest.raises(UnderResolvedError, match="exceeds 1/8"):
+        indicator_kernel(make_grid(25.0, 256))  # h = 0.195
+    with pytest.raises(UnderResolvedError, match="half period below 2"):
+        indicator_kernel(make_grid(1.5, 256))
 
 
 def test_two_bump_fails_only_unimodality():
@@ -183,6 +194,8 @@ def test_kernel_from_samples_normalization_and_moment_hooks():
     )
     assert hooked.exp_moment(0.5) == 2.0
     assert hooked.moment_abscissa == 1.0
+    with pytest.raises(ValueError, match="mass must be positive"):
+        kernel_from_samples(G, -samples)
 
 
 def test_kernel_spec_round_trip_and_errors():

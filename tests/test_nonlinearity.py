@@ -82,6 +82,26 @@ def test_superlinearity_rejects_concave_probe():
     assert not check_superlinearity(concave).passed
 
 
+def test_superlinearity_skips_scalings_that_leave_the_domain():
+    # on [0, 0.005) the sample points run from 1e-3 to 0.0045, so lam = 8
+    # takes every one of them outside the domain and is skipped
+    narrow = Nonlinearity(
+        kind="narrow-probe", alpha=1.0, beta=1.0,
+        f=lambda r: r + 0.5 * r * r, f_prime=lambda r: 1.0 + r,
+        antiderivative=lambda r: 0.5 * r * r + r**3 / 6.0, sup_domain=0.005,
+    )
+    report = check_superlinearity(narrow)
+    assert report.passed
+    # lam = 1 gives the worst scaling margin, f(r) - f(r) = 0
+    assert report.scaling_margin == 0.0
+
+
+def test_repr_names_the_kind_and_the_constants():
+    assert repr(exp_nonlinearity()) == "Nonlinearity(kind='exp', alpha=1, beta=1)"
+    assert repr(quadratic_nonlinearity(1.0, 2.5)) == (
+        "Nonlinearity(kind='quadratic', alpha=1, beta=2.5)")
+
+
 def test_config_round_trip_and_errors():
     for nl in (exp_nonlinearity(), quadratic_nonlinearity(2.0, 3.0),
                singular_nonlinearity(4.0)):

@@ -23,6 +23,7 @@ from nleig import (
     exp_nonlinearity,
     grad_P,
     gaussian_kernel,
+    high_energy_experiment,
     improvement_step,
     kdv_experiment,
     kdv_profile,
@@ -39,7 +40,7 @@ from nleig import (
 )
 from nleig import solver
 from nleig.grid import even_part, mirror
-from nleig.solver import _preconditioned, _secant
+from nleig.solver import _preconditioned, _secant, point_label
 from oracles import random_cone_profile
 
 G = make_grid(25.0, 2000)
@@ -367,6 +368,10 @@ def test_solve_validates_config():
     init = Profile(other, np.exp(-other.nodes * other.nodes))
     with pytest.raises(ValueError):
         solve(SolverConfig(K=1.0, init_profile=init), KERNEL, NL)
+    # the zero profile has no rescaling onto the sphere
+    zero = Profile(G, np.zeros(G.point_count))
+    with pytest.raises(ValueError, match="zero profile"):
+        solve(SolverConfig(K=1.0, init_profile=zero), KERNEL, NL)
 
 
 @pytest.mark.parametrize(
@@ -428,6 +433,44 @@ def test_monotonicity_guard_fires_for_far_off_center_start():
     # infinite slack turns the same run into an exploratory one
     relaxed = SolverConfig(K=8.0, init_profile=bump, monotonicity_slack=np.inf)
     assert solve(relaxed, KERNEL, NL).converged
+
+
+def test_drop_within_p_rounding_at_the_pole_does_not_raise():
+    # at this delta near the pole of the singular f, the third plain step
+    # lowers P by 1.06e-12 relative: beyond the slack of 1e-12, but 1.4 times
+    # P's rounding floor eps h sum|U f(U)| / |P| = 7.8e-13, so the solve
+    # converges and its entry warns of the drop instead of raising
+    delta = 0.0019999990961935546
+    result = high_energy_experiment(KernelSpec(kind="gaussian", width=1.0),
+                                    singular_nonlinearity(4.0), [delta])
+    (entry,) = result.entries
+    assert entry.error is None and entry.solution.converged
+    assert entry.warnings() == [f"{point_label('delta', delta)}: energy decreased by "
+                                "relative 1.06e-12 during the run"]
+
+
+@pytest.mark.parametrize("nl, K", [
+    (exp_nonlinearity(), 0.5),
+    (exp_nonlinearity(), 2.0),
+    (exp_nonlinearity(), 8.0),
+    (quadratic_nonlinearity(1.0, 2.0), 0.5),
+    (quadratic_nonlinearity(1.0, 2.0), 2.0),
+])
+def test_energy_slope_in_k_is_the_multiplier_sigma(nl, K):
+    # sigma is the Lagrange multiplier of max P on the sphere K(V) = K, so
+    # the maximal energy P*(K) has slope sigma; central differences in K
+    # approach it at second order
+    grid = make_grid(25.0, 512)
+    kernel = gaussian_kernel(grid, width=1.0)
+
+    def p_star(k):
+        return solve(SolverConfig(K=k, tol_residual=1e-13), kernel, nl).energies.P
+
+    sigma = solve(SolverConfig(K=K, tol_residual=1e-13), kernel, nl).sigma
+    errors = [abs((p_star(K + dk) - p_star(K - dk)) / (2.0 * dk) - sigma) / sigma
+              for dk in (2e-3, 1e-3)]
+    assert errors[1] < 1e-6
+    assert 3.0 <= errors[0] / errors[1] <= 5.0
 
 
 def test_energy_drop_is_recorded_with_the_trace_off():
@@ -530,10 +573,10 @@ def test_entry_warnings_follow_one_rule(reference_solution):
     within = replace(named.solution, max_p_drop=SolverConfig.monotonicity_slack)
     assert replace(named, solution=within, error=None).warnings() == []
     # an entry without a label, as of a single solve, warns without a prefix
-    single = SweepEntry.returned(named.solution, 3)
+    single = SweepEntry.returned(named.solution)
     assert single.label == "" and single.error == named.error
     assert single.warnings() == [named.error]
-    converged = SweepEntry.returned(reference_solution, 3, "K=1")
+    converged = SweepEntry.returned(reference_solution, "K=1")
     assert converged.error is None and converged.warnings() == []
 
 
