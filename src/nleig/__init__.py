@@ -43,7 +43,6 @@ from .grid import (
     inner_product,
     l2_norm,
     make_grid,
-    read_profile_csv,
     require_same_grid,
     write_profile_csv,
 )
@@ -69,7 +68,7 @@ from .nonlinearity import (
     quadratic_nonlinearity,
     singular_nonlinearity,
 )
-from .functionals import EnergyRecord, energy_record, eval_K, eval_P, eval_Q, grad_P
+from .functionals import EnergyRecord, eval_K, eval_P, eval_Q, grad_P
 from .solver import (
     IterationTrace,
     Solution,

@@ -254,21 +254,21 @@ def _fields_of(report, *omit) -> dict:
     return payload
 
 
-def _solve_once(job: _Job, out: Path):
-    """Solve at the config's K and save the solution.  Returns the solution
-    and the exit code, 3 when the solve did not converge."""
-    solution = solve(SolverConfig(**job.solver), job.kernel, job.nl)
+def _record(job: _Job, out: Path, solution) -> int:
+    """Record the solve and save its solution.  Returns the exit code, 3
+    when the solve did not converge."""
     entry = SweepEntry.returned(solution)
     job.entries.append(entry)
     save_solution(solution, out)
     if entry.error is None:
-        return solution, 0
+        return 0
     print(f"error: {entry.error}", file=sys.stderr)
-    return solution, 3
+    return 3
 
 
 def _run_solve(job, out, args):
-    solution, code = _solve_once(job, out)
+    solution = solve(SolverConfig(**job.solver), job.kernel, job.nl)
+    code = _record(job, out, solution)
     if code == 0:
         print(f"sigma = {solution.sigma:.12g} after {solution.iterations} iterations")
     return code
@@ -320,11 +320,14 @@ def _run_family(experiment, points, csv_name, name, job, out):
 
 def _run_decay(job, out, args):
     tail_nodes(job.kernel.grid, job.extras["window"])  # 3 nodes to fit, before the solve
-    solution, code = _solve_once(job, out)
-    if code != 0:  # no tail fit of an unconverged profile
-        return code
+    solution = solve(SolverConfig(**job.solver), job.kernel, job.nl)
+    if not solution.converged:  # no tail fit of an unconverged profile
+        return _record(job, out, solution)
+    # fitted before any file is written, so a c that this sigma rules out
+    # leaves none
     report = decay_report(job.kernel, job.nl, solution, c=job.extras["c"],
                           window=job.extras["window"])
+    _record(job, out, solution)
     if isinstance(report.lambda_theory, BlowUpBounded):
         theory = {"kind": "blow_up_bounded",
                   "lambda_max": report.lambda_theory.lambda_max}
@@ -353,7 +356,8 @@ def _run_validate(job, out, args):
         "k_max_norm": kernel.k_max_norm,
     }
     write_json(out / "validation.json",
-               {"label": kernel.label, "metadata": metadata, **_fields_of(report)})
+               {"label": kernel.label, "metadata": metadata, **_fields_of(report),
+                "cone_checked": report.cone_checked, "passed": report.passed})
     if not report.passed:
         detail = "; ".join(report.failures)
         print(f"kernel {kernel.label} fails validation: {detail}", file=sys.stderr)
@@ -369,8 +373,10 @@ def _run_probe(job, out, args):
     distance = report.max_l2_distance
     # the distances are null, not left out, when fewer than two starts converged
     write_json(out / "probe.json",
-               {**_fields_of(report, "supports_conjecture", "entries"),
+               {"n_starts": report.n_starts, "widths": report.widths,
+                "sigmas": report.sigmas, "n_converged": report.n_converged,
                 "max_l2_distance": distance, "max_sigma_gap": report.max_sigma_gap,
+                "distance_tol": report.distance_tol, "failures": report.failures,
                 "conjecture_support": support})
     job.entries += report.entries
     print(
@@ -417,7 +423,9 @@ _COMMANDS = {
     "uniqueness-probe": _Command(
         _run_probe,
         _SOLVER_FIELDS,
-        {"n_starts": (integer, 5), "seed": (integer, 0),
+        # checked at read, as numpy's error for a negative seed names no key
+        {"n_starts": (partial(integer, least=1), 5),
+         "seed": (partial(integer, least=0), 0),
          "distance_tol": (_distance_tol, 1e-6)},
     ),
 }

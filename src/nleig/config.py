@@ -24,14 +24,17 @@ def as_number(value) -> float:
         raise ValueError(f"{value} is out of the float range") from None
 
 
-def integer(value) -> int:
+def integer(value, least: int = -2**53) -> int:
     """A JSON integer, or a float with an integral value, of magnitude at
-    most 2**53 (beyond it no float is exact); a bool is not one."""
+    most 2**53 (beyond it no float is exact) and at least `least`; a bool is
+    not one."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     if abs(value) > 2**53:
         raise ValueError("expected an integer of magnitude at most 2**53")
+    if value < least:
+        raise ValueError(f"expected an integer of at least {least}, got {int(value)}")
     return int(value)
 
 

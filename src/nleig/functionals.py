@@ -77,8 +77,3 @@ def eval_Q(v: Profile, kernel: Kernel, alpha: float) -> float:
 def grad_P(v: Profile, kernel: Kernel, nl: Nonlinearity) -> Profile:
     """L2 gradient of P: b * f(b*V)."""
     return grad_p_of_u(kernel.convolve(v), kernel, nl)
-
-
-def energy_record(v: Profile, kernel: Kernel, nl: Nonlinearity) -> EnergyRecord:
-    u = kernel.convolve(v)
-    return energies_of_u(v, u, p_of_u(u, nl), nl.alpha)

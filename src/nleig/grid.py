@@ -9,7 +9,6 @@ sampled symmetrically; x = -L is its own mirror image under periodicity.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 from dataclasses import dataclass
@@ -190,7 +189,7 @@ def cone_check(w: Profile) -> ConeReport:
     return ConeReport(even_dev, min_value, unimodal_dev)
 
 
-_CSV_HEADER = ("x", "value")
+_CSV_HEADER = "x,value\n"
 _CSV_BLOCK = 2048  # rows formatted and written at once
 
 
@@ -241,37 +240,4 @@ def write_profile_csv(w: Profile, path) -> None:
         fmt % tuple(w.samples[i * _CSV_BLOCK : (i + 1) * _CSV_BLOCK].tolist())
         for i, fmt in enumerate(_row_formats(w.grid))
     )
-    atomic_write_text(path, itertools.chain([",".join(_CSV_HEADER) + "\n"], blocks))
-
-
-def read_profile_csv(path, grid: Grid | None = None) -> Profile:
-    """Read a profile CSV; reconstructs the grid from the x column unless one
-    is supplied, in which case the nodes must match."""
-    path = Path(path)
-    with path.open("r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"profile CSV {path} is empty")
-        if tuple(header) != _CSV_HEADER:
-            raise ValueError(f"unexpected profile CSV header {header!r}")
-        xs, vs = [], []
-        for row in reader:
-            if len(row) != 2:
-                raise ValueError(f"profile CSV line {reader.line_num} has "
-                                 f"{len(row)} fields, expected 2")
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
-    x = np.asarray(xs)
-    n = len(x)
-    if grid is None:
-        if n < 2:
-            raise ValueError("profile CSV too short to infer a grid")
-        grid = make_grid(-x[0], n)
-    if n != grid.point_count:
-        raise GridMismatchError(
-            f"profile CSV has {n} rows, expected {grid.point_count}"
-        )
-    if not np.allclose(x, grid.nodes, rtol=0, atol=1e-12 * max(1.0, grid.half_period)):
-        raise GridMismatchError("profile CSV nodes do not match the expected grid")
-    return Profile(grid, np.asarray(vs))
+    atomic_write_text(path, itertools.chain([_CSV_HEADER], blocks))

@@ -267,9 +267,15 @@ class KernelValidationReport:
 
     mass_error: float
     cone: ConeReport | None  # None when cone checks are skipped (spectral)
-    cone_checked: bool
-    passed: bool
     failures: tuple[str, ...]
+
+    @property
+    def cone_checked(self) -> bool:
+        return self.cone is not None
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 # the mass error and the cone deviations, relative to max b, that still pass
@@ -289,10 +295,8 @@ def validate_kernel(kernel: Kernel) -> KernelValidationReport:
         failures.append("second moment not finite and positive")
     if not np.isfinite(kernel.a0) or kernel.a0 <= 0:
         failures.append("integral of b^2 not finite and positive")
-    cone = None
-    cone_checked = not kernel.spectral
-    if cone_checked:
-        cone = cone_check(kernel.profile)
+    cone = None if kernel.spectral else cone_check(kernel.profile)
+    if cone is not None:
         scale = max(abs(kernel.profile.max), 1e-300)
         if cone.even_deviation > _VALIDATION_TOL * scale:
             failures.append(f"evenness violated by {cone.even_deviation:.3g}")
@@ -302,13 +306,7 @@ def validate_kernel(kernel: Kernel) -> KernelValidationReport:
             failures.append(
                 f"unimodality violated by {cone.unimodality_deviation:.3g}"
             )
-    return KernelValidationReport(
-        mass_error=mass_error,
-        cone=cone,
-        cone_checked=cone_checked,
-        passed=not failures,
-        failures=tuple(failures),
-    )
+    return KernelValidationReport(mass_error, cone, tuple(failures))
 
 
 @dataclass(frozen=True)

@@ -271,6 +271,16 @@ def _preconditioned(g: np.ndarray, v: np.ndarray, kernel: Kernel,
     return out if np.all(np.isfinite(out)) else None
 
 
+def _check_below_k_max(K: float, kernel: Kernel, nl: Nonlinearity) -> None:
+    """A ValueError unless K < K_max when the nonlinearity is singular: b*V
+    must stay inside f's domain."""
+    if nl.sup_domain != np.inf and K >= kernel.k_max_norm:
+        raise ValueError(
+            f"K = {K:.6g} must stay below K_max = {kernel.k_max_norm:.6g} "
+            "for a singular nonlinearity"
+        )
+
+
 def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     """Iterate the improvement map at fixed K until the relative fixed-point
     residual ||T(V) - V|| / ||V|| drops below tol_residual.
@@ -298,11 +308,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     when an iterate pushes b*V outside the nonlinearity's domain, and
     NumericalOverflowError when the energy or the gradient norm overflows.
     """
-    if nl.sup_domain != np.inf and cfg.K >= kernel.k_max_norm:
-        raise ValueError(
-            f"K = {cfg.K:.6g} must stay below K_max = {kernel.k_max_norm:.6g} "
-            "for a singular nonlinearity"
-        )
+    _check_below_k_max(cfg.K, kernel, nl)
     grid = kernel.grid
 
     v0 = cfg.init_profile if cfg.init_profile is not None else _default_initial(cfg, kernel)
@@ -476,9 +482,10 @@ def sweep_K(
     warm_start: bool = False,
 ) -> list[SweepEntry]:
     """Solve for each K of a strictly ascending list of positive, finite
-    values, one after another; failures are recorded per entry and the sweep
-    continues.  Each solve starts from cfg.init_profile, or, under
-    warm_start, from the last converged profile once there is one."""
+    values, below K_max for a singular nonlinearity, one after another;
+    failures are recorded per entry and the sweep continues.  Each solve
+    starts from cfg.init_profile, or, under warm_start, from the last
+    converged profile once there is one."""
     ks = [float(k) for k in k_values]
     if not ks:
         raise ValueError("K list is empty")
@@ -486,6 +493,7 @@ def sweep_K(
         raise ValueError(f"K values must be positive and finite, got {ks}")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("K values must be strictly ascending")
+    _check_below_k_max(ks[-1], kernel, nl)  # the largest K, before any solve
     entries = []
     previous = cfg.init_profile
     for k in ks:
@@ -499,23 +507,45 @@ def sweep_K(
 @dataclass(frozen=True)
 class UniquenessReport:
     """Outcome of repeated solves from varied initializations, start by
-    start in the order of widths: sigmas[i] is start i's sigma, None unless
-    it converged, and entries[i] its solve, so the counters of every solve
-    that returned (iterations, max_p_drop, accelerated and rejected steps)
-    stay visible.  failures holds the labelled error of each start that did
-    not converge, as its warnings end.  The largest pairwise distance and
-    sigma gap between converged starts are None with fewer than two."""
+    start in the order of widths: entries[i] is start i's solve, so the
+    counters of every solve that returned (iterations, max_p_drop,
+    accelerated and rejected steps) stay visible.  The largest pairwise
+    distance and sigma gap between converged starts are None with fewer
+    than two; everything else is read off the entries."""
 
-    n_starts: int
     widths: tuple[float, ...]
-    sigmas: tuple[float | None, ...]
-    n_converged: int
+    distance_tol: float
+    entries: tuple[SweepEntry, ...]
     max_l2_distance: float | None
     max_sigma_gap: float | None
-    distance_tol: float
-    supports_conjecture: bool
-    failures: tuple[str, ...]
-    entries: tuple[SweepEntry, ...]
+
+    @property
+    def n_starts(self) -> int:
+        return len(self.entries)
+
+    @property
+    def sigmas(self) -> tuple[float | None, ...]:
+        """Each start's sigma, None unless it converged."""
+        return tuple(entry.solution.sigma if entry.error is None else None
+                     for entry in self.entries)
+
+    @property
+    def n_converged(self) -> int:
+        return sum(entry.error is None for entry in self.entries)
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        """The labelled error of each start that did not converge, as its
+        warnings end."""
+        return tuple(entry.warnings()[-1] for entry in self.entries
+                     if entry.error is not None)
+
+    @property
+    def supports_conjecture(self) -> bool:
+        """Every start converged, all to the same profile within
+        distance_tol."""
+        return self.n_converged == self.n_starts and (
+            self.max_l2_distance is None or self.max_l2_distance <= self.distance_tol)
 
 
 def probe_distance_tol(value: float) -> float:
@@ -554,18 +584,11 @@ def uniqueness_probe(
     pairs = list(itertools.combinations(converged, 2))
     distances = [norm(a.V.samples - b.V.samples, kernel.grid) for a, b in pairs]
     return UniquenessReport(
-        n_starts=n_starts,
         widths=widths,
-        sigmas=tuple(entry.solution.sigma if entry.error is None else None
-                     for entry in entries),
-        n_converged=len(converged),
+        distance_tol=distance_tol,
+        entries=entries,
         max_l2_distance=max(distances, default=None),
         max_sigma_gap=max((abs(a.sigma - b.sigma) for a, b in pairs), default=None),
-        distance_tol=distance_tol,
-        supports_conjecture=len(converged) == n_starts
-        and all(d <= distance_tol for d in distances),
-        failures=tuple(entry.warnings()[-1] for entry in entries if entry.error is not None),
-        entries=entries,
     )
 
 

@@ -273,22 +273,32 @@ def test_sweep_k_threads_flag_is_accepted_and_ignored(tmp_path, capsys):
 
 
 def test_sweep_k_failed_row(tmp_path):
-    config = {
-        "grid": {"half_period": 25.0, "point_count": 512},
-        "kernel": {"kind": "gaussian", "width": 1.0},
-        "nonlinearity": {"kind": "singular", "m": 4},
-        "k_list": [0.5, 2.0],
-    }
-    code, out = _run(tmp_path, "sweep-k", config)
+    # the solve at K = 1e6 overflows f at its first step
+    config = {**_solve_config(), "solver": {}, "k_list": [0.5, 1e6]}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = _run(tmp_path, "sweep-k", config)
     assert code == 0
-    error = ("ValueError: K = 2 must stay below K_max = 1.77245 "
-             "for a singular nonlinearity")
+    error = ("NumericalOverflowError: ||grad P|| is inf at iteration 1; "
+             "the iterate overflowed")
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[1].split(",")[-2:] == ["true", ""]
-    assert lines[2] == f"2,nan,nan,nan,nan,nan,0,false,{error}"
+    assert lines[2] == f"1000000,nan,nan,nan,nan,nan,0,false,{error}"
     assert (out / "k_000_solution.json").is_file()
     assert not list(out.glob("k_001_*"))
-    assert json.loads((out / "meta.json").read_text())["warnings"] == [f"K=2: {error}"]
+    assert json.loads((out / "meta.json").read_text())["warnings"] == [
+        f"K=1e+06: {error}"]
+
+
+def test_sweep_k_rejects_a_k_at_k_max_before_any_solve(tmp_path, capsys):
+    # K_max = 1/(2 a0) = 1.77245 for the unit gaussian; solve rejects K = 5 too
+    config = {**_solve_config(), "nonlinearity": {"kind": "singular", "m": 4},
+              "solver": {}, "k_list": [0.5, 5.0]}
+    code, out = _run(tmp_path, "sweep-k", config)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: ValueError: K = 5 must stay below K_max = 1.77245 "
+        "for a singular nonlinearity\n")
+    assert list(out.glob("*")) == []
 
 
 @pytest.mark.parametrize(
@@ -370,12 +380,18 @@ def test_sweep_k_failed_row(tmp_path):
          "distance_tol in config"),
         ("uniqueness-probe", {**_solve_config(), "distance_tol": math.inf},
          "distance_tol in config"),
+        # numpy's error for a negative seed names no key, and no start is no probe
+        ("uniqueness-probe", {**_solve_config(), "seed": -1},
+         "seed in config: expected an integer of at least 0, got -1"),
+        ("uniqueness-probe", {**_solve_config(), "n_starts": 0},
+         "n_starts in config: expected an integer of at least 1, got 0"),
     ],
 )
 def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, config, key):
-    code, _ = _run(tmp_path, command, config)
+    code, out = _run(tmp_path, command, config)
     assert code == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()  # read before the output directory is made
 
 
 def test_solver_counters_go_to_meta_json_only(tmp_path):
@@ -729,6 +745,14 @@ def test_decay_rejects_c_outside_the_unit_interval_before_any_solve(tmp_path, ca
     code, out = _run(tmp_path, "decay", {**_solve_config(), "c": c})
     assert code == 2
     assert "c in config: must lie in (0, 1)" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
+def test_decay_with_a_c_this_sigma_rules_out_writes_nothing(tmp_path, capsys):
+    # c = 0.1 lies in (0, 1) but not above alpha/sigma, which the solve decides
+    code, out = _run(tmp_path, "decay", {**_solve_config(), "c": 0.1})
+    assert code == 2
+    assert "c = 0.1 must lie in (alpha/sigma, 1)" in capsys.readouterr().err
     assert list(out.glob("*")) == []
 
 

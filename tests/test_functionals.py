@@ -5,7 +5,6 @@ import pytest
 
 from nleig import (
     DomainBreachError,
-    energy_record,
     eval_K,
     eval_P,
     eval_Q,
@@ -17,6 +16,7 @@ from nleig import (
     singular_nonlinearity,
     Profile,
 )
+from nleig.functionals import energies_of_u, p_of_u
 from oracles import direct_convolution, fd_grad_p, random_cone_profile, riemann
 
 G = make_grid(10.0, 128)
@@ -56,7 +56,8 @@ def test_grad_p_matches_finite_differences():
 def test_energy_record_is_consistent():
     rng = np.random.default_rng(8)
     v = random_cone_profile(rng, G)
-    rec = energy_record(v, KERNEL, NL)
+    u = KERNEL.convolve(v)
+    rec = energies_of_u(v, u, p_of_u(u, NL), NL.alpha)
     assert rec.K == pytest.approx(eval_K(v))
     assert rec.P == pytest.approx(eval_P(v, KERNEL, NL))
     assert rec.Q == pytest.approx(eval_Q(v, KERNEL, NL.alpha))

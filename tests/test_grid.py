@@ -15,7 +15,6 @@ from nleig import (
     inner_product,
     l2_norm,
     make_grid,
-    read_profile_csv,
     require_same_grid,
     write_profile_csv,
 )
@@ -180,9 +179,9 @@ def test_profile_csv_round_trip(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(b"x,value\n")
     assert b"\r" not in raw
-    q = read_profile_csv(path)
-    assert q.grid == g
-    assert np.array_equal(q.samples, p.samples)
+    x, values = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    assert np.array_equal(x, g.nodes)
+    assert np.array_equal(values, p.samples)
     assert not list(tmp_path.glob("*.tmp*"))
 
 
@@ -204,32 +203,3 @@ def test_profile_csv_bytes_over_several_blocks(tmp_path):
         assert path.read_bytes() == expected.encode()
     assert not list(tmp_path.glob("*.tmp*"))
 
-
-def test_malformed_profile_csvs_raise_value_error(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(ValueError, match="is empty"):
-        read_profile_csv(empty)
-    short_row = tmp_path / "short_row.csv"
-    short_row.write_text("x,value\n-1,0.5\n0\n")
-    with pytest.raises(ValueError, match="line 3 has 1 fields, expected 2"):
-        read_profile_csv(short_row)
-    header = tmp_path / "header.csv"
-    header.write_text("x,V\n-1,0.5\n0,1\n")
-    with pytest.raises(ValueError, match="unexpected profile CSV header"):
-        read_profile_csv(header)
-    one_row = tmp_path / "one_row.csv"
-    one_row.write_text("x,value\n0,1\n")
-    with pytest.raises(ValueError, match="too short to infer a grid"):
-        read_profile_csv(one_row)
-
-
-def test_profile_csv_grid_mismatch(tmp_path):
-    g = make_grid(5.0, 64)
-    path = tmp_path / "p.csv"
-    write_profile_csv(Profile(g, np.zeros(g.point_count)), path)
-    with pytest.raises(GridMismatchError, match="64 rows, expected 128"):
-        read_profile_csv(path, grid=make_grid(5.0, 128))
-    # as many rows as the grid has nodes, but at other x
-    with pytest.raises(GridMismatchError, match="nodes do not match"):
-        read_profile_csv(path, grid=make_grid(6.0, 64))

@@ -30,7 +30,6 @@ from nleig import (
     l2_norm,
     make_grid,
     quadratic_nonlinearity,
-    read_profile_csv,
     save_solution,
     singular_nonlinearity,
     solution_to_dict,
@@ -524,16 +523,20 @@ def test_sweep_matches_single_solve_and_orders_output():
 
 
 def test_sweep_isolates_per_entry_failures():
-    nl = singular_nonlinearity(4.0)
-    k_max = KERNEL.k_max_norm
-    ks = [0.5 * k_max, 0.9 * k_max, 1.5 * k_max]
-    entries = sweep_K(ks, SolverConfig(K=1.0), KERNEL, nl)
+    # the solve at K = 1e6 overflows f at its first step
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = sweep_K([0.5, 1.0, 1e6], SolverConfig(K=1.0), KERNEL, NL)
     assert entries[0].error is None and entries[0].solution.converged
     assert entries[1].error is None and entries[1].solution.converged
     assert entries[2].solution is None
-    assert "K_max" in entries[2].error
+    assert entries[2].error.startswith("NumericalOverflowError: ")
     # sigma grows with K
     assert entries[1].solution.sigma > entries[0].solution.sigma
+    # a K at or above K_max fails the sweep before any solve
+    k_max = KERNEL.k_max_norm
+    with pytest.raises(ValueError, match="must stay below K_max"):
+        sweep_K([0.5 * k_max, 1.5 * k_max], SolverConfig(K=1.0), KERNEL,
+                singular_nonlinearity(4.0))
 
 
 def test_attempt_records_each_outcome_in_the_entry():
@@ -623,9 +626,9 @@ def test_save_solution_round_trip(tmp_path, reference_solution):
     payload = json.loads((tmp_path / "solution.json").read_text())
     assert payload["sigma"] == reference_solution.sigma
     assert payload["converged"] is True
-    v = read_profile_csv(tmp_path / "V.csv")
-    assert np.array_equal(v.samples, reference_solution.V.samples)
-    u = read_profile_csv(tmp_path / "U.csv")
-    assert np.array_equal(u.samples, reference_solution.U.samples)
+    for name, profile in (("V.csv", reference_solution.V), ("U.csv", reference_solution.U)):
+        x, values = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1, unpack=True)
+        assert np.array_equal(x, profile.grid.nodes)
+        assert np.array_equal(values, profile.samples)
     d = solution_to_dict(reference_solution)
     assert d["K"] == 1.0 and d["iterations"] == reference_solution.iterations
