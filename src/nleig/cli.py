@@ -1,11 +1,12 @@
 """Batch command-line front end.
 
 One command per process: read a single JSON config, compute, write output
-files atomically into --output, exit 0 on success, 2 on validation failure,
-3 on non-convergence or a ComputationError.  Identical configs produce
-byte-identical numeric outputs; meta.json echoes the resolved config
-(defaults included, less the kernel parameters left at their defaults) plus
-version and wall-clock and CPU timings.
+files atomically into --output, exit 0 on success, 2 on validation failure
+or a size that cannot be allocated, 3 on non-convergence or a
+ComputationError.  Identical configs produce byte-identical numeric
+outputs; meta.json echoes the resolved config (defaults included, less the
+kernel parameters left at their defaults) plus version and wall-clock and
+CPU timings.
 
 Each command declares in _COMMANDS the config it takes; _load reads every
 config object through config.read_fields, builds and gates the kernel and
@@ -34,6 +35,7 @@ from .asymptotics import (
     HighEnergyGridPolicy,
     KdvGridPolicy,
     decay_report,
+    # the family commands look these two up by name when they run
     high_energy_experiment,
     kdv_experiment,
     tail_nodes,
@@ -137,14 +139,6 @@ def _declared(command: str, value):
     return value
 
 
-def _policy(policy_type):
-    """Parse of a grid_policy section into policy_type; an absent key keeps
-    its default."""
-    table = fields_table(policy_type)
-    return lambda section: policy_type(**read_fields(section, table,
-                                                     "grid_policy section"))
-
-
 # the solve sets init_profile itself, and the CLI writes no trace
 _SOLVER_FIELDS = fields_table(SolverConfig, "init_profile", "record_trace")
 
@@ -234,6 +228,12 @@ def _load(command: str, config: dict, args) -> _Job:
 # commands
 
 
+def _error(message: str, code: int = 2) -> int:
+    """Print the error line for message and return the exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def _finished(job: _Job, name: str, entries) -> int:
     """Record a sweep's entries and print how many converged."""
     job.entries += entries
@@ -242,28 +242,13 @@ def _finished(job: _Job, name: str, entries) -> int:
     return 0
 
 
-def _fields_of(report, *omit) -> dict:
-    """A report dataclass's fields as a JSON payload, without the fields
-    named in omit and those that are None; a nested dataclass becomes a
-    dict."""
-    payload = {}
-    for f in fields(report):
-        value = getattr(report, f.name)
-        if f.name not in omit and value is not None:
-            payload[f.name] = asdict(value) if is_dataclass(value) else value
-    return payload
-
-
 def _record(job: _Job, out: Path, solution) -> int:
     """Record the solve and save its solution.  Returns the exit code, 3
     when the solve did not converge."""
     entry = SweepEntry.returned(solution)
     job.entries.append(entry)
     save_solution(solution, out)
-    if entry.error is None:
-        return 0
-    print(f"error: {entry.error}", file=sys.stderr)
-    return 3
+    return 0 if entry.error is None else _error(entry.error, 3)
 
 
 def _run_solve(job, out, args):
@@ -309,32 +294,48 @@ def _run_sweep(job, out, args):
     return _finished(job, "sweep", entries)
 
 
-def _run_family(experiment, points, csv_name, name, job, out):
-    """Run a family experiment on the job's points and write its rows and
-    predictors."""
-    result = experiment(job.spec, job.nl, job.extras[points],
-                        policy=job.extras["grid_policy"], **job.solver)
-    emit_plot_data(result.rows, result.predictors, out, csv_name)
-    return _finished(job, name, result.entries)
+def _family(experiment_name, points_key, policy_type, csv_name, label) -> _Command:
+    """A family command: the experiment named experiment_name solves each
+    point of points_key on the grid its policy_type sizes, and the run writes
+    csv_name and predictors.json.  The run looks the experiment up in this
+    module when it runs: perfbench's tracer and the tests rebind the
+    module-level name, which a function bound here at import would bypass."""
+    table = fields_table(policy_type)
+
+    def run(job, out, args):
+        experiment = globals()[experiment_name]
+        result = experiment(job.spec, job.nl, job.extras[points_key],
+                            policy=job.extras["grid_policy"], **job.solver)
+        emit_plot_data(result.rows, result.predictors, out, csv_name)
+        return _finished(job, label, result.entries)
+
+    def policy(section):  # an absent key keeps its default
+        return policy_type(**read_fields(section, table, "grid_policy section"))
+
+    return _Command(run, _FAMILY_SOLVER_FIELDS,
+                    {points_key: (_points, REQUIRED), "grid_policy": (policy, policy_type())},
+                    family=points_key)
 
 
 def _run_decay(job, out, args):
     tail_nodes(job.kernel.grid, job.extras["window"])  # 3 nodes to fit, before the solve
     solution = solve(SolverConfig(**job.solver), job.kernel, job.nl)
-    if not solution.converged:  # no tail fit of an unconverged profile
-        return _record(job, out, solution)
     # fitted before any file is written, so a c that this sigma rules out
-    # leaves none
+    # leaves none; an unconverged profile gets no tail fit
     report = decay_report(job.kernel, job.nl, solution, c=job.extras["c"],
-                          window=job.extras["window"])
-    _record(job, out, solution)
+                          window=job.extras["window"]) if solution.converged else None
+    code = _record(job, out, solution)
+    if code:
+        return code
     if isinstance(report.lambda_theory, BlowUpBounded):
         theory = {"kind": "blow_up_bounded",
                   "lambda_max": report.lambda_theory.lambda_max}
     else:
         theory = {"kind": "root", "value": report.lambda_theory}
-    write_json(out / "decay.json", {**_fields_of(report, "a_c"),
-                                    "lambda_theory": theory, "sigma": solution.sigma})
+    write_json(out / "decay.json",
+               {"c": report.c, "fit_r2": report.fit_r2, "fit_window": report.fit_window,
+                "lambda_fit": report.lambda_fit, "lambda_theory": theory,
+                "sigma": solution.sigma})
     write_profile_csv(report.a_c, out / "a_c.csv")
     job.echo["c"] = report.c  # the c used, also when the config left it out
     print(
@@ -355,9 +356,12 @@ def _run_validate(job, out, args):
         "a_pp0": None if not np.isfinite(kernel.a_pp0) else kernel.a_pp0,
         "k_max_norm": kernel.k_max_norm,
     }
+    # the cone block is left out when the cone was not checked
+    cone = {"cone": asdict(report.cone)} if report.cone_checked else {}
     write_json(out / "validation.json",
-               {"label": kernel.label, "metadata": metadata, **_fields_of(report),
-                "cone_checked": report.cone_checked, "passed": report.passed})
+               {"label": kernel.label, "metadata": metadata, "mass_error": report.mass_error,
+                **cone, "failures": report.failures, "cone_checked": report.cone_checked,
+                "passed": report.passed})
     if not report.passed:
         detail = "; ".join(report.failures)
         print(f"kernel {kernel.label} fails validation: {detail}", file=sys.stderr)
@@ -394,26 +398,9 @@ _COMMANDS = {
         fields_table(SolverConfig, "K", "init_profile", "record_trace"),
         {"k_list": (_points, REQUIRED), "warm_start": (flag, False)},
     ),
-    # each family command looks its experiment up in this module when it
-    # runs, inside a lambda: perfbench's tracer and the tests rebind the
-    # module-level name, which a function bound here at import (in a
-    # partial, say) would bypass
-    "kdv": _Command(
-        lambda job, out, args: _run_family(kdv_experiment, "eps_list", "kdv.csv",
-                                           "kdv sweep", job, out),
-        _FAMILY_SOLVER_FIELDS,
-        {"eps_list": (_points, REQUIRED),
-         "grid_policy": (_policy(KdvGridPolicy), KdvGridPolicy())},
-        family="eps_list",
-    ),
-    "high-energy": _Command(
-        lambda job, out, args: _run_family(high_energy_experiment, "delta_list",
-                                           "high_energy.csv", "high-energy sweep", job, out),
-        _FAMILY_SOLVER_FIELDS,
-        {"delta_list": (_points, REQUIRED),
-         "grid_policy": (_policy(HighEnergyGridPolicy), HighEnergyGridPolicy())},
-        family="delta_list",
-    ),
+    "kdv": _family("kdv_experiment", "eps_list", KdvGridPolicy, "kdv.csv", "kdv sweep"),
+    "high-energy": _family("high_energy_experiment", "delta_list", HighEnergyGridPolicy,
+                           "high_energy.csv", "high-energy sweep"),
     "decay": _Command(
         _run_decay,
         _SOLVER_FIELDS,
@@ -499,17 +486,13 @@ def main(argv=None) -> int:
     try:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except FileNotFoundError:
-        print(f"error: config file {args.config} not found", file=sys.stderr)
-        return 2
+        return _error(f"config file {args.config} not found")
     except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"config is not valid JSON: {exc}")
     except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8
-        print(f"error: cannot read config file {args.config}: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"cannot read config file {args.config}: {exc}")
     if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
+        return _error("--threads must be at least 1")
 
     out = Path(args.output)
     try:
@@ -517,21 +500,19 @@ def main(argv=None) -> int:
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file, or a path under one
-            print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
-            return 2
+            return _error(f"cannot create output directory {out}: {exc}")
         try:
             code = _COMMANDS[args.command].run(job, out, args)
             _write_meta(out, args, job)
         except OSError as exc:  # an output file name taken by a directory, say
-            print(f"error: cannot write output in {out}: {exc}", file=sys.stderr)
-            return 2
+            return _error(f"cannot write output in {out}: {exc}")
         return code
     except ComputationError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _error(f"{type(exc).__name__}: {exc}", 3)
+    except MemoryError as exc:  # numpy raises a private subclass for a size too large
+        return _error(f"MemoryError: {exc}")
     except (ValueError, KeyError, NleigError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -18,15 +18,20 @@ from .errors import DomainBreachError
 
 
 class Nonlinearity:
-    """Vectorized evaluators for f, f', and F with a domain guard."""
+    """Vectorized evaluators for f, f', and F with a domain guard.
+
+    F_rounding(r), when given, bounds in units of eps the rounding of
+    evaluating the antiderivative's formula at r, for a formula whose terms
+    cancel; None means a formula without cancellation."""
 
     def __init__(self, kind, alpha, beta, f, f_prime, antiderivative,
-                 sup_domain=np.inf, m=None):
+                 sup_domain=np.inf, m=None, F_rounding=None):
         self.kind = kind
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.sup_domain = float(sup_domain)
         self.m = m
+        self.F_rounding = F_rounding
         self._f = f
         self._f_prime = f_prime
         self._F = antiderivative
@@ -62,6 +67,8 @@ def exp_nonlinearity() -> Nonlinearity:
         f=np.expm1,
         f_prime=np.exp,
         antiderivative=lambda r: np.expm1(r) - r,
+        # expm1(r) and r cancel to second order at small r
+        F_rounding=lambda r: np.abs(np.expm1(r)) + np.abs(r),
     )
 
 
@@ -95,6 +102,9 @@ def singular_nonlinearity(m: float) -> Nonlinearity:
     def antiderivative(s):
         return ((1.0 - s) ** (-m) - 1.0) / m - s
 
+    def F_rounding(s):  # the three terms cancel to second order at small s
+        return ((1.0 - s) ** (-m) + 1.0) / m + np.abs(s)
+
     return Nonlinearity(
         kind="singular",
         alpha=m + 1.0,
@@ -104,6 +114,7 @@ def singular_nonlinearity(m: float) -> Nonlinearity:
         antiderivative=antiderivative,
         sup_domain=1.0,
         m=m,
+        F_rounding=F_rounding,
     )
 
 
@@ -118,7 +129,11 @@ class SuperlinearityReport:
 
     scaling_margin: float
     moment_margin: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return (self.scaling_margin >= -_SUPERLINEARITY_TOL
+                and self.moment_margin >= -_SUPERLINEARITY_TOL)
 
 
 # the scaling factors lam >= 1 and the margin below zero that still passes
@@ -146,9 +161,7 @@ def check_superlinearity(nl: Nonlinearity) -> SuperlinearityReport:
         margin = np.min(nl.f(lam * r) - lam * nl.f(r))
         scaling_margin = min(scaling_margin, float(margin))
     moment_margin = float(np.min(nl.f_prime(rs) * rs - 2.0 * nl.F(rs)))
-    passed = (scaling_margin >= -_SUPERLINEARITY_TOL
-              and moment_margin >= -_SUPERLINEARITY_TOL)
-    return SuperlinearityReport(scaling_margin, moment_margin, passed)
+    return SuperlinearityReport(scaling_margin, moment_margin)
 
 
 # each kind's factory and the names of its parameters, which are both the

@@ -139,6 +139,27 @@ def test_exit_code_follows_the_error_type(tmp_path, monkeypatch, capsys, error):
     assert f"error: {error.__name__}: " in capsys.readouterr().err
 
 
+class _ArrayMemoryError(MemoryError):
+    """Stands for numpy's private subclass, which a failed allocation raises."""
+
+
+@pytest.mark.parametrize("command, name", [
+    ("solve", "solve"),
+    ("uniqueness-probe", "uniqueness_probe"),
+])
+def test_a_size_that_cannot_be_allocated_exits_2(tmp_path, monkeypatch, capsys, command,
+                                                 name):
+    # a point_count or n_starts of 2**52 fails to allocate, or not, depending
+    # on the host's overcommit policy, so the failure is raised by a stand-in
+    def unallocatable(*args, **kwargs):
+        raise _ArrayMemoryError("Unable to allocate 32.0 PiB")
+
+    monkeypatch.setattr(nleig.cli, name, unallocatable)
+    code, _ = _run(tmp_path, command, _solve_config())
+    assert code == 2
+    assert capsys.readouterr().err == "error: MemoryError: Unable to allocate 32.0 PiB\n"
+
+
 def test_missing_and_malformed_config_files(tmp_path, capsys):
     code = main(["solve", "--config", str(tmp_path / "nope.json"),
                  "--output", str(tmp_path / "o")])
@@ -954,6 +975,51 @@ def test_no_config_mutation_raises_out_of_main(tmp_path):
                 else:
                     assert code in (0, 2, 3), (command, path, value)
     assert raised == []
+
+
+def test_each_command_prints_its_summary_line(tmp_path, capsys):
+    # every command's whole stdout and stderr on its small config, rebuilt
+    # from the files it wrote, and validate-kernel's line on a passing kernel
+    def run(command, config, name):
+        code, out = _run(tmp_path, command, config, name=name)
+        captured = capsys.readouterr()
+        return (code, captured.out, captured.err), out
+
+    def read(out, name):
+        return json.loads((out / name).read_text())
+
+    result, out = run("solve", _SMALL_CONFIGS["solve"], "solve")
+    sol = read(out, "solution.json")
+    assert result == (0, f"sigma = {sol['sigma']:.12g} after {sol['iterations']} "
+                         "iterations\n", "")
+
+    for command, points, name in [("sweep-k", "k_list", "sweep"),
+                                  ("kdv", "eps_list", "kdv sweep"),
+                                  ("high-energy", "delta_list", "high-energy sweep")]:
+        config = _SMALL_CONFIGS[command]
+        n = len(config[points])
+        result, _ = run(command, config, command)
+        assert result == (0, f"{name} finished: {n}/{n} entries converged\n", "")
+
+    result, out = run("decay", _SMALL_CONFIGS["decay"], "decay")
+    decay = read(out, "decay.json")
+    assert result == (0, f"sigma = {decay['sigma']:.12g}, fitted tail rate "
+                         f"{decay['lambda_fit']:.6g} (r^2 = {decay['fit_r2']:.6f})\n", "")
+
+    result, out = run("validate-kernel", _SMALL_CONFIGS["validate-kernel"], "two_bump")
+    report = read(out, "validation.json")
+    assert result == (2, "", f"kernel {report['label']} fails validation: "
+                             f"{'; '.join(report['failures'])}\n")
+    passing = {"grid": {"half_period": 16.0, "point_count": 256}, "kernel": _GAUSSIAN}
+    result, _ = run("validate-kernel", passing, "gaussian")
+    assert result == (0, "kernel gaussian(width=1) passes validation\n", "")
+
+    result, out = run("uniqueness-probe", _SMALL_CONFIGS["uniqueness-probe"], "probe")
+    probe = read(out, "probe.json")
+    assert probe["n_converged"] == 2
+    assert result == (0, f"uniqueness probe: 2/2 converged, max distance "
+                         f"{probe['max_l2_distance']:.3g}, conjecture support: "
+                         f"{probe['conjecture_support']}\n", "")
 
 
 @pytest.mark.parametrize("k_list", [[-1.0, 0.5], [0.5, math.inf]])

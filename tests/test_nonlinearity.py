@@ -6,6 +6,7 @@ import pytest
 from nleig import (
     DomainBreachError,
     Nonlinearity,
+    SuperlinearityReport,
     check_superlinearity,
     exp_nonlinearity,
     nonlinearity_from_config,
@@ -80,6 +81,14 @@ def test_superlinearity_rejects_concave_probe():
         antiderivative=lambda r: (1.0 + r) * np.log1p(r) - r,
     )
     assert not check_superlinearity(concave).passed
+
+
+def test_superlinearity_passed_is_read_off_the_margins():
+    # each margin passes down to -1e-12 below zero; a nan margin fails
+    assert SuperlinearityReport(-1e-12, np.inf).passed
+    assert not SuperlinearityReport(-2e-12, 0.0).passed
+    assert not SuperlinearityReport(0.0, -2e-12).passed
+    assert not SuperlinearityReport(0.0, np.nan).passed
 
 
 def test_superlinearity_skips_scalings_that_leave_the_domain():

@@ -448,6 +448,25 @@ def test_drop_within_p_rounding_at_the_pole_does_not_raise():
                                 "relative 1.06e-12 during the run"]
 
 
+SMALL_K_KERNEL = gaussian_kernel(make_grid(25.0, 512), width=1.0)
+
+
+@pytest.mark.parametrize("nl, K", [
+    (exp_nonlinearity(), 1e-12),
+    (exp_nonlinearity(), 1e-15),
+    (exp_nonlinearity(), 1e-20),
+    (singular_nonlinearity(4.0), 1e-6 * SMALL_K_KERNEL.k_max_norm),
+])
+def test_rounding_of_f_at_small_k_is_no_energy_drop(nl, K):
+    # F's formula cancels at small U (expm1(r) - r, and the singular one's
+    # three terms), so the computed P carries a rounding of about
+    # eps h sum|U|: 4.4e-9 of P at K 1e-12 with exp, where eps h sum|U f(U)|
+    # is 4.4e-16 of it.  The guard's floor holds both, so these converge.
+    sol = solve(SolverConfig(K=K), SMALL_K_KERNEL, nl)
+    assert sol.converged
+    assert sol.sigma > nl.alpha
+
+
 @pytest.mark.parametrize("nl, K", [
     (exp_nonlinearity(), 0.5),
     (exp_nonlinearity(), 2.0),
