@@ -168,12 +168,14 @@ class ConeReport:
     min_value: float
     unimodality_deviation: float
 
+    @property
+    def worst(self) -> float:
+        """The largest deviation, nonnegativity's being -min_value; never
+        below 0, since even_deviation is not."""
+        return max(self.even_deviation, -self.min_value, self.unimodality_deviation)
+
     def in_cone(self, tol: float) -> bool:
-        return (
-            self.even_deviation <= tol
-            and self.min_value >= -tol
-            and self.unimodality_deviation <= tol
-        )
+        return self.worst <= tol
 
 
 def cone_check(w: Profile) -> ConeReport:

@@ -175,13 +175,7 @@ def _on_sphere(samples: np.ndarray, grid: Grid, K: float) -> np.ndarray:
 
 def _cone_deviation(v: Profile) -> float:
     """Worst cone deviation of V relative to max V."""
-    report = cone_check(v)
-    worst = max(
-        report.even_deviation,
-        max(0.0, -report.min_value),
-        report.unimodality_deviation,
-    )
-    return worst / max(v.max, 1e-300)
+    return cone_check(v).worst / max(v.max, 1e-300)
 
 
 # Mixing engages once the plain residuals shrink by less than
@@ -205,21 +199,24 @@ _GATE_WINDOW = 3
 _GATE_RATE = 0.9
 _RATE_WINDOW = 10  # steps behind Solution.contraction_rate
 
-# How far P may fall on an accepted mixed candidate, relative to |P|: P's
-# rounding, which it cannot resolve near convergence.  The small-K sweep's
-# candidates "lowered" P by 2e-16 to 8e-15 relative; turning each down cost
-# a plain step that gained nothing.  Unlike monotonicity_slack, which only
-# decides when a plain step's drop is an error, this allowance is fixed, so
+# A mixed candidate's allowance, in place of a plain step's
+# monotonicity_slack: 64 eps relative to |P|, P's rounding near convergence.
+# The small-K sweep's candidates "lowered" P by 2e-16 to 8e-15 relative;
+# turning each down cost a plain step that gained nothing.  It is fixed, so
 # an infinite slack leaves the safeguard on.
 _P_ROUNDING = 64 * np.finfo(np.float64).eps
 
 
-# A plain step's drop in P is an error only when it exceeds both the slack
-# and _FLOOR_MULTIPLE times P's rounding floor at the new iterate.  Near the
+# A proposal lowers P only when its drop exceeds both its allowance and
+# _FLOOR_MULTIPLE times P's rounding floor at the new iterate: a plain step
+# that does so raises, a candidate that does so is turned down.  Near the
 # pole of a singular f the floor nears the slack: 7.8e-13 relative at delta
 # 0.002, where drops of 1.03-1.28e-12, beyond the slack, were 1.3-1.7 times
-# the floor (at most 1.4 times near delta 0.001 and 0.0005).  A wrong F or
-# a lost symmetrization drops P by far more.
+# the floor (at most 1.4 times near delta 0.001 and 0.0005).  At small K it
+# passes 64 eps: exp at K 1e-15 (gaussian width 1, L 25, n 512) turned down
+# 707 candidates and took 1922 steps when a candidate's drop was judged
+# against 64 eps alone, 1 and 511 against both.  A wrong F or a lost
+# symmetrization drops P by far more.
 _FLOOR_MULTIPLE = 4
 
 
@@ -297,11 +294,13 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     the preconditioned map Gp (the even part of _preconditioned's step,
     renormalized to K) over the last two iterates, or Gp(V) without a
     previous pair, renormalized to K; where min M <= 0 there is none.  The
-    evaluation convolves the proposal and computes its P.  A plain step is
-    accepted, or raises when P falls by more than both the relative slack
-    and _FLOOR_MULTIPLE times P's rounding floor (_p_floor); a candidate is
-    accepted only when P falls by at most _P_ROUNDING relative (whatever the
-    slack) and its cone deviation is no worse than G(V)'s; a rejected
+    evaluation convolves the proposal and computes its P.  The acceptance
+    finds P lowered when it falls by more than both the proposal's relative
+    allowance (monotonicity_slack for the plain step, _P_ROUNDING for a
+    candidate, whatever the slack) and _FLOOR_MULTIPLE times P's rounding
+    floor (_p_floor).  A plain step is accepted, or raises when P is
+    lowered; a candidate is accepted only when P is not lowered and its
+    cone deviation is no worse than G(V)'s; a rejected
     candidate leaves the iterate, drops the pair and makes the next step
     plain, since Gp(V) would repeat it.  A step counts as one iteration and costs 4 FFTs, a
     candidate 4 more, the solve 4 outside the loop: transforms =
@@ -360,17 +359,20 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         u_next = kernel.convolve(proposal)
         p_next = _finite(p_of_u(u_next, nl), "P", iterations)
 
-        # acceptance
-        if proposal is g and p_next < p_prev - cfg.monotonicity_slack * abs(p_prev):
+        # acceptance: P is lowered when it falls by more than both the
+        # proposal's allowance and _FLOOR_MULTIPLE times its rounding floor
+        allowance = cfg.monotonicity_slack if proposal is g else _P_ROUNDING
+        lowered = p_next < p_prev - allowance * abs(p_prev)
+        if lowered:  # read the floor only past the allowance
             floor = _p_floor(u_next, nl)
-            if p_prev - p_next > _FLOOR_MULTIPLE * floor:
-                raise MonotonicityViolationError(
-                    f"P decreased from {p_prev:.17g} to {p_next:.17g} at iteration "
-                    f"{iterations}; slack {cfg.monotonicity_slack:g} and "
-                    f"{_FLOOR_MULTIPLE} times P's rounding floor {floor:.3g} exceeded"
-                )
-        if proposal is g or (p_next >= p_prev - _P_ROUNDING * abs(p_prev)
-                             and _cone_deviation(proposal) <= _cone_deviation(g)):
+            lowered = p_prev - p_next > _FLOOR_MULTIPLE * floor
+        if lowered and proposal is g:
+            raise MonotonicityViolationError(
+                f"P decreased from {p_prev:.17g} to {p_next:.17g} at iteration "
+                f"{iterations}; slack {cfg.monotonicity_slack:g} and "
+                f"{_FLOOR_MULTIPLE} times P's rounding floor {floor:.3g} exceeded"
+            )
+        if not lowered and (proposal is g or _cone_deviation(proposal) <= _cone_deviation(g)):
             max_p_drop = max(max_p_drop, (p_prev - p_next) / max(abs(p_prev), 1e-300))
             accelerated += proposal is not g
             v, u, p_prev = proposal, u_next, p_next

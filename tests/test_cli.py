@@ -417,12 +417,13 @@ def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, config, key
 
 def test_solver_counters_go_to_meta_json_only(tmp_path):
     keys = ["K", "accelerated_steps", "contraction_rate", "iterations",
-            "rejected_steps", "transforms"]
+            "max_p_drop", "rejected_steps", "transforms"]
     _, out = _run(tmp_path, "solve", _solve_config(), name="solve")
     (counters,) = json.loads((out / "meta.json").read_text())["solves"]
     assert sorted(counters) == keys
     assert counters["accelerated_steps"] == counters["rejected_steps"] == 0
     assert counters["transforms"] == 4 * (counters["iterations"] + 1)
+    assert 0.0 <= counters["max_p_drop"] <= SolverConfig.monotonicity_slack
     assert 0 < counters["contraction_rate"] < nleig.solver._GATE_RATE
     assert "accelerated_steps" not in (out / "solution.json").read_text()
     # the small-K point contracts slowly, so its solve mixes

@@ -138,6 +138,17 @@ def test_cone_check_classifies_profiles():
     assert cone_check(negative).min_value < -0.9
 
 
+@pytest.mark.parametrize("report, worst", [
+    (ConeReport(0.25, 1.0, 0.5), 0.5),
+    (ConeReport(0.25, -0.75, 0.5), 0.75),
+    (ConeReport(0.0, 2.0, 0.0), 0.0),
+])
+def test_cone_report_worst_is_the_largest_deviation(report, worst):
+    # nonnegativity deviates by -min_value; in_cone is worst <= tol
+    assert report.worst == worst
+    assert report.in_cone(worst) and not report.in_cone(np.nextafter(worst, -1.0))
+
+
 def test_convolve_matches_direct_sum():
     # n = 1000 is not a power of two, where dropping the FFT-order shifts
     # is not bit-identical

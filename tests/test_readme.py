@@ -1,0 +1,27 @@
+"""The examples in README.md run as written."""
+
+import json
+import re
+from pathlib import Path
+
+from nleig.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _fenced_blocks(language: str) -> list[str]:
+    return re.findall(rf"^```{language}\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    (quick_start,) = _fenced_blocks("python")
+    exec(compile(quick_start, str(README), "exec"), {})
+    sigma, converged, _ = capsys.readouterr().out.split()
+    assert converged == "True" and float(sigma) > 1.0
+    configs = [json.loads(block) for block in _fenced_blocks("json")]
+    assert sorted(config["command"] for config in configs) == ["kdv", "solve"]
+    for config in configs:
+        command = config["command"]
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--output", str(tmp_path / command)]) == 0

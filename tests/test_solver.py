@@ -467,6 +467,20 @@ def test_rounding_of_f_at_small_k_is_no_energy_drop(nl, K):
     assert sol.sigma > nl.alpha
 
 
+def test_candidate_drop_within_f_rounding_is_accepted():
+    # at K 1e-15 P's rounding floor, which holds F's own rounding, is about
+    # 1e-7 of P, far above _P_ROUNDING: a candidate judged against
+    # _P_ROUNDING alone was turned down 707 times and the solve took 1922
+    # steps; judged against the floor as well, as a plain step is, it takes
+    # about 511
+    nl = exp_nonlinearity()
+    sol = solve(SolverConfig(K=1e-15), SMALL_K_KERNEL, nl)
+    assert sol.converged
+    assert sol.sigma > nl.alpha
+    assert sol.rejected_steps <= 5
+    assert sol.iterations < 700
+
+
 @pytest.mark.parametrize("nl, K", [
     (exp_nonlinearity(), 0.5),
     (exp_nonlinearity(), 2.0),
