@@ -424,7 +424,6 @@ class HighEnergyGridPolicy:
     half_period: float = 25.0
     kernel_fraction: float = 1.0 / 8.0
     peak_fraction: float = 1.0 / 16.0
-    eps_proxy: float = 0.5  # eps_delta is of order delta * eps_proxy
     max_points: int = 2**15
 
     def grid_for(self, delta: float, kernel_scale: float) -> Grid:
@@ -432,7 +431,8 @@ class HighEnergyGridPolicy:
             raise ValueError(f"delta = {delta:g} must lie in (0, 1)")
         h_max = min(
             kernel_scale * self.kernel_fraction,
-            self.peak_fraction * math.sqrt(delta * self.eps_proxy),
+            # eps_delta is of order delta/2
+            self.peak_fraction * math.sqrt(delta * 0.5),
         )
         return _power_of_two_grid(f"delta = {delta:g}", self.half_period, h_max,
                                   self.max_points)

@@ -7,8 +7,9 @@ energy ceiling K_max = 1/(2 a(0)) relevant to singular nonlinearities.  A
 kernel stores the second moment and a''(0); the others derive from them and
 from the profile.
 
-Sampled kernels (gaussian, indicator, two-bump) derive the symbol from their
-samples, so symbol-based convolution coincides with the direct circular sum.
+Sampled kernels (gaussian, indicator, two-bump, custom) are all built by
+kernel_from_samples, which derives the symbol from the samples, so
+symbol-based convolution coincides with the direct circular sum.
 The spectral ODE kernel is defined by its symbol (1 + k^2)^(-1/2); its
 profile samples carry a logarithmic singularity at x = 0 smoothed at grid
 scale, and cone/boundedness validation is skipped for it.
@@ -107,16 +108,23 @@ def _a_pp0_from_symbol(grid: Grid, symbol: np.ndarray) -> float:
     return float(-total / (2.0 * grid.half_period))
 
 
-def _build(
+def kernel_from_samples(
     grid: Grid,
     samples: np.ndarray,
     *,
-    label: str,
+    label: str = "custom",
     normalize: bool = True,
     a_smooth: bool = False,
     exp_moment=None,
-    moment_abscissa: float = np.inf,
+    moment_abscissa: float = math.inf,
 ) -> Kernel:
+    """Wrap arbitrary samples as a kernel (metadata computed, no validation).
+
+    a_smooth says that a = b*b is twice differentiable, so a''(0) is read
+    off the symbol; otherwise it is nan.  exp_moment, when given, is the
+    closed-form two-sided exponential moment used by tail analysis;
+    moment_abscissa bounds where it stays finite."""
+    samples = np.asarray(samples, dtype=np.float64)
     if normalize:
         raw_mass = grid.spacing * np.sum(samples)
         if not raw_mass > 0:
@@ -135,28 +143,33 @@ def _build(
     )
 
 
-def gaussian_kernel(grid: Grid, width: float = 1.0) -> Kernel:
-    """Unit-mass Gaussian of the given width (standard deviation)."""
+def _check_bumps(grid: Grid, width: float, separation: float) -> None:
+    """Gaussian bumps of this width centred at +-separation are resolved:
+    h <= width/4, and the half period holds separation + 8 widths."""
     if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
     if grid.spacing > width / 4.0:
         raise UnderResolvedError(
             f"grid spacing {grid.spacing:.4g} exceeds width/4 = {width / 4.0:.4g}"
         )
-    if grid.half_period < 8.0 * width:
-        raise UnderResolvedError(
-            f"half period {grid.half_period:.4g} below 8*width = {8.0 * width:.4g}"
-        )
+    bound = separation + 8.0 * width
+    if grid.half_period < bound:
+        raise UnderResolvedError(f"half period {grid.half_period:.4g} below "
+                                 f"{bound:.4g}, the bump centre plus 8*width")
+
+
+def gaussian_kernel(grid: Grid, width: float = 1.0) -> Kernel:
+    """Unit-mass Gaussian of the given width (standard deviation)."""
+    _check_bumps(grid, width, 0.0)
     x = grid.nodes
     samples = np.exp(-(x**2) / (2.0 * width**2))
     w2 = width * width
-    return _build(
+    return kernel_from_samples(
         grid,
         samples,
         label=f"gaussian(width={width:g})",
         a_smooth=True,
         exp_moment=lambda lam: float(np.exp(0.5 * w2 * lam * lam)),
-        moment_abscissa=np.inf,
     )
 
 
@@ -179,14 +192,7 @@ def indicator_kernel(grid: Grid) -> Kernel:
             return 1.0
         return float(2.0 * np.sinh(0.5 * lam) / lam)
 
-    return _build(
-        grid,
-        samples,
-        label="indicator",
-        a_smooth=False,
-        exp_moment=exp_moment,
-        moment_abscissa=np.inf,
-    )
+    return kernel_from_samples(grid, samples, label="indicator", exp_moment=exp_moment)
 
 
 def spectral_ode_kernel(grid: Grid) -> Kernel:
@@ -223,42 +229,19 @@ def two_bump_kernel(grid: Grid, width: float = 0.6, separation: float = 6.0) -> 
     Violates the unimodality part of the kernel assumptions on purpose; used
     for exploratory runs probing uniqueness failure.
     """
-    if not width > 0 or not separation > 0:
-        raise ValueError("width and separation must be positive")
-    if grid.spacing > width / 4.0:
-        raise UnderResolvedError(
-            f"grid spacing {grid.spacing:.4g} exceeds width/4 = {width / 4.0:.4g}"
-        )
-    if grid.half_period < separation + 8.0 * width:
-        raise UnderResolvedError("half period too small for the requested bumps")
+    if not separation > 0:
+        raise ValueError(f"separation must be positive, got {separation}")
+    _check_bumps(grid, width, separation)
     x = grid.nodes
     samples = np.exp(-((x - separation) ** 2) / (2.0 * width**2)) + np.exp(
         -((x + separation) ** 2) / (2.0 * width**2)
     )
-    return _build(
+    return kernel_from_samples(
         grid,
         samples,
         label=f"two_bump(width={width:g},separation={separation:g})",
         a_smooth=True,
     )
-
-
-def kernel_from_samples(
-    grid: Grid,
-    samples: np.ndarray,
-    *,
-    label: str = "custom",
-    normalize: bool = True,
-    exp_moment=None,
-    moment_abscissa: float = math.inf,
-) -> Kernel:
-    """Wrap arbitrary samples as a kernel (metadata computed, no validation).
-
-    exp_moment, when given, is the closed-form two-sided exponential moment
-    used by tail analysis; moment_abscissa bounds where it stays finite."""
-    return _build(grid, np.asarray(samples, dtype=np.float64), label=label,
-                  normalize=normalize, exp_moment=exp_moment,
-                  moment_abscissa=moment_abscissa)
 
 
 @dataclass(frozen=True)

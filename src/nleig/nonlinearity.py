@@ -99,11 +99,14 @@ def singular_nonlinearity(m: float) -> Nonlinearity:
     def f_prime(s):
         return (m + 1.0) * (1.0 - s) ** (-(m + 2.0))
 
-    def antiderivative(s):
-        return ((1.0 - s) ** (-m) - 1.0) / m - s
+    def power_term(s):  # ((1-s)^(-m) - 1)/m, with no 1/m cancellation at small m
+        return np.expm1(-m * np.log1p(-s)) / m
 
-    def F_rounding(s):  # the three terms cancel to second order at small s
-        return ((1.0 - s) ** (-m) + 1.0) / m + np.abs(s)
+    def antiderivative(s):
+        return power_term(s) - s
+
+    def F_rounding(s):  # the two terms cancel to second order at small s
+        return np.abs(power_term(s)) + np.abs(s)
 
     return Nonlinearity(
         kind="singular",

@@ -207,6 +207,14 @@ _RATE_WINDOW = 10  # steps behind Solution.contraction_rate
 _P_ROUNDING = 64 * np.finfo(np.float64).eps
 
 
+def _keeps_cone(candidate: Profile, g: Profile) -> bool:
+    """The cone clause of a candidate: its deviation is within _P_ROUNDING of
+    G(V)'s, or G(V) itself leaves the cone beyond rounding, where there is no
+    cone left to keep (a kernel outside the paper's class, such as two_bump)."""
+    cone_g = _cone_deviation(g)
+    return cone_g > _P_ROUNDING or _cone_deviation(candidate) <= cone_g + _P_ROUNDING
+
+
 # A proposal lowers P only when its drop exceeds both its allowance and
 # _FLOOR_MULTIPLE times P's rounding floor at the new iterate: a plain step
 # that does so raises, a candidate that does so is turned down.  Near the
@@ -299,10 +307,11 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     allowance (monotonicity_slack for the plain step, _P_ROUNDING for a
     candidate, whatever the slack) and _FLOOR_MULTIPLE times P's rounding
     floor (_p_floor).  A plain step is accepted, or raises when P is
-    lowered; a candidate is accepted only when P is not lowered and its
-    cone deviation is no worse than G(V)'s; a rejected
-    candidate leaves the iterate, drops the pair and makes the next step
-    plain, since Gp(V) would repeat it.  A step counts as one iteration and costs 4 FFTs, a
+    lowered; a candidate is accepted only when P is not lowered and it
+    keeps the cone (_keeps_cone: its cone deviation is within _P_ROUNDING
+    of G(V)'s, or G(V)'s exceeds _P_ROUNDING); a rejected candidate leaves
+    the iterate, drops the pair and makes the next step plain, since Gp(V)
+    would repeat it.  A step counts as one iteration and costs 4 FFTs, a
     candidate 4 more, the solve 4 outside the loop: transforms =
     4 (1 + iterations + accelerated_steps + rejected_steps).
 
@@ -372,7 +381,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
                 f"{iterations}; slack {cfg.monotonicity_slack:g} and "
                 f"{_FLOOR_MULTIPLE} times P's rounding floor {floor:.3g} exceeded"
             )
-        if not lowered and (proposal is g or _cone_deviation(proposal) <= _cone_deviation(g)):
+        if not lowered and (proposal is g or _keeps_cone(proposal, g)):
             max_p_drop = max(max_p_drop, (p_prev - p_next) / max(abs(p_prev), 1e-300))
             accelerated += proposal is not g
             v, u, p_prev = proposal, u_next, p_next

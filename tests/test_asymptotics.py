@@ -431,7 +431,7 @@ def test_high_energy_input_validation():
         (KdvGridPolicy(), 0.1, 0.0, "eps = 0.1 needs spacing 0 at half period 300"),
         (KdvGridPolicy(l_floor=math.inf), 0.1, 1.0, "eps = 0.1 needs spacing 0.125 at half period inf"),
         (HighEnergyGridPolicy(), 0.0, 1.0, "delta = 0 must lie in (0, 1)"),
-        (HighEnergyGridPolicy(eps_proxy=0.0), 0.1, 1.0, "delta = 0.1 needs spacing 0 at half period 25"),
+        (HighEnergyGridPolicy(peak_fraction=0.0), 0.1, 1.0, "delta = 0.1 needs spacing 0 at half period 25"),
         (HighEnergyGridPolicy(half_period=1e308), 0.1, 1.0,
          "delta = 0.1 needs spacing 0.0139754 at half period 1e+308"),
     ],

@@ -546,6 +546,28 @@ def test_family_solver_section_takes_the_solvers_defaults(tmp_path, capsys, comm
         assert f"unknown keys ['{key}'] in solver section" in capsys.readouterr().err
 
 
+def test_high_energy_grid_policy_takes_no_eps_proxy(tmp_path, capsys):
+    # the peak spacing is peak_fraction * sqrt(delta/2): one knob, not two
+    config = copy.deepcopy(_SMALL_CONFIGS["high-energy"])
+    config["grid_policy"]["eps_proxy"] = 0.5
+    code, out = _run(tmp_path, "high-energy", config)
+    assert code == 2
+    assert "unknown keys ['eps_proxy'] in grid_policy section" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_high_energy_at_tiny_m_reads_no_energy_drop(tmp_path):
+    # at m 1e-300 F = -log(1-s) - s keeps its digits, so P does not fall;
+    # the formula ((1-s)^-m - 1)/m - s read F = -s and a drop of 0.173
+    config = copy.deepcopy(_SMALL_CONFIGS["high-energy"])
+    config["nonlinearity"]["m"] = 1e-300
+    code, out = _run(tmp_path, "high-energy", config)
+    assert code == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["warnings"] == []
+    assert meta["solves"][0]["max_p_drop"] <= SolverConfig.monotonicity_slack
+
+
 def test_emit_plot_data_rejects_no_rows(tmp_path):
     with pytest.raises(ValueError, match="no rows to emit"):
         emit_plot_data([], {}, tmp_path / "out", "rows.csv")
@@ -923,8 +945,7 @@ _SMALL_CONFIGS = {
     "high-energy": {"kernel": _GAUSSIAN, "nonlinearity": {"kind": "singular", "m": 4},
                     "delta_list": [0.3], "solver": {"max_iter": 50},
                     "grid_policy": {"half_period": 16.0, "kernel_fraction": 0.125,
-                                    "peak_fraction": 0.5, "eps_proxy": 0.5,
-                                    "max_points": 256}},
+                                    "peak_fraction": 0.5, "max_points": 256}},
     "decay": {"grid": {"half_period": 20.0, "point_count": 256}, "kernel": {"kind": "ode"},
               "nonlinearity": {"kind": "quadratic", "alpha": 1.0, "beta": 2.0},
               "solver": {"K": 0.95, "tol_residual": 1e-5, "max_iter": 50}, "c": 0.9,

@@ -75,6 +75,30 @@ def test_gaussian_resolution_gates():
         gaussian_kernel(G, width=-1.0)
 
 
+def test_kernel_from_samples_rebuilds_the_gaussian_bit_for_bit():
+    built = gaussian_kernel(G, width=1.0)
+    samples = np.exp(-(G.nodes**2) / 2.0)
+    rebuilt = kernel_from_samples(G, samples, label=built.label, a_smooth=True,
+                                  exp_moment=built.exp_moment)
+    assert np.array_equal(rebuilt.profile.samples, built.profile.samples)
+    assert np.array_equal(rebuilt.symbol, built.symbol)
+    assert rebuilt.second_moment == built.second_moment
+    assert rebuilt.a_pp0 == built.a_pp0
+    assert math.isnan(kernel_from_samples(G, samples).a_pp0)
+
+
+def test_two_bump_resolution_gates():
+    # the half period holds the bump centre plus 8 widths: 6 + 8 * 0.6
+    with pytest.raises(UnderResolvedError, match=r"half period 10 below 10\.8"):
+        two_bump_kernel(make_grid(10.0, 2048), width=0.6, separation=6.0)
+    with pytest.raises(UnderResolvedError, match="exceeds width/4"):
+        two_bump_kernel(make_grid(25.0, 256), width=0.6, separation=6.0)
+    with pytest.raises(ValueError, match="width must be positive"):
+        two_bump_kernel(G, width=0.0)
+    with pytest.raises(ValueError, match="separation must be positive"):
+        two_bump_kernel(G, separation=-1.0)
+
+
 def test_indicator_metadata():
     k = indicator_kernel(G)
     # midpoint values at |x| = 1/2 make the Riemann mass exactly 1

@@ -1,5 +1,7 @@
 """Nonlinearity families: values, derivatives, domain guards, convexity."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,16 @@ def test_singular_values_and_domain_guard():
         assert err.value.sup_value == pytest.approx(1.5)
     with pytest.raises(ValueError):
         singular_nonlinearity(0.0)
+
+
+def test_singular_F_keeps_its_digits_at_tiny_m():
+    # ((1-s)^-m - 1)/m rounds to 0 at m 1e-300; its limit is -log(1-s)
+    nl = singular_nonlinearity(1e-300)
+    assert nl.F(0.5) == pytest.approx(math.log(2.0) - 0.5, rel=1e-15)
+    # the rounding bound is that of the two terms, with no 1/m in it
+    assert nl.F_rounding(np.array([0.5]))[0] == pytest.approx(math.log(2.0) + 0.5, rel=1e-15)
+    assert singular_nonlinearity(4.0).F(0.5) == pytest.approx((0.5**-4 - 1.0) / 4.0 - 0.5,
+                                                              rel=1e-15)
 
 
 def test_superlinearity_of_the_standard_families():

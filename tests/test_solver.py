@@ -35,6 +35,7 @@ from nleig import (
     solution_to_dict,
     solve,
     sweep_K,
+    two_bump_kernel,
     uniqueness_probe,
 )
 from nleig import solver
@@ -459,7 +460,7 @@ SMALL_K_KERNEL = gaussian_kernel(make_grid(25.0, 512), width=1.0)
 ])
 def test_rounding_of_f_at_small_k_is_no_energy_drop(nl, K):
     # F's formula cancels at small U (expm1(r) - r, and the singular one's
-    # three terms), so the computed P carries a rounding of about
+    # two terms), so the computed P carries a rounding of about
     # eps h sum|U|: 4.4e-9 of P at K 1e-12 with exp, where eps h sum|U f(U)|
     # is 4.4e-16 of it.  The guard's floor holds both, so these converge.
     sol = solve(SolverConfig(K=K), SMALL_K_KERNEL, nl)
@@ -479,6 +480,26 @@ def test_candidate_drop_within_f_rounding_is_accepted():
     assert sol.sigma > nl.alpha
     assert sol.rejected_steps <= 5
     assert sol.iterations < 700
+
+
+@pytest.mark.parametrize("K", [1e-12, 1e-15, 1e-20])
+def test_candidate_within_rounding_of_the_plain_steps_cone_is_accepted(K):
+    # at small K candidates read cone deviations of 1e-16 to 7e-16 against
+    # exactly 0 for G(V), with P not lowered: rounding, held by the clause
+    sol = solve(SolverConfig(K=K), SMALL_K_KERNEL, exp_nonlinearity())
+    assert sol.converged
+    assert sol.rejected_steps == 0
+
+
+def test_candidates_keep_no_cone_the_plain_step_leaves():
+    # two_bump is outside the paper's class: G(V) leaves the cone by 5.5e-4
+    # and each candidate by 4e-13 more.  Held to G(V)'s deviation, every
+    # candidate was turned down at K = 3 and the solve took 43882 steps
+    kernel = two_bump_kernel(make_grid(40.0, 4096), width=0.6, separation=6.0)
+    cfg = SolverConfig(K=3.0, init_width=1.0, tol_residual=1e-11, max_iter=1000)
+    sol = solve(cfg, kernel, exp_nonlinearity())
+    assert sol.converged
+    assert sol.accelerated_steps > 0
 
 
 @pytest.mark.parametrize("nl, K", [
