@@ -20,13 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KernelAssumptionError, NonPositiveTailError, SymbolPoleError
-from .grid import Grid, Profile, dot, make_grid
+from .grid import MIN_POINTS, Grid, Profile, dot, make_grid
 from .kernels import Kernel, KernelSpec, samples_from_symbol
 from .nonlinearity import Nonlinearity
 from .solver import Solution, SolverConfig, SweepEntry, attempt, point_label
 
 # the fractions of the half period that the tail fit reads unless told otherwise
 TAIL_WINDOW = (0.5, 0.8)
+
+# a family grid's spacing is at most the first fraction of the kernel's length
+# scale and, in the small-K sweep, the second of the wave's width 1/eps
+_KERNEL_FRACTION = 1.0 / 8.0
+_FEATURE_FRACTION = 1.0 / 16.0
 
 
 def modified_kernel_ac(kernel: Kernel, c: float) -> Profile:
@@ -218,39 +223,23 @@ def _family_points(values, name: str, policy, spec: KernelSpec):
 
 def _power_of_two_grid(point: str, half_period: float, h_max: float,
                        max_points: int) -> Grid:
-    """The grid of the given half period with the fewest power-of-two points
-    whose spacing is at most h_max; errors name the family point, as
-    "eps = 0.1"."""
+    """The grid of the given half period with the fewest power-of-two points,
+    and at least MIN_POINTS, whose spacing is at most h_max; errors name the
+    family point, as "eps = 0.1"."""
     count = 2.0 * half_period / h_max if h_max > 0.0 else math.nan
     if not 0.0 < count < math.inf:
         raise ValueError(f"{point} needs spacing {h_max:g} at half period "
                          f"{half_period:g}: no finite, positive point count")
-    n = 2 ** math.ceil(math.log2(count))
+    n = max(MIN_POINTS, 2 ** math.ceil(math.log2(count)))
     if n > max_points:
         raise ValueError(f"{point} needs {n} points, above the cap {max_points}")
     return make_grid(half_period, n)
 
 
-def _solve_family(nl, name, points, kernels, row_type, point, measure, predictors,
-                  tol_residual, max_iter) -> FamilyResult:
-    """Solve at each point with its kernel, its entry labelled by the point
-    as point_label(name, p), and record one row_type(*head, sigma,
-    *measured) row.  point(p, kernel) returns (head, K, initial
-    profile); measure(p, kernel, solution) returns the row's remaining fields
-    for a converged solve.  A failed point's row keeps the row type's NaN
-    measurements, and its sigma too when the solve returned without
-    converging; either way the sweep continues."""
-    rows, entries = [], []
-    for p, kernel in zip(points, kernels):
-        head, K, init = point(p, kernel)
-        cfg = SolverConfig(K=K, tol_residual=tol_residual, max_iter=max_iter,
-                           init_profile=init)
-        entry = attempt(cfg, kernel, nl, label=point_label(name, p))
-        sol = entry.solution
-        measured = measure(p, kernel, sol) if entry.error is None else ()
-        rows.append(row_type(*head, math.nan if sol is None else sol.sigma, *measured))
-        entries.append(entry)
-    return FamilyResult(rows, predictors, entries)
+def _sigma(entry: SweepEntry) -> float:
+    """The sigma of a family row: NaN when the solve raised, and the
+    unconverged sigma when it returned without converging."""
+    return math.nan if entry.solution is None else entry.solution.sigma
 
 
 # ---------------------------------------------------------------------------
@@ -282,28 +271,28 @@ def kdv_profile(kappa1: float, kappa2: float, xbar: np.ndarray) -> np.ndarray:
 _KDV_SLACK = 1e-9
 
 
-def check_kdv_assumption(kernel: Kernel):
+def check_kdv_assumption(kernel: Kernel) -> float:
     """Verify the symbol bounds bhat^2 >= 1 - C k^2 and
     bhat^2 <= 1/(1 + C k^2) on the grid for a single constant C, up to
     _KDV_SLACK.
 
-    Returns (ok, C, message); the tight C from the lower bound is tested
-    against the upper bound.
+    Returns C, the tight constant of the lower bound, once it passes the
+    upper bound; raises KernelAssumptionError otherwise.
     """
     k = kernel.grid.rfft_frequencies[1:]
     b2 = kernel.symbol[1:] ** 2
     c_low = float(np.max((1.0 - b2) / (k * k)))
     if not np.isfinite(c_low) or c_low <= 0:
-        return False, c_low, "no positive curvature constant near k = 0"
+        raise KernelAssumptionError("kernel fails the small-K symbol bounds: "
+                                    "no positive curvature constant near k = 0")
     bound = 1.0 / (1.0 + c_low * k * k)
     worst = float(np.max(b2 - bound))
     if worst > _KDV_SLACK:
-        return (
-            False,
-            c_low,
-            f"bhat^2 exceeds 1/(1 + C k^2) by {worst:.3g} for C = {c_low:.4g}",
+        raise KernelAssumptionError(
+            "kernel fails the small-K symbol bounds: "
+            f"bhat^2 exceeds 1/(1 + C k^2) by {worst:.3g} for C = {c_low:.4g}"
         )
-    return True, c_low, ""
+    return c_low
 
 
 @dataclass(frozen=True)
@@ -319,8 +308,6 @@ class KdvGridPolicy:
 
     l_floor: float = 25.0
     l_over_eps: float = 30.0
-    kernel_fraction: float = 1.0 / 8.0
-    feature_fraction: float = 1.0 / 16.0
     max_points: int = 2**15
 
     def grid_for(self, eps: float, kernel_scale: float) -> Grid:
@@ -328,8 +315,8 @@ class KdvGridPolicy:
             raise ValueError(f"eps = {eps:g} must be positive")
         half_period = max(self.l_floor, self.l_over_eps / eps)
         h_max = min(
-            kernel_scale * self.kernel_fraction,
-            self.feature_fraction / eps,
+            kernel_scale * _KERNEL_FRACTION,
+            _FEATURE_FRACTION / eps,
         )
         return _power_of_two_grid(f"eps = {eps:g}", half_period, h_max, self.max_points)
 
@@ -357,11 +344,7 @@ def kdv_experiment(
     profile seeded with the predicted limit wave."""
     eps_values, probe_kernel, kernels = _family_points(eps_list, "eps",
                                                        policy or KdvGridPolicy(), spec)
-    ok, c_const, message = check_kdv_assumption(probe_kernel)
-    if not ok:
-        raise KernelAssumptionError(
-            f"kernel fails the small-K symbol bounds: {message}"
-        )
+    c_const = check_kdv_assumption(probe_kernel)
     bpp = probe_kernel.bhat_pp0
     # The limit wave solves Ubar'' - kappa1 Ubar + kappa2 Ubar^2 = 0, whose
     # quadratic term comes from the r^2 Taylor coefficient of f, i.e. beta/2.
@@ -380,20 +363,21 @@ def kdv_experiment(
         "symbol_bound_constant": c_const,
     }
 
-    def point(eps, kernel):
+    rows, entries = [], []
+    for eps, kernel in zip(eps_values, kernels):
         grid = kernel.grid
-        init = Profile(grid, eps**2 * kdv_profile(kappa1, kappa2, eps * grid.nodes))
-        return (eps,), eps**3, init
-
-    def measure(eps, kernel, sol):
-        grid = kernel.grid
-        d_ratio = (sol.sigma - nl.alpha) / eps**2
         limit = kdv_profile(kappa1, kappa2, eps * grid.nodes)
-        diff = sol.U.samples / eps**2 - limit
-        return d_ratio, float(np.sqrt(eps * grid.spacing * dot(diff, diff)))
-
-    return _solve_family(nl, "eps", eps_values, kernels, KdvRow, point, measure,
-                         predictors, tol_residual, max_iter)
+        cfg = SolverConfig(K=eps**3, tol_residual=tol_residual, max_iter=max_iter,
+                           init_profile=Profile(grid, eps**2 * limit))
+        entry = attempt(cfg, kernel, nl, label=point_label("eps", eps))
+        measured = {}
+        if entry.error is None:
+            diff = entry.solution.U.samples / eps**2 - limit
+            measured = {"d_ratio": (entry.solution.sigma - nl.alpha) / eps**2,
+                        "profile_err": float(np.sqrt(eps * grid.spacing * dot(diff, diff)))}
+        rows.append(KdvRow(eps=eps, sigma=_sigma(entry), **measured))
+        entries.append(entry)
+    return FamilyResult(rows, predictors, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +406,6 @@ class HighEnergyGridPolicy:
     kernel and the sqrt(eps)-wide saturation zone of the profile peak."""
 
     half_period: float = 25.0
-    kernel_fraction: float = 1.0 / 8.0
     peak_fraction: float = 1.0 / 16.0
     max_points: int = 2**15
 
@@ -430,7 +413,7 @@ class HighEnergyGridPolicy:
         if not 0.0 < delta < 1.0:
             raise ValueError(f"delta = {delta:g} must lie in (0, 1)")
         h_max = min(
-            kernel_scale * self.kernel_fraction,
+            kernel_scale * _KERNEL_FRACTION,
             # eps_delta is of order delta/2
             self.peak_fraction * math.sqrt(delta * 0.5),
         )
@@ -478,16 +461,19 @@ def high_energy_experiment(
         "k_max": probe_kernel.k_max_norm,
     }
 
-    def point(delta, kernel):
+    rows, entries = [], []
+    for delta, kernel in zip(deltas, kernels):
         K = (1.0 - delta) * kernel.k_max_norm
-        return (delta, K), K, kernel.profile.scaled(1.0 / kernel.a0)
-
-    def measure(delta, kernel, sol):
-        eps_delta = 1.0 - sol.U.value_at_zero()
-        eta = sol.sigma * eps_delta ** (nl.m + 0.5)
-        a_profile = kernel.convolve(kernel.profile)
-        sup_err = float(np.max(np.abs(sol.U.samples - a_profile.samples / kernel.a0)))
-        return eps_delta, eta, sup_err
-
-    return _solve_family(nl, "delta", deltas, kernels, HighEnergyRow, point, measure,
-                         predictors, tol_residual, max_iter)
+        cfg = SolverConfig(K=K, tol_residual=tol_residual, max_iter=max_iter,
+                           init_profile=kernel.profile.scaled(1.0 / kernel.a0))
+        entry = attempt(cfg, kernel, nl, label=point_label("delta", delta))
+        measured = {}
+        if entry.error is None:
+            sol = entry.solution
+            eps_delta = 1.0 - sol.U.value_at_zero()
+            limit = kernel.convolve(kernel.profile).samples / kernel.a0  # a/a(0)
+            measured = {"eps_delta": eps_delta, "eta": sol.sigma * eps_delta ** (nl.m + 0.5),
+                        "sup_err": float(np.max(np.abs(sol.U.samples - limit)))}
+        rows.append(HighEnergyRow(delta=delta, K=K, sigma=_sigma(entry), **measured))
+        entries.append(entry)
+    return FamilyResult(rows, predictors, entries)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GridMismatchError, OddPointCountError
 
-_MIN_POINTS = 8
+MIN_POINTS = 8
 
 # Long dot products are summed chunk by chunk.  OpenBLAS splits a ddot of
 # more than 10000 entries over its threads, so the rounding of one call
@@ -61,15 +61,16 @@ class Grid:
 
 
 def make_grid(half_period: float, point_count: int) -> Grid:
-    """Validated Grid constructor; rejects odd n, tiny n, non-positive L."""
-    if not half_period > 0:
-        raise ValueError(f"half_period must be positive, got {half_period}")
+    """Validated Grid constructor; rejects odd n, tiny n, and an L that is
+    not positive and finite."""
+    if not 0 < half_period < np.inf:
+        raise ValueError(f"half_period must be positive and finite, got {half_period}")
     if point_count % 2 != 0:
         raise OddPointCountError(
             f"point_count must be even so the node x = 0 exists, got {point_count}"
         )
-    if point_count < _MIN_POINTS:
-        raise ValueError(f"point_count must be at least {_MIN_POINTS}, got {point_count}")
+    if point_count < MIN_POINTS:
+        raise ValueError(f"point_count must be at least {MIN_POINTS}, got {point_count}")
     return Grid(float(half_period), int(point_count))
 
 

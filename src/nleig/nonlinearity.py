@@ -17,6 +17,13 @@ from .config import REQUIRED, as_number, read_fields, string
 from .errors import DomainBreachError
 
 
+def _parameter(name: str, value: float) -> float:
+    """value as a float; a ValueError naming it unless positive and finite."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
 class Nonlinearity:
     """Vectorized evaluators for f, f', and F with a domain guard.
 
@@ -74,9 +81,7 @@ def exp_nonlinearity() -> Nonlinearity:
 
 def quadratic_nonlinearity(alpha: float, beta: float) -> Nonlinearity:
     """f(r) = alpha r + (beta/2) r^2, the minimal superlinear polynomial."""
-    if not alpha > 0 or not beta > 0:
-        raise ValueError(f"alpha and beta must be positive, got {alpha}, {beta}")
-    a, b = float(alpha), float(beta)
+    a, b = _parameter("alpha", alpha), _parameter("beta", beta)
     return Nonlinearity(
         kind="quadratic",
         alpha=a,
@@ -89,9 +94,7 @@ def quadratic_nonlinearity(alpha: float, beta: float) -> Nonlinearity:
 
 def singular_nonlinearity(m: float) -> Nonlinearity:
     """f(s) = (1-s)^(-(m+1)) - 1 on [0, 1); alpha = m+1, beta = (m+1)(m+2)."""
-    if not m > 0:
-        raise ValueError(f"m must be positive, got {m}")
-    m = float(m)
+    m = _parameter("m", m)
 
     def f(s):
         return (1.0 - s) ** (-(m + 1.0)) - 1.0

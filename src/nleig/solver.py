@@ -77,8 +77,11 @@ class SolverConfig:
             raise ValueError(f"tol_residual must lie in (0, 2), got {self.tol_residual}")
         if not self.max_iter >= 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.init_width is not None and not self.init_width > 0:
-            raise ValueError(f"init_width must be positive, got {self.init_width}")
+        # the Gaussian start divides by the width's square, which must not underflow
+        width = self.init_width
+        if width is not None and not (width > 0 and width * width > 0):
+            raise ValueError("init_width must be positive, with a square that does not "
+                             f"underflow to 0, got {width}")
         if not self.monotonicity_slack >= 0:
             raise ValueError(
                 f"monotonicity_slack must be nonnegative, got {self.monotonicity_slack}"
@@ -161,8 +164,10 @@ def _default_initial(cfg: SolverConfig, kernel: Kernel) -> Profile:
     grid = kernel.grid
     width = _start_width(cfg, kernel)
     x = grid.nodes
-    # a numpy square overflows to inf (a flat start) where a float one raises
-    return Profile(grid, np.exp(-(x**2) / (2.0 * np.float64(width) ** 2)))
+    # a numpy square overflows to inf (a flat start) where a float one raises,
+    # and x^2 over a tiny square overflows to inf (a zero sample)
+    with np.errstate(over="ignore"):
+        return Profile(grid, np.exp(-(x**2) / (2.0 * np.float64(width) ** 2)))
 
 
 def _on_sphere(samples: np.ndarray, grid: Grid, K: float) -> np.ndarray:

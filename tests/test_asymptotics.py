@@ -18,6 +18,7 @@ from nleig import (
     NonPositiveTailError,
     SolverConfig,
     SymbolPoleError,
+    UnderResolvedError,
     check_kdv_assumption,
     decay_rate_theory,
     decay_report,
@@ -98,22 +99,20 @@ def test_kdv_limit_wave_mass_identity():
 
 def test_kdv_assumption_gate():
     g = make_grid(25.0, 2048)
-    ok, c, _ = check_kdv_assumption(gaussian_kernel(g))
-    assert ok and c > 0
-    ok, _, _ = check_kdv_assumption(indicator_kernel(g))
-    assert ok
-    ok, _, _ = check_kdv_assumption(spectral_ode_kernel(make_grid(25.0, 4096)))
-    assert ok
+    assert check_kdv_assumption(gaussian_kernel(g)) > 0
+    assert check_kdv_assumption(indicator_kernel(g)) > 0
+    assert check_kdv_assumption(spectral_ode_kernel(make_grid(25.0, 4096))) > 0
     # widely separated bumps put too much weight at high frequencies
-    ok, _, message = check_kdv_assumption(two_bump_kernel(g, width=0.6, separation=6.0))
-    assert not ok
-    assert "exceeds" in message
+    with pytest.raises(KernelAssumptionError,
+                       match=r"^kernel fails the small-K symbol bounds: bhat\^2 exceeds"):
+        check_kdv_assumption(two_bump_kernel(g, width=0.6, separation=6.0))
     # a spike of mass 2 has bhat = 2 at every k, so 1 - bhat^2 < 0 everywhere
     spike = np.zeros(g.point_count)
     spike[g.point_count // 2] = 2.0 / g.spacing
-    ok, c, message = check_kdv_assumption(kernel_from_samples(g, spike, normalize=False))
-    assert not ok and c < 0
-    assert message == "no positive curvature constant near k = 0"
+    with pytest.raises(KernelAssumptionError) as err:
+        check_kdv_assumption(kernel_from_samples(g, spike, normalize=False))
+    assert str(err.value) == ("kernel fails the small-K symbol bounds: "
+                              "no positive curvature constant near k = 0")
 
 
 def test_kdv_grid_policy():
@@ -439,6 +438,22 @@ def test_high_energy_input_validation():
 def test_family_grid_sizing_names_the_point(policy, point, scale, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         policy.grid_for(point, scale)
+
+
+@pytest.mark.parametrize(
+    "experiment, nl, policy",
+    [(kdv_experiment, exp_nonlinearity(), KdvGridPolicy(l_floor=0.01, l_over_eps=0.001)),
+     (high_energy_experiment, singular_nonlinearity(4.0), HighEnergyGridPolicy(half_period=0.01))],
+    ids=["kdv", "high-energy"],
+)
+def test_family_grid_has_at_least_8_points(experiment, nl, policy):
+    # a half period of 0.01 needs under one point at spacing 1/8: the grid
+    # takes make_grid's 8, and the kernel's own gate names the real condition
+    grid = policy.grid_for(0.5, 1.0)
+    assert type(grid.point_count) is int and grid.point_count == 8
+    with pytest.raises(UnderResolvedError,
+                       match=re.escape("half period 0.01 below 8, the bump centre plus 8*width")):
+        experiment(KernelSpec(kind="gaussian", width=1.0), nl, [0.5], policy=policy)
 
 
 def test_eta0_beyond_the_gamma_range_is_a_value_error():

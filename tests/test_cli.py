@@ -388,8 +388,8 @@ def test_sweep_k_rejects_a_k_at_k_max_before_any_solve(tmp_path, capsys):
         # a number is not NaN, which Python's json reads though JSON has none
         ("kdv", {"kernel": {"kind": "gaussian", "width": 1.0},
                  "nonlinearity": {"kind": "exp"}, "eps_list": [0.2],
-                 "grid_policy": {"feature_fraction": math.nan}},
-         "feature_fraction in grid_policy section"),
+                 "grid_policy": {"l_over_eps": math.nan}},
+         "l_over_eps in grid_policy section"),
         ("uniqueness-probe", {**_solve_config(), "distance_tol": math.nan},
          "distance_tol in config"),
         ("solve", {**_solve_config(), "kernel": {"kind": "gaussian", "width": math.nan}},
@@ -413,6 +413,39 @@ def test_wrong_typed_config_value_exits_2(tmp_path, capsys, command, config, key
     assert code == 2
     assert key in capsys.readouterr().err
     assert not out.exists()  # read before the output directory is made
+
+
+@pytest.mark.parametrize(
+    "section, text, message",
+    [("nonlinearity", '{"kind": "quadratic", "alpha": 1e999, "beta": 1}',
+      "alpha must be positive and finite, got inf"),
+     ("nonlinearity", '{"kind": "singular", "m": 1e999}', "m must be positive and finite, got inf"),
+     ("solver", '{"K": 1.0, "init_width": 1e-200}', "init_width must be positive")],
+)
+def test_unusable_parameter_exits_2_naming_it(tmp_path, capsys, section, text, message):
+    # JSON's 1e999 reads as inf; a width of 1e-200 has a square of 0, so the
+    # Gaussian start would read 0/0 at x = 0
+    config = {key: value for key, value in _solve_config().items() if key != section}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config)[:-1] + f', "{section}": {text}}}')
+    code = main(["solve", "--config", str(path), "--output", str(tmp_path / "run")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("kdv", "kernel_fraction"), ("kdv", "feature_fraction"),
+     ("high-energy", "kernel_fraction")],
+)
+def test_fixed_grid_fractions_are_unknown_keys(tmp_path, capsys, command, key):
+    # the spacing fractions 1/8 of the kernel and 1/16 of the wave are fixed
+    config = copy.deepcopy(_SMALL_CONFIGS[command])
+    config["grid_policy"][key] = 0.125
+    code, out = _run(tmp_path, command, config)
+    assert code == 2
+    assert f"unknown keys ['{key}'] in grid_policy section" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solver_counters_go_to_meta_json_only(tmp_path):
@@ -940,12 +973,11 @@ _SMALL_CONFIGS = {
                 "k_list": [1.0, 1.5], "warm_start": True},
     "kdv": {"kernel": _GAUSSIAN, "nonlinearity": {"kind": "exp"}, "eps_list": [0.4],
             "solver": {"tol_residual": 1e-4, "max_iter": 50},
-            "grid_policy": {"l_floor": 16.0, "l_over_eps": 1.0, "kernel_fraction": 0.125,
-                            "feature_fraction": 0.0625, "max_points": 256}},
+            "grid_policy": {"l_floor": 16.0, "l_over_eps": 1.0, "max_points": 256}},
     "high-energy": {"kernel": _GAUSSIAN, "nonlinearity": {"kind": "singular", "m": 4},
                     "delta_list": [0.3], "solver": {"max_iter": 50},
-                    "grid_policy": {"half_period": 16.0, "kernel_fraction": 0.125,
-                                    "peak_fraction": 0.5, "max_points": 256}},
+                    "grid_policy": {"half_period": 16.0, "peak_fraction": 0.5,
+                                    "max_points": 256}},
     "decay": {"grid": {"half_period": 20.0, "point_count": 256}, "kernel": {"kind": "ode"},
               "nonlinearity": {"kind": "quadratic", "alpha": 1.0, "beta": 2.0},
               "solver": {"K": 0.95, "tol_residual": 1e-5, "max_iter": 50}, "c": 0.9,

@@ -1,5 +1,7 @@
 """Grid, profile, cone, kernel convolution, and CSV round-trip checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,10 @@ def test_make_grid_rejects_bad_arguments():
         make_grid(0.0, 64)
     with pytest.raises(ValueError):
         make_grid(-2.0, 64)
+    # an infinite L would give nodes of inf and nan
+    for half_period in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="half_period must be positive and finite"):
+            make_grid(half_period, 8)
     with pytest.raises(OddPointCountError):
         make_grid(10.0, 65)
     with pytest.raises(ValueError):

@@ -48,6 +48,20 @@ def test_quadratic_values():
         quadratic_nonlinearity(1.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "factory, args, name",
+    [(quadratic_nonlinearity, (math.inf, 1.0), "alpha"),
+     (quadratic_nonlinearity, (1.0, math.inf), "beta"),
+     (quadratic_nonlinearity, (math.nan, 1.0), "alpha"),
+     (singular_nonlinearity, (math.inf,), "m"),
+     (singular_nonlinearity, (0.0,), "m")],
+)
+def test_parameters_must_be_positive_and_finite(factory, args, name):
+    # an infinite parameter made the first P nan
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        factory(*args)
+
+
 def test_singular_values_and_domain_guard():
     nl = singular_nonlinearity(4.0)
     assert nl.m == 4.0

@@ -381,6 +381,7 @@ def test_solve_validates_config():
         ("tol_residual", -1.0),
         ("max_iter", 0),
         ("init_width", -1.0),
+        ("init_width", 1e-200),  # its square underflows: x = 0 would read 0/0
         ("monotonicity_slack", -1.0),
         ("tol_residual", np.inf),
         ("tol_residual", 1e308),
@@ -390,6 +391,13 @@ def test_solve_validates_config():
 def test_solver_config_rejects_unusable_values(field, value):
     with pytest.raises(ValueError, match=field):
         SolverConfig(**{"K": 1.0, field: value})
+
+
+def test_huge_init_width_gives_the_flat_start_without_a_warning():
+    # the width's square overflows to inf, with no RuntimeWarning (an error
+    # under the suite's filter), and every sample reads 1
+    start = solver._default_initial(SolverConfig(K=1.0, init_width=1e200), KERNEL)
+    assert np.array_equal(start.samples, np.ones(G.point_count))
 
 
 def test_solve_overflow_is_a_named_error():
