@@ -68,7 +68,7 @@ from .nonlinearity import (
     quadratic_nonlinearity,
     singular_nonlinearity,
 )
-from .functionals import EnergyRecord, eval_K, eval_P, eval_Q, grad_P
+from .functionals import eval_K, eval_P, eval_Q, grad_P
 from .solver import (
     IterationTrace,
     Solution,

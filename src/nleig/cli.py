@@ -245,7 +245,7 @@ def _finished(job: _Job, name: str, entries) -> int:
 def _record(job: _Job, out: Path, solution) -> int:
     """Record the solve and save its solution.  Returns the exit code, 3
     when the solve did not converge."""
-    entry = SweepEntry.returned(solution)
+    entry = SweepEntry(solution.K, solution, solution.error)
     job.entries.append(entry)
     save_solution(solution, out)
     return 0 if entry.error is None else _error(entry.error, 3)
@@ -286,9 +286,8 @@ def _run_sweep(job, out, args):
         if sol is None:
             rows.append(_SweepRow(entry.K, error=entry.error))
             continue
-        rows.append(_SweepRow(entry.K, sol.sigma, sol.energies.P, sol.energies.Q,
-                              sol.residual, sol.el_residual, sol.iterations,
-                              sol.converged))
+        rows.append(_SweepRow(entry.K, sol.sigma, sol.P, sol.Q, sol.residual,
+                              sol.el_residual, sol.iterations, sol.converged))
         save_solution(sol, out, stem=f"k_{i:03d}")
     _write_rows(out / "sweep.csv", rows)
     return _finished(job, "sweep", entries)

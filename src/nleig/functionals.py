@@ -7,24 +7,12 @@ nonzero cone profiles quantifies the superlinear energy gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalOverflowError
 from .grid import Profile, inner_product
 from .kernels import Kernel
 from .nonlinearity import Nonlinearity
-
-
-@dataclass(frozen=True)
-class EnergyRecord:
-    """Snapshot of the energies of one profile."""
-
-    P: float
-    K: float
-    Q: float
-    sup_U: float
 
 
 def eval_K(v: Profile) -> float:
@@ -57,11 +45,6 @@ def grad_p_of_u(u: Profile, kernel: Kernel, nl: Nonlinearity) -> Profile:
             f"f(U) is not finite at max U = {u.max:.6g}; U overflowed f"
         ) from None
     return kernel.convolve(f_profile)
-
-
-def energies_of_u(v: Profile, u: Profile, P: float, alpha: float) -> EnergyRecord:
-    """EnergyRecord of V with U = b*V and P = p_of_u(U) already known."""
-    return EnergyRecord(P=P, K=eval_K(v), Q=q_of_u(u, alpha), sup_U=u.max)
 
 
 def eval_P(v: Profile, kernel: Kernel, nl: Nonlinearity) -> float:

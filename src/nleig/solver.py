@@ -32,7 +32,7 @@ from .errors import (
     NumericalOverflowError,
     ZeroGradientError,
 )
-from .functionals import EnergyRecord, energies_of_u, eval_K, grad_p_of_u, p_of_u
+from .functionals import eval_K, grad_p_of_u, p_of_u, q_of_u
 from .grid import (
     ConeReport,
     Grid,
@@ -108,7 +108,8 @@ class Solution:
     U: Profile
     sigma: float
     K: float
-    energies: EnergyRecord
+    P: float  # P(V), the last accepted p_of_u(U)
+    Q: float  # Q(V), q_of_u(U)
     residual: float
     el_residual: float
     iterations: int
@@ -125,6 +126,14 @@ class Solution:
         """FFTs: 4 per step, 4 per mixed candidate, 4 outside the loop."""
         return 4 * (1 + self.iterations + self.accelerated_steps + self.rejected_steps)
 
+    @property
+    def error(self) -> str | None:
+        """None once converged, else the non-convergence line; a solve that
+        did not converge ran all max_iter steps."""
+        if self.converged:
+            return None
+        return f"no convergence in {self.iterations} iterations (residual {self.residual:.3g})"
+
 
 def _finite(value: float, name: str, iteration: int) -> float:
     if not math.isfinite(value):
@@ -136,9 +145,11 @@ def _finite(value: float, name: str, iteration: int) -> float:
 
 def _step(u: Profile, norm_v: float, kernel: Kernel, nl: Nonlinearity, iteration: int):
     """Samples of T(V) = mu grad P(V) and mu = ||V|| / ||grad P(V)||, from
-    U = b*V and norm_v = ||V||."""
-    g = grad_p_of_u(u, kernel, nl)
-    norm_g = _finite(l2_norm(g), "||grad P||", iteration)
+    U = b*V and norm_v = ||V||.  An overflow is named by f(U)'s Profile check
+    or by _finite, not warned about."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = grad_p_of_u(u, kernel, nl)
+        norm_g = _finite(l2_norm(g), "||grad P||", iteration)
     if norm_g == 0.0:
         raise ZeroGradientError("grad P vanished; improvement step undefined")
     mu = norm_v / norm_g
@@ -336,7 +347,9 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     target_norm = float(np.sqrt(2.0 * cfg.K))
 
     u = kernel.convolve(v)
-    p_prev = _finite(p_of_u(u, nl), "P", 0)
+    # an overflowing P is named by _finite, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_prev = _finite(p_of_u(u, nl), "P", 0)
 
     trace_p, trace_res, trace_kerr, trace_cone = [], [], [], []
     max_p_drop = 0.0
@@ -371,7 +384,8 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
 
         # evaluation
         u_next = kernel.convolve(proposal)
-        p_next = _finite(p_of_u(u_next, nl), "P", iterations)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p_next = _finite(p_of_u(u_next, nl), "P", iterations)
 
         # acceptance: P is lowered when it falls by more than both the
         # proposal's allowance and _FLOOR_MULTIPLE times its rounding floor
@@ -422,7 +436,8 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         U=u,
         sigma=float(sigma),
         K=cfg.K,
-        energies=energies_of_u(v, u, p_prev, nl.alpha),
+        P=p_prev,
+        Q=q_of_u(u, nl.alpha),
         residual=residual,
         el_residual=el_residual,
         iterations=iterations,
@@ -438,34 +453,28 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
 
 @dataclass(frozen=True)
 class SweepEntry:
-    """One solve, isolated: error is None when it converged,
-    "no convergence in <max_iter> iterations (residual <r>)" when it ran out
-    of iterations (solution kept), and "<Type>: <message>" when it raised
-    (solution None).  label names the solve within its run, as "K=2" or
-    "width=1.5"; a single solve has none."""
+    """One solve, isolated: error is None when it converged, the solution's
+    own error when it ran out of iterations (solution kept), and
+    "<Type>: <message>" when it raised (solution None).  label names the
+    solve within its run, as "K=2" or "width=1.5"; a single solve has none."""
 
     K: float
     solution: Solution | None
     error: str | None = None
     label: str = ""
 
-    @classmethod
-    def returned(cls, sol: Solution, label: str = "") -> SweepEntry:
-        """The entry of a solve that returned, converged or not; one that
-        did not converge ran all max_iter steps."""
-        if sol.converged:
-            return cls(sol.K, sol, None, label)
-        return cls(sol.K, sol, f"no convergence in {sol.iterations} iterations "
-                               f"(residual {sol.residual:.3g})", label)
-
     def warnings(self) -> list[str]:
         """What this solve warns about, each line after "<label>: " when it
         has a label: an energy drop beyond the solver's default slack (a drop
-        within it is rounding), then the error, always the last line."""
+        within it is rounding), a V that is constant to within _P_ROUNDING
+        of its maximum, then the error, always the last line."""
         lines = []
         sol = self.solution
         if sol is not None and sol.max_p_drop > SolverConfig.monotonicity_slack:
             lines.append(f"energy decreased by relative {sol.max_p_drop:.3g} during the run")
+        if sol is not None and sol.V.max - sol.V.samples.min() <= _P_ROUNDING * sol.V.max:
+            lines.append("V is constant on the cell: a periodic fixed point, "
+                         "not a localized profile")
         if self.error is not None:
             lines.append(self.error)
         return [f"{self.label}: {line}" if self.label else line for line in lines]
@@ -492,7 +501,7 @@ def attempt(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity, label: str | No
         sol = solve(replace(cfg, **changes), kernel, nl)
     except Exception as exc:  # per-point isolation: the family continues
         return SweepEntry(K, None, f"{type(exc).__name__}: {exc}", label)
-    return SweepEntry.returned(sol, label)
+    return SweepEntry(sol.K, sol, sol.error, label)
 
 
 def sweep_K(
@@ -617,9 +626,9 @@ def solution_to_dict(sol: Solution) -> dict:
     return {
         "sigma": sol.sigma,
         "K": sol.K,
-        "P": sol.energies.P,
-        "Q": sol.energies.Q,
-        "sup_U": sol.energies.sup_U,
+        "P": sol.P,
+        "Q": sol.Q,
+        "sup_U": sol.U.max,
         "residual": sol.residual,
         "el_residual": sol.el_residual,
         "iterations": sol.iterations,

@@ -94,7 +94,7 @@ def test_criterion_02_euler_lagrange_residual(gauss_runs):
     details = []
     ok = True
     for K, sol in runs.items():
-        gap = sol.sigma * K - sol.energies.P
+        gap = sol.sigma * K - sol.P
         ok &= sol.converged and sol.el_residual <= 1e-9
         ok &= sol.sigma > nl.alpha and gap >= -1e-9
         details.append(f"K={K:g}: el_residual={sol.el_residual:.2e}, "
@@ -122,8 +122,8 @@ def test_criterion_03_iteration_invariants(gauss_runs):
 def test_criterion_04_super_quadraticity(gauss_runs, ode_solution):
     _, nl_g, runs = gauss_runs
     _, nl_o, sol_o, _ = ode_solution
-    pairs = [(nl_g.alpha, sol.energies.P, sol.K) for sol in runs.values()]
-    pairs.append((nl_o.alpha, sol_o.energies.P, sol_o.K))
+    pairs = [(nl_g.alpha, sol.P, sol.K) for sol in runs.values()]
+    pairs.append((nl_o.alpha, sol_o.P, sol_o.K))
     margins = [(P - alpha * K) / K for alpha, P, K in pairs]
     ok = all(m > 0 for m in margins)
     _report(

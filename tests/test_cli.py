@@ -107,10 +107,26 @@ def test_solve_validation_failures_exit_2(tmp_path, capsys, mutate):
 
 
 def test_solve_overflow_exits_3(tmp_path, capsys):
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, _ = _run(tmp_path, "solve", _solve_config(K=1e6))
+    code, _ = _run(tmp_path, "solve", _solve_config(K=1e6))
     assert code == 3
     assert "NumericalOverflowError" in capsys.readouterr().err
+
+
+def test_flat_start_solution_is_flagged(tmp_path, capsys):
+    # a start wider than the cell is flat, and the constant profile is an
+    # exact periodic fixed point: the solve converges, and meta.json says
+    # what it converged to
+    code, out = _run(tmp_path, "solve", _solve_config(init_width=1e200))
+    assert code == 0
+    assert capsys.readouterr().out == "sigma = 1.1070137908 after 1 iterations\n"
+    assert json.loads((out / "meta.json").read_text())["warnings"] == [
+        "V is constant on the cell: a periodic fixed point, not a localized profile"]
+    # below the branch point the localized solution is nearly flat, but not
+    # constant to rounding, and draws no such line
+    config = {**_solve_config(K=0.02), "grid": {"half_period": 25.0, "point_count": 2000}}
+    code, out = _run(tmp_path, "solve", config, name="below_branch")
+    assert code == 0
+    assert json.loads((out / "meta.json").read_text())["warnings"] == []
 
 
 _EXIT_3_ERRORS = {"ComputationError", "DomainBreachError", "ZeroGradientError",
@@ -296,8 +312,7 @@ def test_sweep_k_threads_flag_is_accepted_and_ignored(tmp_path, capsys):
 def test_sweep_k_failed_row(tmp_path):
     # the solve at K = 1e6 overflows f at its first step
     config = {**_solve_config(), "solver": {}, "k_list": [0.5, 1e6]}
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out = _run(tmp_path, "sweep-k", config)
+    code, out = _run(tmp_path, "sweep-k", config)
     assert code == 0
     error = ("NumericalOverflowError: ||grad P|| is inf at iteration 1; "
              "the iterate overflowed")
@@ -955,6 +970,22 @@ def test_decay_outputs_do_not_depend_on_blas_threads(tmp_path):
                         for name in ("solution.json", "V.csv", "U.csv", "decay.json")})
         assert json.loads((out / "meta.json").read_text())["blas_threads"] == (threads or "1")
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("K", [1e6, 1e8])
+def test_overflow_exits_3_with_runtime_warnings_as_errors(tmp_path, K):
+    """An overflowing solve (at K 1e6 the gradient norm, at 1e8 the first P)
+    prints its named error and nothing else, even where a numpy
+    RuntimeWarning would be an error: pyproject's filter reaches only
+    in-process runs, so a fresh process checks the CLI itself."""
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(_solve_config(K=K)))
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "nleig.cli",
+                          "solve", "--config", str(config), "--output", str(tmp_path / "out")],
+                         env=_fresh_env(None), capture_output=True, text=True)
+    assert run.returncode == 3
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: NumericalOverflowError:")
 
 
 # one small valid config per command: n = 256 and at most 50 iterations.

@@ -1,5 +1,7 @@
 """Energy functionals against quadrature and finite-difference oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,10 @@ from nleig import (
     Nonlinearity,
     singular_nonlinearity,
     Profile,
+    SolverConfig,
+    save_solution,
+    solve,
 )
-from nleig.functionals import energies_of_u, p_of_u
 from oracles import direct_convolution, fd_grad_p, random_cone_profile, riemann
 
 G = make_grid(10.0, 128)
@@ -53,15 +57,14 @@ def test_grad_p_matches_finite_differences():
         assert np.max(np.abs(g - fd)) <= 1e-6 * scale
 
 
-def test_energy_record_is_consistent():
-    rng = np.random.default_rng(8)
-    v = random_cone_profile(rng, G)
-    u = KERNEL.convolve(v)
-    rec = energies_of_u(v, u, p_of_u(u, NL), NL.alpha)
-    assert rec.K == pytest.approx(eval_K(v))
-    assert rec.P == pytest.approx(eval_P(v, KERNEL, NL))
-    assert rec.Q == pytest.approx(eval_Q(v, KERNEL, NL.alpha))
-    assert rec.sup_U == pytest.approx(KERNEL.convolve(v).max)
+def test_solution_energies_are_consistent(tmp_path):
+    # a Solution's P and Q are those of its V, and solution.json's sup_U is
+    # the maximum of its U
+    sol = solve(SolverConfig(K=1.0), KERNEL, NL)
+    assert sol.P == pytest.approx(eval_P(sol.V, KERNEL, NL), rel=1e-12)
+    assert sol.Q == pytest.approx(eval_Q(sol.V, KERNEL, NL.alpha), rel=1e-12)
+    save_solution(sol, tmp_path)
+    assert json.loads((tmp_path / "solution.json").read_text())["sup_U"] == sol.U.max
 
 
 def test_p_is_convex_along_segments():

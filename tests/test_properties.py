@@ -67,8 +67,8 @@ def test_converged_solve_beats_the_linear_problem(width, nl, k_fraction):
     assert sol.converged
     assert sol.cone.in_cone(1e-9 * sol.V.max)
     assert sol.sigma > nl.alpha
-    assert sol.energies.P > sol.energies.Q
-    assert sol.energies.Q == pytest.approx(eval_Q(sol.V, kernel, nl.alpha), rel=1e-12)
+    assert sol.P > sol.Q
+    assert sol.Q == pytest.approx(eval_Q(sol.V, kernel, nl.alpha), rel=1e-12)
 
 
 # wide kernels and weak quadratic nonlinearities: near the branch point of
@@ -90,4 +90,4 @@ def test_mixed_steps_keep_the_invariants(width, alpha, beta, k_fraction):
     assert np.max(sol.trace.constraint_errors) <= 1e-12
     assert np.max(sol.trace.cone_deviations) <= 1e-12
     assert sol.sigma > nl.alpha
-    assert sol.energies.P > sol.energies.Q
+    assert sol.P > sol.Q

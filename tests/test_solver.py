@@ -95,7 +95,7 @@ def test_solve_regression_pin(reference_solution):
     assert sol.sigma == pytest.approx(1.213013143093, rel=1e-6)
     assert sol.el_residual <= 1e-9
     assert sol.iterations < 1000
-    assert sol.energies.P > sol.energies.Q
+    assert sol.P > sol.Q
     assert eval_K(sol.V) == pytest.approx(1.0, rel=1e-12)
     assert sol.cone.in_cone(1e-9 * sol.V.max)
 
@@ -183,7 +183,7 @@ def test_slow_contraction_at_small_k_mixes():
     assert sol.accelerated_steps > 0 and sol.iterations <= 100
     assert sol.converged
     assert sol.sigma > NL.alpha
-    assert sol.energies.P > sol.energies.Q
+    assert sol.P > sol.Q
     assert sol.cone.in_cone(1e-9 * sol.V.max)
     # the plain iteration's sigma
     assert sol.sigma == pytest.approx(1.0790586609686053, rel=1e-9)
@@ -201,7 +201,7 @@ def test_near_branch_point_solve_converges():
     assert sol.converged and sol.iterations < 500
     assert sol.accelerated_steps > 0
     assert sol.sigma > nl.alpha
-    assert sol.energies.P > sol.energies.Q
+    assert sol.P > sol.Q
     assert sol.cone.in_cone(1e-9 * sol.V.max)
 
 
@@ -401,10 +401,13 @@ def test_huge_init_width_gives_the_flat_start_without_a_warning():
 
 
 def test_solve_overflow_is_a_named_error():
-    # exp(U) at K = 1e6 overflows the gradient norm in the first step
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalOverflowError):
-            solve(SolverConfig(K=1e6), KERNEL, NL)
+    # exp(U) at K = 1e6 overflows the gradient norm in the first step, and at
+    # K = 1e8 the first P; each is named with no RuntimeWarning (an error
+    # under the suite's filter), so no errstate is needed here
+    with pytest.raises(NumericalOverflowError, match=r"\|\|grad P\|\| is inf at iteration 1"):
+        solve(SolverConfig(K=1e6), KERNEL, NL)
+    with pytest.raises(NumericalOverflowError, match="P is inf at iteration 0"):
+        solve(SolverConfig(K=1e8), KERNEL, NL)
 
 
 def test_improvement_step_overflow_is_a_named_error():
@@ -525,7 +528,7 @@ def test_energy_slope_in_k_is_the_multiplier_sigma(nl, K):
     kernel = gaussian_kernel(grid, width=1.0)
 
     def p_star(k):
-        return solve(SolverConfig(K=k, tol_residual=1e-13), kernel, nl).energies.P
+        return solve(SolverConfig(K=k, tol_residual=1e-13), kernel, nl).P
 
     sigma = solve(SolverConfig(K=K, tol_residual=1e-13), kernel, nl).sigma
     errors = [abs((p_star(K + dk) - p_star(K - dk)) / (2.0 * dk) - sigma) / sigma
@@ -586,8 +589,7 @@ def test_sweep_matches_single_solve_and_orders_output():
 
 def test_sweep_isolates_per_entry_failures():
     # the solve at K = 1e6 overflows f at its first step
-    with np.errstate(over="ignore", invalid="ignore"):
-        entries = sweep_K([0.5, 1.0, 1e6], SolverConfig(K=1.0), KERNEL, NL)
+    entries = sweep_K([0.5, 1.0, 1e6], SolverConfig(K=1.0), KERNEL, NL)
     assert entries[0].error is None and entries[0].solution.converged
     assert entries[1].error is None and entries[1].solution.converged
     assert entries[2].solution is None
@@ -637,12 +639,16 @@ def test_entry_warnings_follow_one_rule(reference_solution):
     # a drop within the slack is rounding
     within = replace(named.solution, max_p_drop=SolverConfig.monotonicity_slack)
     assert replace(named, solution=within, error=None).warnings() == []
+    # every entry of a solve that returned carries the solution's own error
+    assert named.error == named.solution.error == (
+        f"no convergence in 3 iterations (residual {named.solution.residual:.3g})")
     # an entry without a label, as of a single solve, warns without a prefix
-    single = SweepEntry.returned(named.solution)
-    assert single.label == "" and single.error == named.error
-    assert single.warnings() == [named.error]
-    converged = SweepEntry.returned(reference_solution, "K=1")
-    assert converged.error is None and converged.warnings() == []
+    sol = named.solution
+    single = SweepEntry(sol.K, sol, sol.error)
+    assert single.label == "" and single.warnings() == [named.error]
+    assert reference_solution.error is None
+    converged = SweepEntry(reference_solution.K, reference_solution, None, "K=1")
+    assert converged.warnings() == []
 
 
 def test_sweep_warm_start_converges_faster():
