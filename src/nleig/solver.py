@@ -11,10 +11,12 @@ projected away.  An energy decrease beyond both the slack and P's own
 rounding signals discretization failure and aborts the run.
 
 Where the plain map contracts slowly (near sigma = f'(0), the small-K
-limit), the loop mixes a Fourier-preconditioned map instead, the fixed-K
-form of accelerated imaginary-time evolution, by a safeguarded secant step
-over its last two iterates; a mixed candidate replaces the plain step only
-when P falls by no more than its rounding and the iterate stays in the cone.
+limit), the loop proposes a mixed candidate instead: an inexact Newton step
+on the even tangent space, solved by conjugate gradients under a Fourier
+preconditioner, or, where that step would leave the cone, the
+preconditioned map itself, the fixed-K form of accelerated imaginary-time
+evolution.  A candidate replaces the plain step only when P falls by no
+more than its rounding and the iterate stays in the cone.
 """
 
 from __future__ import annotations
@@ -120,11 +122,7 @@ class Solution:
     contraction_rate: float = math.nan  # mean residual ratio per step, last 10 steps
     accelerated_steps: int = 0  # accepted mixed candidates
     rejected_steps: int = 0  # mixed candidates the safeguard turned down
-
-    @property
-    def transforms(self) -> int:
-        """FFTs: 4 per step, 4 per mixed candidate, 4 outside the loop."""
-        return 4 * (1 + self.iterations + self.accelerated_steps + self.rejected_steps)
+    transforms: int = 0  # rfft and irfft calls the solve made
 
     @property
     def error(self) -> str | None:
@@ -133,6 +131,22 @@ class Solution:
         if self.converged:
             return None
         return f"no convergence in {self.iterations} iterations (residual {self.residual:.3g})"
+
+
+class _Transforms:
+    """numpy's rfft and irfft of samples on n points, each call counted."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.count = 0
+
+    def rfft(self, samples: np.ndarray) -> np.ndarray:
+        self.count += 1
+        return np.fft.rfft(samples)
+
+    def irfft(self, coefficients: np.ndarray) -> np.ndarray:
+        self.count += 1
+        return np.fft.irfft(coefficients, self.n)
 
 
 def _finite(value: float, name: str, iteration: int) -> float:
@@ -262,22 +276,8 @@ def _rate(residuals, steps: int) -> float:
     return (residuals[-1] / residuals[-1 - steps]) ** (1.0 / steps)
 
 
-def _secant(f: np.ndarray, g: np.ndarray, last) -> np.ndarray | None:
-    """Secant step (Anderson mixing of depth 1) of G from the current pair
-    (f, g) = (G(V) - V, G(V)) and the previous pair `last`:
-    g - gamma (g - g_prev), gamma = <df, f>/<df, df> with df = f - f_prev.
-    None when there is no previous pair, df = 0 or gamma is not finite."""
-    if last is None:
-        return None
-    df = f - last[0]
-    df_df = dot(df, df)
-    # a numpy quotient overflows to inf where a float one raises
-    gamma = np.float64(dot(df, f)) / df_df if df_df > 0.0 else math.nan
-    return g - gamma * (g - last[1]) if math.isfinite(gamma) else None
-
-
-def _preconditioned(g: np.ndarray, v: np.ndarray, kernel: Kernel,
-                    alpha: float) -> np.ndarray | None:
+def _preconditioned(g: np.ndarray, v: np.ndarray, kernel: Kernel, alpha: float,
+                    ffts: _Transforms) -> np.ndarray | None:
     """One accelerated imaginary-time step at fixed K (Yang & Lakoba 2008)
     from g = grad P(V): V + M^-1 (g - lam V) with the Fourier-diagonal
     M = mu - alpha bhat^2, mu = <g, V>/<V, V> and lam = <g, W>/<V, W>,
@@ -289,12 +289,97 @@ def _preconditioned(g: np.ndarray, v: np.ndarray, kernel: Kernel,
     m = mu - alpha * kernel.symbol**2
     if not np.min(m) > 0.0:
         return None
-    n = kernel.grid.point_count
-    v_hat = np.fft.rfft(v)
-    w = np.fft.irfft(v_hat / m, n)
+    v_hat = ffts.rfft(v)
+    w = ffts.irfft(v_hat / m)
     lam = np.float64(dot(g, w)) / dot(v, w)
-    out = v + np.fft.irfft((np.fft.rfft(g) - lam * v_hat) / m, n)
+    out = v + ffts.irfft((ffts.rfft(g) - lam * v_hat) / m)
     return out if np.all(np.isfinite(out)) else None
+
+
+_CG_MAX_ITER = 50
+
+
+def _newton(g: np.ndarray, v: np.ndarray, u: Profile, residual: float, kernel: Kernel,
+            nl: Nonlinearity, ffts: _Transforms) -> np.ndarray | None:
+    """Inexact Newton step d for sigma V = grad P(V) on the even tangent
+    space {d even, <d, V> = 0} (Yang 2009), from g = grad P(V) and U = b*V:
+    (sigma - P L P) d = P (g - sigma V), with L w = b*(f'(U) b*w),
+    sigma = <g, V>/<V, V> and P the orthogonal projection off V.  Solved by
+    conjugate gradients on the real rfft coefficients of even node-ordered
+    profiles, with Parseval weights, preconditioned by _preconditioned's
+    M = sigma - alpha bhat^2 under the oblique projection through W = M^-1 V,
+    and stopped at a relative residual of min(0.5, sqrt(residual)) or after
+    _CG_MAX_ITER iterations.  None when min M <= 0, when the first <p, Ap>
+    is not positive (a later one ends the iteration) or when d is not
+    finite.  3 FFTs and 2 per iteration."""
+    # a numpy quotient gives inf or nan where a float one raises
+    sigma = np.float64(dot(g, v)) / dot(v, v)
+    m = sigma - nl.alpha * kernel.symbol**2
+    if not np.min(m) > 0.0:
+        return None
+    # an even profile's rfft is real, and sum(a b) = sum(weights a_hat b_hat)
+    weights = np.full(m.shape, 2.0 / ffts.n)
+    weights[0] = weights[-1] = 1.0 / ffts.n
+
+    def inner(a, b):
+        return np.float64(dot(weights * a, b))
+
+    b_hat, fp = kernel.symbol, nl.f_prime(u.samples)
+    v_hat = ffts.rfft(v).real
+    w_hat = v_hat / m
+    v_v, v_w = inner(v_hat, v_hat), inner(v_hat, w_hat)
+
+    def off_v(a):  # P a
+        return a - (inner(v_hat, a) / v_v) * v_hat
+
+    def apply(p):  # (sigma - P L P) p, p orthogonal to V
+        return sigma * p - off_v(b_hat * ffts.rfft(fp * ffts.irfft(b_hat * p)).real)
+
+    def precondition(r):  # M^-1 r moved along W back to <V, .> = 0
+        return r / m - (inner(w_hat, r) / v_w) * w_hat
+
+    # a non-finite value ends in a non-finite d or <p, Ap>, named by None
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = off_v(ffts.rfft(g - sigma * v).real)
+        x = np.zeros_like(r)
+        stop = min(0.5, math.sqrt(residual)) * np.sqrt(inner(r, r))
+        p = z = precondition(r)
+        r_z = inner(r, z)
+        for cg_iteration in range(_CG_MAX_ITER):
+            a_p = apply(p)
+            p_a_p = inner(p, a_p)
+            if not p_a_p > 0.0:
+                if cg_iteration == 0:
+                    return None
+                break
+            step = r_z / p_a_p
+            x += step * p
+            r -= step * a_p
+            if np.sqrt(inner(r, r)) <= stop:
+                break
+            z = precondition(r)
+            r_z, r_z_prev = inner(r, z), r_z
+            p = z + (r_z / r_z_prev) * p
+        d = ffts.irfft(x)
+    return d if np.all(np.isfinite(d)) else None
+
+
+def _candidate(v: Profile, g: np.ndarray, u: Profile, plain: Profile, residual: float,
+               kernel: Kernel, nl: Nonlinearity, K: float,
+               ffts: _Transforms) -> Profile | None:
+    """The mixed candidate from g = grad P(V), U = b*V and the plain step
+    G(V), even and on the sphere (1/2)||V||^2 = K: the Newton step V + d
+    when it keeps the cone against G(V) (_keeps_cone, read before any
+    evaluation and with no FFT), else Gp(V), the even part of
+    _preconditioned's step; None when neither exists."""
+    grid = kernel.grid
+    d = _newton(g, v.samples, u, residual, kernel, nl, ffts)
+    if d is not None:
+        newton = Profile(grid, _on_sphere(even_part(v.samples + d), grid, K))
+        if _keeps_cone(newton, plain):
+            return newton
+    pre = _preconditioned(g, v.samples, kernel, nl.alpha, ffts)
+    return None if pre is None else Profile(grid, _on_sphere(even_part(pre), grid, K))
 
 
 def _check_below_k_max(K: float, kernel: Kernel, nl: Nonlinearity) -> None:
@@ -314,22 +399,20 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     Each step is one proposal, one evaluation and one acceptance.  The
     proposal is the plain step G(V), the even part of T(V) on the sphere, or,
     once the residuals shrink by less than _GATE_RATE per step over the last
-    _GATE_WINDOW steps, a mixed candidate in its place: the secant step of
-    the preconditioned map Gp (the even part of _preconditioned's step,
-    renormalized to K) over the last two iterates, or Gp(V) without a
-    previous pair, renormalized to K; where min M <= 0 there is none.  The
-    evaluation convolves the proposal and computes its P.  The acceptance
-    finds P lowered when it falls by more than both the proposal's relative
-    allowance (monotonicity_slack for the plain step, _P_ROUNDING for a
-    candidate, whatever the slack) and _FLOOR_MULTIPLE times P's rounding
-    floor (_p_floor).  A plain step is accepted, or raises when P is
+    _GATE_WINDOW steps, a mixed candidate in its place (_candidate): the
+    Newton step when it keeps the cone, else Gp(V), the preconditioned
+    step; where min M <= 0 there is none.  The evaluation convolves the
+    proposal and computes its P.  The acceptance finds P lowered when it
+    falls by more than both the proposal's relative allowance
+    (monotonicity_slack for the plain step, _P_ROUNDING for a candidate,
+    whatever the slack) and _FLOOR_MULTIPLE times P's rounding floor
+    (_p_floor).  A plain step is accepted, or raises when P is
     lowered; a candidate is accepted only when P is not lowered and it
     keeps the cone (_keeps_cone: its cone deviation is within _P_ROUNDING
     of G(V)'s, or G(V)'s exceeds _P_ROUNDING); a rejected candidate leaves
-    the iterate, drops the pair and makes the next step plain, since Gp(V)
-    would repeat it.  A step counts as one iteration and costs 4 FFTs, a
-    candidate 4 more, the solve 4 outside the loop: transforms =
-    4 (1 + iterations + accelerated_steps + rejected_steps).
+    the iterate and makes the next step plain, since the same V would
+    propose it again.  A step counts as one iteration; transforms counts
+    every rfft and irfft the solve made.
 
     Returns a Solution with converged=False when max_iter is exhausted; the
     caller decides whether that is fatal.  Raises MonotonicityViolationError
@@ -346,7 +429,9 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     v = Profile(grid, _on_sphere(v0.samples, grid, cfg.K))
     target_norm = float(np.sqrt(2.0 * cfg.K))
 
+    ffts = _Transforms(grid.point_count)
     u = kernel.convolve(v)
+    ffts.count += 2  # each Kernel.convolve is one rfft and one irfft
     # an overflowing P is named by _finite, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         p_prev = _finite(p_of_u(u, nl), "P", 0)
@@ -356,11 +441,11 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     recent = deque(maxlen=_RATE_WINDOW + 1)  # residuals of the last iterates
     mixing = False  # set once the gate has opened
     resting = False  # set by a rejected candidate: the next step is plain
-    last = None  # (f, Gp(V)) of the previous iterate, while mixing
     accelerated = rejected = 0
 
     for iterations in range(1, cfg.max_iter + 1):  # max_iter >= 1: residual is bound
         t_samples, mu = _step(u, target_norm, kernel, nl, iterations)
+        ffts.count += 2  # grad P's convolution
         residual = norm(t_samples - v.samples, grid) / target_norm
         recent.append(residual)
         if not mixing and len(recent) > _GATE_WINDOW:
@@ -369,21 +454,16 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         # proposal: the plain step G(V), or a mixed candidate in its place
         g = Profile(grid, _on_sphere(even_part(t_samples), grid, cfg.K))
         proposal = g
-        pre = None
         if mixing and not resting:
             # t_samples / mu, not _step's gradient, whose rounding moves step counts
-            pre = _preconditioned(t_samples / mu, v.samples, kernel, nl.alpha)
+            candidate = _candidate(v, t_samples / mu, u, g, residual, kernel, nl, cfg.K, ffts)
+            if candidate is not None:
+                proposal = candidate
         resting = False
-        if pre is None:
-            last = None
-        else:
-            gp = _on_sphere(even_part(pre), grid, cfg.K)
-            f = gp - v.samples
-            secant, last = _secant(f, gp, last), (f, gp)
-            proposal = Profile(grid, _on_sphere(gp if secant is None else secant, grid, cfg.K))
 
         # evaluation
         u_next = kernel.convolve(proposal)
+        ffts.count += 2  # the proposal's
         with np.errstate(over="ignore", invalid="ignore"):
             p_next = _finite(p_of_u(u_next, nl), "P", iterations)
 
@@ -405,7 +485,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
             accelerated += proposal is not g
             v, u, p_prev = proposal, u_next, p_next
         else:
-            last, resting = None, True
+            resting = True
             rejected += 1
 
         if cfg.record_trace:
@@ -419,6 +499,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
 
     # final Rayleigh-type quotient and Euler-Lagrange residual at the last iterate
     g = grad_p_of_u(u, kernel, nl)
+    ffts.count += 2  # the result's gradient
     norm_v = l2_norm(v)
     sigma = l2_norm(g) / norm_v
     el_residual = norm(sigma * v.samples - g.samples, grid) / (sigma * norm_v)
@@ -448,6 +529,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         contraction_rate=_rate(recent, len(recent) - 1) if len(recent) > 1 else math.nan,
         accelerated_steps=accelerated,
         rejected_steps=rejected,
+        transforms=ffts.count,
     )
 
 

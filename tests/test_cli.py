@@ -121,11 +121,24 @@ def test_flat_start_solution_is_flagged(tmp_path, capsys):
     assert capsys.readouterr().out == "sigma = 1.1070137908 after 1 iterations\n"
     assert json.loads((out / "meta.json").read_text())["warnings"] == [
         "V is constant on the cell: a periodic fixed point, not a localized profile"]
-    # below the branch point the localized solution is nearly flat, but not
-    # constant to rounding, and draws no such line
-    config = {**_solve_config(K=0.02), "grid": {"half_period": 25.0, "point_count": 2000}}
-    code, out = _run(tmp_path, "solve", config, name="below_branch")
+    # below the cell's branch point K_b = 0.02507 the solution is the
+    # constant c = sqrt(K/L), with sigma = (e^c - 1)/c
+    grid = {"half_period": 25.0, "point_count": 2000}
+    code, out = _run(tmp_path, "solve", {**_solve_config(K=0.02), "grid": grid},
+                     name="below_branch")
     assert code == 0
+    c = math.sqrt(0.02 / 25.0)
+    assert json.loads((out / "solution.json").read_text())["sigma"] == pytest.approx(
+        math.expm1(c) / c, rel=1e-12)
+    v = np.loadtxt(out / "V.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.ptp(v) <= 1e-12 * np.max(v)
+    # just above it the solution is localized though nearly flat (min V/max V
+    # 0.70), and draws no such line
+    code, out = _run(tmp_path, "solve", {**_solve_config(K=0.026), "grid": grid},
+                     name="above_branch")
+    assert code == 0
+    v = np.loadtxt(out / "V.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.min(v) / np.max(v) == pytest.approx(0.70, abs=0.01)
     assert json.loads((out / "meta.json").read_text())["warnings"] == []
 
 
@@ -463,7 +476,7 @@ def test_fixed_grid_fractions_are_unknown_keys(tmp_path, capsys, command, key):
     assert not out.exists()
 
 
-def test_solver_counters_go_to_meta_json_only(tmp_path):
+def test_solver_counters_go_to_meta_json_only(tmp_path, monkeypatch):
     keys = ["K", "accelerated_steps", "contraction_rate", "iterations",
             "max_p_drop", "rejected_steps", "transforms"]
     _, out = _run(tmp_path, "solve", _solve_config(), name="solve")
@@ -474,7 +487,24 @@ def test_solver_counters_go_to_meta_json_only(tmp_path):
     assert 0.0 <= counters["max_p_drop"] <= SolverConfig.monotonicity_slack
     assert 0 < counters["contraction_rate"] < nleig.solver._GATE_RATE
     assert "accelerated_steps" not in (out / "solution.json").read_text()
-    # the small-K point contracts slowly, so its solve mixes
+    # the small-K point contracts slowly, so its solve mixes; transforms is
+    # every rfft and irfft made inside the solve, Newton's included
+    solving, ffts = [], []
+    real_solve = nleig.solver.solve
+
+    def watched_solve(*args, **kwargs):
+        solving.append(True)
+        try:
+            return real_solve(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(nleig.solver, "solve", watched_solve)
+    for name in ("rfft", "irfft"):
+        def counted(*args, _real=getattr(np.fft, name), **kwargs):
+            ffts.extend(solving[:1])
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
     config = {"kernel": {"kind": "gaussian", "width": 1.0},
               "nonlinearity": {"kind": "exp"}, "eps_list": [0.2]}
     _, out = _run(tmp_path, "kdv", config, name="kdv")
@@ -482,10 +512,7 @@ def test_solver_counters_go_to_meta_json_only(tmp_path):
     assert sorted(counters) == keys
     assert counters["K"] == pytest.approx(0.008)
     assert counters["accelerated_steps"] > 0
-    # 4 FFTs per step and for the first iterate and the result, 4 more for
-    # each preconditioned candidate
-    mixed = counters["accelerated_steps"] + counters["rejected_steps"]
-    assert counters["transforms"] == 4 * (counters["iterations"] + 1 + mixed)
+    assert counters["transforms"] == len(ffts)
     header = (out / "kdv.csv").read_text().splitlines()[0]
     assert header == "eps,sigma,d_ratio,profile_err"
 

@@ -40,7 +40,7 @@ from nleig import (
 )
 from nleig import solver
 from nleig.grid import even_part, mirror
-from nleig.solver import _preconditioned, _secant, point_label
+from nleig.solver import _Transforms, _preconditioned, point_label
 from oracles import random_cone_profile
 
 G = make_grid(25.0, 2000)
@@ -150,29 +150,31 @@ def test_plain_step_is_the_even_part_of_t_on_the_sphere(monkeypatch):
 
 
 def test_accelerated_solve_keeps_the_invariants():
-    # the small-K sweep's eps = 0.2 point, traced: the plain map contracts
-    # at a rate near 1 there (1855 plain steps to converge), so
-    # the solve mixes
-    spec, nl, eps = KernelSpec(kind="gaussian", width=1.0), exp_nonlinearity(), 0.2
-    family = kdv_experiment(spec, nl, [eps])
-    grid = KdvGridPolicy().grid_for(eps, spec.length_scale)
-    init = Profile(grid, eps**2 * kdv_profile(family.predictors["kappa1"],
-                                              family.predictors["kappa2"],
-                                              eps * grid.nodes))
-    sol = solve(SolverConfig(K=eps**3, init_profile=init, max_iter=300_000,
-                             record_trace=True),
-                spec.build(grid), nl)
-    assert sol.converged and sol.accelerated_steps > 0
-    # the trace changes nothing along the path
-    untraced = family.entries[0].solution
-    assert (sol.iterations, sol.sigma) == (untraced.iterations, untraced.sigma)
-    assert sol.accelerated_steps == untraced.accelerated_steps
-    tr = sol.trace
-    assert tr.p_values.shape == (sol.iterations,)
-    assert np.all(np.diff(tr.p_values) >= -1e-12 * np.abs(tr.p_values[:-1]))
-    assert np.max(tr.cone_deviations) <= 1e-12
-    assert np.max(tr.constraint_errors) <= 1e-12
-    assert sol.cone.in_cone(1e-12 * sol.V.max)
+    # the small-K sweep's eps = 0.2 and 0.05 points, traced: the plain map
+    # contracts at a rate near 1 there (1855 and 13191 plain steps to
+    # converge), so the solve mixes, and its Newton steps converge in 6
+    spec, nl = KernelSpec(kind="gaussian", width=1.0), exp_nonlinearity()
+    for eps in (0.2, 0.05):
+        family = kdv_experiment(spec, nl, [eps])
+        grid = KdvGridPolicy().grid_for(eps, spec.length_scale)
+        init = Profile(grid, eps**2 * kdv_profile(family.predictors["kappa1"],
+                                                  family.predictors["kappa2"],
+                                                  eps * grid.nodes))
+        sol = solve(SolverConfig(K=eps**3, init_profile=init, max_iter=300_000,
+                                 record_trace=True),
+                    spec.build(grid), nl)
+        assert sol.converged and sol.accelerated_steps > 0
+        assert sol.iterations <= 6
+        # the trace changes nothing along the path
+        untraced = family.entries[0].solution
+        assert (sol.iterations, sol.sigma) == (untraced.iterations, untraced.sigma)
+        assert sol.accelerated_steps == untraced.accelerated_steps
+        tr = sol.trace
+        assert tr.p_values.shape == (sol.iterations,)
+        assert np.all(np.diff(tr.p_values) >= -1e-12 * np.abs(tr.p_values[:-1]))
+        assert np.max(tr.cone_deviations) <= 1e-12
+        assert np.max(tr.constraint_errors) <= 1e-12
+        assert sol.cone.in_cone(1e-12 * sol.V.max)
 
 
 def test_slow_contraction_at_small_k_mixes():
@@ -205,19 +207,31 @@ def test_near_branch_point_solve_converges():
     assert sol.cone.in_cone(1e-9 * sol.V.max)
 
 
-def test_secant_step_solves_an_affine_map():
-    # for G(v) = a v + b with scalar a, the residuals of two plain iterates
-    # are parallel, so one secant step lands on the fixed point b / (1 - a)
-    rng = np.random.default_rng(3)
-    a, b = 0.9, rng.standard_normal(64)
-    v0 = rng.standard_normal(64)
-    v1 = a * v0 + b
-    g0, g1 = v1, a * v1 + b
-    mixed = _secant(g1 - v1, g1, (g0 - v0, g0))
-    assert np.max(np.abs(mixed - b / (1.0 - a))) <= 1e-12 * np.max(np.abs(b / (1.0 - a)))
-    # no previous pair, or a repeated one, gives no candidate
-    assert _secant(g1 - v1, g1, None) is None
-    assert _secant(g1 - v1, g1, (g1 - v1, g1)) is None
+def test_newton_step_matches_a_dense_solve():
+    # (sigma - P L P) d = P (g - sigma V) on the even tangent space of an
+    # iterate short of the solution, against np.linalg.solve on an
+    # orthonormal basis of {d even, <d, V> = 0}
+    grid = make_grid(8.0, 64)
+    kernel = gaussian_kernel(grid, width=1.0)
+    v = solve(SolverConfig(K=0.5, max_iter=3), kernel, NL).V
+    u = kernel.convolve(v)
+    g = grad_P(v, kernel, NL).samples
+    # a residual of 1e-30 asks CG for a relative residual of 1e-15
+    d = solver._newton(g, v.samples, u, 1e-30, kernel, NL, _Transforms(grid.point_count))
+    eye = np.eye(grid.point_count)
+    conv = np.column_stack([kernel.convolve(Profile(grid, e)).samples for e in eye])
+    linear = conv @ np.diag(NL.f_prime(u.samples)) @ conv
+    V = v.samples
+    sigma = g @ V / (V @ V)
+    even = 0.5 * (eye + np.column_stack([mirror(e) for e in eye]))
+    off_v = eye - np.outer(V, V) / (V @ V)
+    basis, singular, _ = np.linalg.svd(off_v @ even)
+    basis = basis[:, singular > 1e-8]
+    assert basis.shape[1] == grid.point_count // 2
+    a = basis.T @ (sigma * eye - linear) @ basis
+    dense = basis @ np.linalg.solve(a, basis.T @ (g - sigma * V))
+    assert np.linalg.norm(dense) > 0.1 * np.linalg.norm(V)
+    assert np.linalg.norm(d - dense) <= 1e-9 * np.linalg.norm(dense)
 
 
 def test_preconditioned_step_is_one_inverse_iteration_step():
@@ -236,21 +250,27 @@ def test_preconditioned_step_is_one_inverse_iteration_step():
     m_full = m[np.minimum(np.arange(n), n - np.arange(n))]
     w = np.fft.fftshift(np.fft.ifft(np.fft.fft(np.fft.ifftshift(v)) / m_full).real)
     lam = np.dot(g, w) / np.dot(v, w)
-    step = _preconditioned(g, v, KERNEL, alpha)
+    step = _preconditioned(g, v, KERNEL, alpha, _Transforms(n))
     assert np.max(np.abs(step - (s + mu - lam) * w)) <= 1e-12 * np.max(np.abs(step))
     # without the shift mu <= alpha max bhat^2, so M is not positive
     plain = np.fft.irfft(a_sym * np.fft.rfft(v), n)
     assert np.dot(plain, v) / np.dot(v, v) <= np.max(a_sym)
-    assert _preconditioned(plain, v, KERNEL, alpha) is None
-    assert _preconditioned(g, v, KERNEL, 1.0001 * mu / np.max(KERNEL.symbol**2)) is None
+    assert _preconditioned(plain, v, KERNEL, alpha, _Transforms(n)) is None
+    assert _preconditioned(g, v, KERNEL, 1.0001 * mu / np.max(KERNEL.symbol**2),
+                           _Transforms(n)) is None
+
+
+def _quarter_period_off(v, g, u, plain, residual, kernel, nl, K, ffts):
+    # a candidate, two bumps a quarter period off center, that always lowers P
+    rolled = np.roll(v.samples, len(v.samples) // 4)
+    return Profile(v.grid, solver._on_sphere(even_part(rolled), v.grid, K))
 
 
 def test_rejected_candidate_is_followed_by_a_plain_step(monkeypatch):
-    # a preconditioner whose candidate, two bumps a quarter period off
-    # center, always lowers P: without a plain step after each rejection
-    # the iterate and so the candidate would repeat forever
-    monkeypatch.setattr(solver, "_preconditioned",
-                        lambda g, v, kernel, alpha: np.roll(v, len(v) // 4))
+    # a candidate builder whose candidate always lowers P: without a plain
+    # step after each rejection the iterate and so the candidate would
+    # repeat forever
+    monkeypatch.setattr(solver, "_candidate", _quarter_period_off)
     sol = solve(SolverConfig(K=0.1), KERNEL, NL)
     assert sol.converged and sol.accelerated_steps == 0
     assert 0 < sol.rejected_steps <= (sol.iterations + 1) // 2
@@ -259,8 +279,7 @@ def test_rejected_candidate_is_followed_by_a_plain_step(monkeypatch):
 def test_candidate_lowering_p_is_rejected_under_infinite_slack(monkeypatch):
     # the rounding allowance is fixed: an infinite monotonicity_slack, which
     # only stops a plain step's drop from raising, leaves the safeguard on
-    monkeypatch.setattr(solver, "_preconditioned",
-                        lambda g, v, kernel, alpha: np.roll(v, len(v) // 4))
+    monkeypatch.setattr(solver, "_candidate", _quarter_period_off)
     sol = solve(SolverConfig(K=0.1, monotonicity_slack=math.inf), KERNEL, NL)
     assert sol.converged and sol.accelerated_steps == 0
     assert 0 < sol.rejected_steps <= (sol.iterations + 1) // 2
@@ -292,7 +311,7 @@ def test_small_k_sweep_takes_few_steps():
     reference = [1.00766452755435, 1.00190992120838, 1.00047709320490]
     family = kdv_experiment(KernelSpec(kind="gaussian", width=1.0),
                             exp_nonlinearity(), [0.2, 0.1, 0.05])
-    assert sum(e.solution.iterations for e in family.entries) <= 40
+    assert sum(e.solution.iterations for e in family.entries) <= 20
     for sol, sigma in zip((e.solution for e in family.entries), reference):
         assert sol.converged and sol.rejected_steps == 0
         # the gate opens once the first _GATE_WINDOW + 1 residuals are in
@@ -311,19 +330,20 @@ def _count_ffts(monkeypatch) -> list:
     return calls
 
 
-def _shifted_a_quarter_period(g, v, kernel, alpha):
-    # the rest rule's always-rejected candidate, np.roll(v, n/4), made as two
-    # eighth-period shifts in Fourier space: 4 FFTs, as a real candidate costs
-    n = len(v)
+def _shifted_a_quarter_period(v, g, u, plain, residual, kernel, nl, K, ffts):
+    # the rest rule's always-rejected candidate, _quarter_period_off's, made
+    # as two eighth-period shifts in Fourier space through the solve's
+    # counted transforms
+    n, samples = ffts.n, v.samples
     phase = np.exp(-0.25j * np.pi * np.arange(n // 2 + 1))
     for _ in range(2):
-        v = np.fft.irfft(phase * np.fft.rfft(v), n)
-    return v
+        samples = ffts.irfft(phase * ffts.rfft(samples))
+    return Profile(v.grid, solver._on_sphere(even_part(samples), v.grid, K))
 
 
 def test_transforms_count_every_fft(reference_solution, monkeypatch):
-    # 4 FFTs per step (the gradient's convolution and the new iterate's),
-    # 4 for the first iterate and the result, 4 per preconditioned candidate
+    # a plain solve makes 4 FFTs per step (the gradient's convolution and
+    # the new iterate's) and 4 for the first iterate and the result
     sol = reference_solution
     assert sol.transforms == 4 * (sol.iterations + 1)
     grid = make_grid(16.0, 256)
@@ -334,12 +354,10 @@ def test_transforms_count_every_fft(reference_solution, monkeypatch):
     assert len(ffts) == plain.transforms == sol.transforms
     ffts.clear()
     mixed = solve(SolverConfig(K=0.75 * kernel.k_max_norm, tol_residual=1e-9), kernel, nl)
-    candidates = mixed.accelerated_steps + mixed.rejected_steps
-    assert candidates > 0
-    assert mixed.transforms == 4 * (mixed.iterations + 1 + candidates)
+    assert mixed.accelerated_steps + mixed.rejected_steps > 0
     assert len(ffts) == mixed.transforms
     # the rest rule: each rejected candidate is followed by a plain step
-    monkeypatch.setattr(solver, "_preconditioned", _shifted_a_quarter_period)
+    monkeypatch.setattr(solver, "_candidate", _shifted_a_quarter_period)
     ffts.clear()
     rested = solve(SolverConfig(K=0.1), KERNEL, NL)
     assert rested.rejected_steps > 0 and rested.accelerated_steps == 0
@@ -505,11 +523,13 @@ def test_candidate_within_rounding_of_the_plain_steps_cone_is_accepted(K):
 def test_candidates_keep_no_cone_the_plain_step_leaves():
     # two_bump is outside the paper's class: G(V) leaves the cone by 5.5e-4
     # and each candidate by 4e-13 more.  Held to G(V)'s deviation, every
-    # candidate was turned down at K = 3 and the solve took 43882 steps
+    # candidate was turned down at K = 3 and the solve took 43882 steps.
+    # K = 3 lies near the cell's branch point 2.99, where the plain map
+    # contracts at 0.99978: Newton steps converge in 23, secant steps took 129
     kernel = two_bump_kernel(make_grid(40.0, 4096), width=0.6, separation=6.0)
     cfg = SolverConfig(K=3.0, init_width=1.0, tol_residual=1e-11, max_iter=1000)
     sol = solve(cfg, kernel, exp_nonlinearity())
-    assert sol.converged
+    assert sol.converged and sol.iterations <= 40
     assert sol.accelerated_steps > 0
 
 
