@@ -15,8 +15,9 @@ limit), the loop proposes a mixed candidate instead: an inexact Newton step
 on the even tangent space, solved by conjugate gradients under a Fourier
 preconditioner, or, where that step would leave the cone, the
 preconditioned map itself, the fixed-K form of accelerated imaginary-time
-evolution.  A candidate replaces the plain step only when P falls by no
-more than its rounding and the iterate stays in the cone.
+evolution, which is the first preconditioned residual of the same CG run.
+A candidate is proposed only when it stays in the cone, and replaces the
+plain step only when P falls by no more than its rounding.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class Solution:
     max_p_drop: float = 0.0  # largest relative drop of P on an accepted step
     contraction_rate: float = math.nan  # mean residual ratio per step, last 10 steps
     accelerated_steps: int = 0  # accepted mixed candidates
-    rejected_steps: int = 0  # mixed candidates the safeguard turned down
+    rejected_steps: int = 0  # mixed candidates turned down for lowering P
     transforms: int = 0  # rfft and irfft calls the solve made
 
     @property
@@ -210,7 +211,7 @@ def _cone_deviation(v: Profile) -> float:
 
 # Mixing engages once the plain residuals shrink by less than
 # _GATE_RATE per step over the last _GATE_WINDOW steps.  The gate is about
-# cost: a candidate takes 4 more FFTs and may be rejected, so where the plain
+# cost: a candidate takes more FFTs and may be rejected, so where the plain
 # map already contracts fast, mixing takes more steps (ungated, sweep-k's
 # K = 4 ... 32 took 110/61/47/33 steps against 62/36/29/22 plain); below a
 # rate of about 0.8 it does not pay.  Measured plain rates: sweep-k
@@ -276,47 +277,34 @@ def _rate(residuals, steps: int) -> float:
     return (residuals[-1] / residuals[-1 - steps]) ** (1.0 / steps)
 
 
-def _preconditioned(g: np.ndarray, v: np.ndarray, kernel: Kernel, alpha: float,
-                    ffts: _Transforms) -> np.ndarray | None:
-    """One accelerated imaginary-time step at fixed K (Yang & Lakoba 2008)
-    from g = grad P(V): V + M^-1 (g - lam V) with the Fourier-diagonal
-    M = mu - alpha bhat^2, mu = <g, V>/<V, V> and lam = <g, W>/<V, W>,
-    W = M^-1 V.  None unless min M > 0 (the paper gives sigma > f'(0) only
-    at solutions) or when the result is not finite.  M depends only on the
-    frequency, so node order needs no shift; 4 FFTs when min M > 0."""
-    # a numpy quotient gives inf or nan where a float one raises
-    mu = np.float64(dot(g, v)) / dot(v, v)
-    m = mu - alpha * kernel.symbol**2
-    if not np.min(m) > 0.0:
-        return None
-    v_hat = ffts.rfft(v)
-    w = ffts.irfft(v_hat / m)
-    lam = np.float64(dot(g, w)) / dot(v, w)
-    out = v + ffts.irfft((ffts.rfft(g) - lam * v_hat) / m)
-    return out if np.all(np.isfinite(out)) else None
-
-
 _CG_MAX_ITER = 50
 
 
 def _newton(g: np.ndarray, v: np.ndarray, u: Profile, residual: float, kernel: Kernel,
-            nl: Nonlinearity, ffts: _Transforms) -> np.ndarray | None:
+            nl: Nonlinearity, ffts: _Transforms):
     """Inexact Newton step d for sigma V = grad P(V) on the even tangent
     space {d even, <d, V> = 0} (Yang 2009), from g = grad P(V) and U = b*V:
     (sigma - P L P) d = P (g - sigma V), with L w = b*(f'(U) b*w),
     sigma = <g, V>/<V, V> and P the orthogonal projection off V.  Solved by
     conjugate gradients on the real rfft coefficients of even node-ordered
-    profiles, with Parseval weights, preconditioned by _preconditioned's
+    profiles, with Parseval weights, preconditioned by the Fourier-diagonal
     M = sigma - alpha bhat^2 under the oblique projection through W = M^-1 V,
     and stopped at a relative residual of min(0.5, sqrt(residual)) or after
-    _CG_MAX_ITER iterations.  None when min M <= 0, when the first <p, Ap>
-    is not positive (a later one ends the iteration) or when d is not
-    finite.  3 FFTs and 2 per iteration."""
+    _CG_MAX_ITER iterations.
+
+    Returns (d, z0), z0 the rfft coefficients of the first preconditioned
+    residual.  Since <V, g - sigma V> = 0, z0 = M^-1 g - lam W with
+    lam = <g, W>/<V, W>, so V + irfft(z0) is Gp(V), one accelerated
+    imaginary-time step at fixed K (Yang & Lakoba 2008).  (None, None) when
+    min M <= 0 (the paper gives sigma > f'(0) only at solutions), (None, z0)
+    when the first <p, Ap> is not positive; a later one ends the iteration.
+    A non-finite value ends in a non-finite d or z0, for the caller to read.
+    3 FFTs and 2 per iteration."""
     # a numpy quotient gives inf or nan where a float one raises
     sigma = np.float64(dot(g, v)) / dot(v, v)
     m = sigma - nl.alpha * kernel.symbol**2
     if not np.min(m) > 0.0:
-        return None
+        return None, None
     # an even profile's rfft is real, and sum(a b) = sum(weights a_hat b_hat)
     weights = np.full(m.shape, 2.0 / ffts.n)
     weights[0] = weights[-1] = 1.0 / ffts.n
@@ -338,19 +326,18 @@ def _newton(g: np.ndarray, v: np.ndarray, u: Profile, residual: float, kernel: K
     def precondition(r):  # M^-1 r moved along W back to <V, .> = 0
         return r / m - (inner(w_hat, r) / v_w) * w_hat
 
-    # a non-finite value ends in a non-finite d or <p, Ap>, named by None
     with np.errstate(over="ignore", invalid="ignore"):
         r = off_v(ffts.rfft(g - sigma * v).real)
         x = np.zeros_like(r)
         stop = min(0.5, math.sqrt(residual)) * np.sqrt(inner(r, r))
-        p = z = precondition(r)
+        p = z = z0 = precondition(r)
         r_z = inner(r, z)
         for cg_iteration in range(_CG_MAX_ITER):
             a_p = apply(p)
             p_a_p = inner(p, a_p)
             if not p_a_p > 0.0:
                 if cg_iteration == 0:
-                    return None
+                    return None, z0
                 break
             step = r_z / p_a_p
             x += step * p
@@ -360,8 +347,7 @@ def _newton(g: np.ndarray, v: np.ndarray, u: Profile, residual: float, kernel: K
             z = precondition(r)
             r_z, r_z_prev = inner(r, z), r_z
             p = z + (r_z / r_z_prev) * p
-        d = ffts.irfft(x)
-    return d if np.all(np.isfinite(d)) else None
+        return ffts.irfft(x), z0
 
 
 def _candidate(v: Profile, g: np.ndarray, u: Profile, plain: Profile, residual: float,
@@ -369,17 +355,24 @@ def _candidate(v: Profile, g: np.ndarray, u: Profile, plain: Profile, residual: 
                ffts: _Transforms) -> Profile | None:
     """The mixed candidate from g = grad P(V), U = b*V and the plain step
     G(V), even and on the sphere (1/2)||V||^2 = K: the Newton step V + d
-    when it keeps the cone against G(V) (_keeps_cone, read before any
-    evaluation and with no FFT), else Gp(V), the even part of
-    _preconditioned's step; None when neither exists."""
+    when it is finite and keeps the cone against G(V) (_keeps_cone), else
+    Gp(V) = V + irfft(z0), read off the same CG run, on the same terms;
+    None when neither exists.  The clause is read before any evaluation and
+    with no FFT; the fallback costs one irfft."""
     grid = kernel.grid
-    d = _newton(g, v.samples, u, residual, kernel, nl, ffts)
-    if d is not None:
-        newton = Profile(grid, _on_sphere(even_part(v.samples + d), grid, K))
-        if _keeps_cone(newton, plain):
-            return newton
-    pre = _preconditioned(g, v.samples, kernel, nl.alpha, ffts)
-    return None if pre is None else Profile(grid, _on_sphere(even_part(pre), grid, K))
+
+    def kept(step):  # V + step, even and on the sphere, if finite and in the cone
+        samples = v.samples + step
+        if not np.all(np.isfinite(samples)):
+            return None
+        candidate = Profile(grid, _on_sphere(even_part(samples), grid, K))
+        return candidate if _keeps_cone(candidate, plain) else None
+
+    d, z0 = _newton(g, v.samples, u, residual, kernel, nl, ffts)
+    newton = None if d is None else kept(d)
+    if newton is not None or z0 is None:
+        return newton
+    return kept(ffts.irfft(z0))
 
 
 def _check_below_k_max(K: float, kernel: Kernel, nl: Nonlinearity) -> None:
@@ -401,18 +394,18 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     once the residuals shrink by less than _GATE_RATE per step over the last
     _GATE_WINDOW steps, a mixed candidate in its place (_candidate): the
     Newton step when it keeps the cone, else Gp(V), the preconditioned
-    step; where min M <= 0 there is none.  The evaluation convolves the
-    proposal and computes its P.  The acceptance finds P lowered when it
+    step, when it does (_keeps_cone: a cone deviation within _P_ROUNDING
+    of G(V)'s, or G(V)'s beyond _P_ROUNDING); where neither does, or
+    min M <= 0, there is none.  The evaluation convolves the proposal and
+    computes its P.  The acceptance reads P alone: P is lowered when it
     falls by more than both the proposal's relative allowance
     (monotonicity_slack for the plain step, _P_ROUNDING for a candidate,
     whatever the slack) and _FLOOR_MULTIPLE times P's rounding floor
-    (_p_floor).  A plain step is accepted, or raises when P is
-    lowered; a candidate is accepted only when P is not lowered and it
-    keeps the cone (_keeps_cone: its cone deviation is within _P_ROUNDING
-    of G(V)'s, or G(V)'s exceeds _P_ROUNDING); a rejected candidate leaves
-    the iterate and makes the next step plain, since the same V would
-    propose it again.  A step counts as one iteration; transforms counts
-    every rfft and irfft the solve made.
+    (_p_floor).  A plain step is accepted, or raises when P is lowered;
+    a candidate is accepted unless P is lowered, and a rejected candidate
+    leaves the iterate and makes the next step plain, since the same V
+    would propose it again.  A step counts as one iteration; transforms
+    counts every rfft and irfft the solve made.
 
     Returns a Solution with converged=False when max_iter is exhausted; the
     caller decides whether that is fatal.  Raises MonotonicityViolationError
@@ -480,7 +473,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
                 f"{iterations}; slack {cfg.monotonicity_slack:g} and "
                 f"{_FLOOR_MULTIPLE} times P's rounding floor {floor:.3g} exceeded"
             )
-        if not lowered and (proposal is g or _keeps_cone(proposal, g)):
+        if not lowered:
             max_p_drop = max(max_p_drop, (p_prev - p_next) / max(abs(p_prev), 1e-300))
             accelerated += proposal is not g
             v, u, p_prev = proposal, u_next, p_next

@@ -40,7 +40,7 @@ from nleig import (
 )
 from nleig import solver
 from nleig.grid import even_part, mirror
-from nleig.solver import _Transforms, _preconditioned, point_label
+from nleig.solver import _Transforms, point_label
 from oracles import random_cone_profile
 
 G = make_grid(25.0, 2000)
@@ -217,7 +217,7 @@ def test_newton_step_matches_a_dense_solve():
     u = kernel.convolve(v)
     g = grad_P(v, kernel, NL).samples
     # a residual of 1e-30 asks CG for a relative residual of 1e-15
-    d = solver._newton(g, v.samples, u, 1e-30, kernel, NL, _Transforms(grid.point_count))
+    d, _ = solver._newton(g, v.samples, u, 1e-30, kernel, NL, _Transforms(grid.point_count))
     eye = np.eye(grid.point_count)
     conv = np.column_stack([kernel.convolve(Profile(grid, e)).samples for e in eye])
     linear = conv @ np.diag(NL.f_prime(u.samples)) @ conv
@@ -237,9 +237,11 @@ def test_newton_step_matches_a_dense_solve():
 def test_preconditioned_step_is_one_inverse_iteration_step():
     # on the linear map g = (s + A) V with A = alpha bhat^2 Fourier-diagonal,
     # M = mu - A and V + M^-1 (g - lam V) = (s + mu - lam) M^-1 V: one step of
-    # inverse iteration with the shift mu
+    # inverse iteration with the shift mu.  That step, Gp(V), is V + irfft(z0)
+    # with z0 the first preconditioned residual of _newton's CG run
     alpha, s = 0.8, 0.3
-    v = random_cone_profile(np.random.default_rng(5), G).samples
+    profile = random_cone_profile(np.random.default_rng(5), G)
+    v, u = profile.samples, KERNEL.convolve(profile)
     a_sym = alpha * KERNEL.symbol**2
     g = np.fft.irfft((s + a_sym) * np.fft.rfft(v), G.point_count)
     mu = np.dot(g, v) / np.dot(v, v)
@@ -250,14 +252,18 @@ def test_preconditioned_step_is_one_inverse_iteration_step():
     m_full = m[np.minimum(np.arange(n), n - np.arange(n))]
     w = np.fft.fftshift(np.fft.ifft(np.fft.fft(np.fft.ifftshift(v)) / m_full).real)
     lam = np.dot(g, w) / np.dot(v, w)
-    step = _preconditioned(g, v, KERNEL, alpha, _Transforms(n))
+
+    def newton(g, alpha):
+        return solver._newton(g, v, u, 1.0, KERNEL, quadratic_nonlinearity(alpha, 1.0),
+                              _Transforms(n))
+
+    step = v + np.fft.irfft(newton(g, alpha)[1], n)
     assert np.max(np.abs(step - (s + mu - lam) * w)) <= 1e-12 * np.max(np.abs(step))
     # without the shift mu <= alpha max bhat^2, so M is not positive
     plain = np.fft.irfft(a_sym * np.fft.rfft(v), n)
     assert np.dot(plain, v) / np.dot(v, v) <= np.max(a_sym)
-    assert _preconditioned(plain, v, KERNEL, alpha, _Transforms(n)) is None
-    assert _preconditioned(g, v, KERNEL, 1.0001 * mu / np.max(KERNEL.symbol**2),
-                           _Transforms(n)) is None
+    for d, z0 in (newton(plain, alpha), newton(g, 1.0001 * mu / np.max(KERNEL.symbol**2))):
+        assert d is None and z0 is None
 
 
 def _quarter_period_off(v, g, u, plain, residual, kernel, nl, K, ffts):
@@ -362,6 +368,43 @@ def test_transforms_count_every_fft(reference_solution, monkeypatch):
     rested = solve(SolverConfig(K=0.1), KERNEL, NL)
     assert rested.rejected_steps > 0 and rested.accelerated_steps == 0
     assert len(ffts) == rested.transforms
+
+
+def test_fallback_leaving_the_cone_is_never_evaluated(monkeypatch):
+    # a Newton step that fails, with a fallback Gp(V) = V + side bumps at
+    # |x| = L/2 that leaves the cone: no candidate is proposed, so the solve
+    # takes the plain steps of a solve with no candidates, spending one irfft
+    # on each fallback and none on its evaluation
+    grid = make_grid(50.0, 2048)
+    kernel = gaussian_kernel(grid, width=1.0)
+    bumps = np.exp(-0.5 * (np.abs(grid.nodes) - 0.5 * grid.half_period) ** 2)
+    z = np.fft.rfft(bumps).real
+    cfg = SolverConfig(K=0.25)
+    ffts = _count_ffts(monkeypatch)
+    monkeypatch.setattr(solver, "_newton", lambda *args: (None, z))
+    sol = solve(cfg, kernel, NL)
+    assert sol.converged
+    assert sol.accelerated_steps == 0 and sol.rejected_steps == 0
+    assert len(ffts) == sol.transforms
+    monkeypatch.setattr(solver, "_candidate", lambda *args: None)
+    plain = solve(cfg, kernel, NL)
+    assert (sol.iterations, sol.sigma) == (plain.iterations, plain.sigma)
+    assert sol.transforms > plain.transforms  # the gate opened
+
+
+def test_fallback_below_the_branch_point_costs_one_transform(monkeypatch):
+    # below the branch point the maximizer is the constant c = sqrt(K/L),
+    # with sigma = f(c)/c.  Newton steps there leave the cone, and each
+    # fallback Gp(V) costs one irfft on top of them: 820 transforms, where a
+    # second build of Gp(V) took 1043
+    ffts = _count_ffts(monkeypatch)  # KERNEL's symbol is built already
+    K = 0.014
+    sol = solve(SolverConfig(K=K), KERNEL, NL)
+    c = math.sqrt(K / G.half_period)
+    assert sol.converged
+    assert np.max(np.abs(sol.V.samples - c)) <= 1e-8 * c
+    assert sol.sigma == pytest.approx(math.expm1(c) / c, rel=1e-12)
+    assert len(ffts) == sol.transforms <= 900
 
 
 def test_solve_respects_initial_profile():
