@@ -88,7 +88,7 @@ def quadratic_nonlinearity(alpha: float, beta: float) -> Nonlinearity:
         beta=b,
         f=lambda r: a * r + 0.5 * b * r * r,
         f_prime=lambda r: a + b * r,
-        antiderivative=lambda r: 0.5 * a * r * r + (b / 6.0) * r**3,
+        antiderivative=lambda r: r * r * (0.5 * a + (b / 6.0) * r),
     )
 
 

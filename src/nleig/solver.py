@@ -210,24 +210,39 @@ def _cone_deviation(v: Profile) -> float:
 
 
 # Mixing engages once the plain residuals shrink by less than
-# _GATE_RATE per step over the last _GATE_WINDOW steps.  The gate is about
-# cost: a candidate takes more FFTs and may be rejected, so where the plain
-# map already contracts fast, mixing takes more steps (ungated, sweep-k's
-# K = 4 ... 32 took 110/61/47/33 steps against 62/36/29/22 plain); below a
-# rate of about 0.8 it does not pay.  Measured plain rates: sweep-k
-# 0.948/0.920/0.876/0.813/... from K = 0.25 up, decay 0.893, high-energy at
-# most 0.04, the small-K sweep at least 0.98.  So 0.9 mixes sweep-k's two
-# smallest K and the small-K sweep and leaves decay plain.  The largest
-# single-step ratio of a plain solve is 0.893 on decay and 0.876 on sweep-k's
-# K = 1, so no window opens the gate there.  Three steps, because the
-# small-K sweep's first plain steps contract at 0.984-0.996 and gain almost
-# nothing (windows of 10/5/3/2/1 steps took that sweep 56/42/36/34/31
-# steps), and a mean over three ratios does not open on one transient ratio.
-# Mixing does not cost tail accuracy (decay mixed at a gate of 0.8 fits the
-# converged tail rate), but a gate below decay's rate waits on a benchmark
-# that reads decay's tail gap against a converged tail.
+# _GATE_RATE per step over the last _GATE_WINDOW steps.  Newton-CG no longer
+# needs the gate to save work: with the rate at 0 (three plain steps, then
+# Newton) it takes sweep-k's K = 1 ... 32 in 8/8/8/7/8/8 steps and
+# 83/83/85/66/83/74 FFTs, and from the first step in 6/5/5/5/6/6 steps and
+# 90/69/71/69/80/72 FFTs, where the plain map takes 149/96/62/36/29/22 steps
+# and 600/388/252/148/120/92 FFTs.  The gate stays because decay, mixed,
+# converges its 1e-10 solve further into the tail, which the benchmark reads
+# as a worse tail gap against an unconverged tail.
+# Measured plain rates: sweep-k 0.948/0.920/0.876/0.813/... from K = 0.25
+# up, decay 0.893, high-energy at most 0.04, the small-K sweep at least 0.98.
+# So 0.9 mixes sweep-k's two smallest K and the small-K sweep and leaves
+# decay plain.  The largest single-step ratio of a plain solve is 0.893 on
+# decay and 0.876 on sweep-k's K = 1, so no window opens the gate there.
+# Three steps, because the small-K sweep's first plain steps contract at
+# 0.984-0.996 and gain almost nothing (windows of 10/5/3/2/1 steps took that
+# sweep 56/42/36/34/31 steps), and a mean over three ratios does not open on
+# one transient ratio.
+#
+# A seeded solve need not fill the window: the gate also opens on any step
+# where f'(0)/sigma shows the plain map slow and the iterate is near a fixed
+# point.  The plain map contracts at lambda_2/sigma, and lambda_2 is at least about
+# f'(0) (f' >= f'(0) on U >= 0 and bhat is near 1 on the cell's lowest even
+# modes), so alpha mu = f'(0)/sigma above _GATE_RATE bounds the rate above
+# it: it read 0.927/0.886/0.824/0.735 against rates 0.948/0.920/0.876/0.813
+# on sweep-k's K = 0.25 ... 2, 0.834 against 0.893 on decay.  The residual
+# clause keeps a cold start out of Newton until it nears the maximizer: the
+# small-K sweep's seeds start at residuals of 3.8e-6 or less, while a switch
+# at 0.05 sent a cold start at K = 0.03 (gaussian width 1, exp, L 25,
+# n 2000) to a saddle, where it took 472 steps, 227 of them rejected,
+# against 17 through the window.
 _GATE_WINDOW = 3
 _GATE_RATE = 0.9
+_SEEDED_RESIDUAL = 1e-3
 _RATE_WINDOW = 10  # steps behind Solution.contraction_rate
 
 # A mixed candidate's allowance, in place of a plain step's
@@ -392,11 +407,12 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     Each step is one proposal, one evaluation and one acceptance.  The
     proposal is the plain step G(V), the even part of T(V) on the sphere, or,
     once the residuals shrink by less than _GATE_RATE per step over the last
-    _GATE_WINDOW steps, a mixed candidate in its place (_candidate): the
-    Newton step when it keeps the cone, else Gp(V), the preconditioned
-    step, when it does (_keeps_cone: a cone deviation within _P_ROUNDING
-    of G(V)'s, or G(V)'s beyond _P_ROUNDING); where neither does, or
-    min M <= 0, there is none.  The evaluation convolves the proposal and
+    _GATE_WINDOW steps, or from a step where alpha mu > _GATE_RATE and the
+    residual is below _SEEDED_RESIDUAL, a mixed candidate in its place
+    (_candidate): the Newton step when it keeps the cone, else Gp(V), the
+    preconditioned step, when it does (_keeps_cone: a cone deviation within
+    _P_ROUNDING of G(V)'s, or G(V)'s beyond _P_ROUNDING); where neither
+    does, or min M <= 0, there is none.  The evaluation convolves the proposal and
     computes its P.  The acceptance reads P alone: P is lowered when it
     falls by more than both the proposal's relative allowance
     (monotonicity_slack for the plain step, _P_ROUNDING for a candidate,
@@ -441,8 +457,10 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         ffts.count += 2  # grad P's convolution
         residual = norm(t_samples - v.samples, grid) / target_norm
         recent.append(residual)
-        if not mixing and len(recent) > _GATE_WINDOW:
-            mixing = _rate(recent, _GATE_WINDOW) > _GATE_RATE
+        if not mixing:
+            mixing = ((nl.alpha * mu > _GATE_RATE and residual < _SEEDED_RESIDUAL)
+                      or (len(recent) > _GATE_WINDOW
+                          and _rate(recent, _GATE_WINDOW) > _GATE_RATE))
 
         # proposal: the plain step G(V), or a mixed candidate in its place
         g = Profile(grid, _on_sphere(even_part(t_samples), grid, cfg.K))

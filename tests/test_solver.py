@@ -34,6 +34,7 @@ from nleig import (
     singular_nonlinearity,
     solution_to_dict,
     solve,
+    spectral_ode_kernel,
     sweep_K,
     two_bump_kernel,
     uniqueness_probe,
@@ -308,8 +309,8 @@ def test_accepted_candidate_drops_stay_within_p_rounding():
     drops = -np.diff(p) / np.maximum(np.abs(p[:-1]), 1e-300)
     assert sol.max_p_drop == max(np.max(drops), 0.0)
     assert 0.0 < sol.max_p_drop <= solver._P_ROUNDING
-    # the first _GATE_WINDOW steps are plain: the largest drop is a candidate's
-    assert np.argmax(drops) >= solver._GATE_WINDOW
+    # the seeded gate opens on the first step: every drop is a candidate's
+    assert sol.accelerated_steps == sol.iterations
 
 
 def test_small_k_sweep_takes_few_steps():
@@ -317,12 +318,58 @@ def test_small_k_sweep_takes_few_steps():
     reference = [1.00766452755435, 1.00190992120838, 1.00047709320490]
     family = kdv_experiment(KernelSpec(kind="gaussian", width=1.0),
                             exp_nonlinearity(), [0.2, 0.1, 0.05])
-    assert sum(e.solution.iterations for e in family.entries) <= 20
+    assert sum(e.solution.iterations for e in family.entries) <= 8
     for sol, sigma in zip((e.solution for e in family.entries), reference):
         assert sol.converged and sol.rejected_steps == 0
-        # the gate opens once the first _GATE_WINDOW + 1 residuals are in
-        assert sol.iterations - sol.accelerated_steps <= solver._GATE_WINDOW + 1
+        # each solve starts from the predicted limit wave, so the gate opens
+        # on its first step and every step is a candidate
+        assert sol.accelerated_steps == sol.iterations
         assert sol.sigma == pytest.approx(sigma, rel=1e-10)
+
+
+def test_seeded_small_k_solves_take_candidates_from_the_first_step():
+    # seeded with the predicted limit wave, each small-K solve starts within
+    # _SEEDED_RESIDUAL of its fixed point where f'(0)/sigma > _GATE_RATE, so
+    # it takes candidates from the first step, and P never falls by more
+    # than its rounding along the way
+    spec, nl = KernelSpec(kind="gaussian", width=1.0), exp_nonlinearity()
+    predictors = kdv_experiment(spec, nl, [0.2]).predictors
+    for eps in (0.2, 0.1, 0.05):
+        grid = KdvGridPolicy().grid_for(eps, spec.length_scale)
+        kernel = spec.build(grid)
+        init = Profile(grid, eps**2 * kdv_profile(predictors["kappa1"], predictors["kappa2"],
+                                                  eps * grid.nodes))
+        sol = solve(SolverConfig(K=eps**3, init_profile=init, record_trace=True), kernel, nl)
+        assert sol.converged and sol.rejected_steps == 0
+        assert sol.trace.residuals[0] < solver._SEEDED_RESIDUAL
+        assert nl.alpha / sol.sigma > solver._GATE_RATE
+        assert sol.accelerated_steps == sol.iterations
+        p0 = eval_P(Profile(grid, solver._on_sphere(init.samples, grid, eps**3)), kernel, nl)
+        p = np.concatenate(([p0], sol.trace.p_values))
+        assert np.all(np.diff(p) >= -solver._P_ROUNDING * np.abs(p[:-1]))
+
+
+def test_cold_start_near_the_branch_point_waits_for_the_window():
+    # K = 0.03 lies near the cell's branch point, where the plain map is
+    # slow (f'(0)/sigma = 0.98) but the Gaussian start is far from the
+    # maximizer: a residual switch of 0.05 in place of _SEEDED_RESIDUAL sent
+    # Newton to a saddle and the solve took 472 steps, 227 of them rejected.
+    # Through the rate window it takes 17
+    sol = solve(SolverConfig(K=0.03, record_trace=True), KERNEL, NL)
+    assert sol.converged and sol.iterations <= 30
+    assert sol.rejected_steps == 0 and sol.accelerated_steps > 0
+    assert NL.alpha / sol.sigma > solver._GATE_RATE
+    assert sol.trace.residuals[0] > solver._SEEDED_RESIDUAL
+
+
+def test_seeded_rule_stays_shut_where_the_plain_map_contracts_fast():
+    # decay's solve: its residual passes _SEEDED_RESIDUAL on the way to
+    # 1e-10, but f'(0)/sigma = 0.83 <= _GATE_RATE, so every step stays plain
+    nl = quadratic_nonlinearity(1.0, 2.0)
+    sol = solve(SolverConfig(K=0.3), spectral_ode_kernel(make_grid(60.0, 16384)), nl)
+    assert sol.converged
+    assert nl.alpha / sol.sigma <= solver._GATE_RATE
+    assert sol.accelerated_steps == 0 and sol.rejected_steps == 0
 
 
 def _count_ffts(monkeypatch) -> list:
