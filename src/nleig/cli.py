@@ -418,12 +418,14 @@ _COMMANDS = {
 
 
 def _solver_counters(sol) -> dict:
-    """The counters one solve records, for meta.json; the contraction rate
-    is null when the solve took a single step."""
+    """The counters one solve records, for meta.json, with the residual of
+    the V it returned; the contraction rate is null when the solve took no
+    step."""
     rate = sol.contraction_rate
     return {
         "K": sol.K,
         "iterations": sol.iterations,
+        "residual": sol.residual,
         "contraction_rate": rate if math.isfinite(rate) else None,
         "accelerated_steps": sol.accelerated_steps,
         "rejected_steps": sol.rejected_steps,

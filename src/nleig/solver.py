@@ -58,8 +58,11 @@ class SolverConfig:
 
     init_profile, when given, seeds the iteration (rescaled to the target K);
     otherwise a centered Gaussian bump of init_width is used, defaulting to
-    twice the kernel's root second moment.  Construction rejects values no
-    solve can use with a ValueError naming the condition.
+    twice the kernel's root second moment.  The solve stops at the first
+    iterate whose residual ||T(V) - V|| / ||V|| is at most tol_residual, or
+    at the iterate max_iter steps made, and returns that iterate.
+    Construction rejects values no solve can use with a ValueError naming
+    the condition.
     """
 
     K: float
@@ -105,7 +108,9 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class Solution:
-    """Converged (or exhausted) state of one solve."""
+    """Converged (or exhausted) state of one solve: residual, el_residual,
+    sigma, P, Q and cone all describe the returned V, and contraction_rate
+    is NaN when no step was taken."""
 
     V: Profile
     U: Profile
@@ -113,9 +118,9 @@ class Solution:
     K: float
     P: float  # P(V), the last accepted p_of_u(U)
     Q: float  # Q(V), q_of_u(U)
-    residual: float
-    el_residual: float
-    iterations: int
+    residual: float  # ||T(V) - V|| / ||V||
+    el_residual: float  # ||sigma V - grad P(V)|| / (sigma ||V||)
+    iterations: int  # the steps that made V, 0 when the start converged
     converged: bool
     cone: ConeReport
     trace: IterationTrace | None = None
@@ -159,23 +164,23 @@ def _finite(value: float, name: str, iteration: int) -> float:
 
 
 def _step(u: Profile, norm_v: float, kernel: Kernel, nl: Nonlinearity, iteration: int):
-    """Samples of T(V) = mu grad P(V) and mu = ||V|| / ||grad P(V)||, from
-    U = b*V and norm_v = ||V||.  An overflow is named by f(U)'s Profile check
-    or by _finite, not warned about."""
+    """Samples of T(V) = mu grad P(V), mu = ||V|| / ||grad P(V)|| and grad P(V),
+    from U = b*V and norm_v = ||V||.  An overflow is named by f(U)'s Profile
+    check or by _finite, not warned about."""
     with np.errstate(over="ignore", invalid="ignore"):
         g = grad_p_of_u(u, kernel, nl)
         norm_g = _finite(l2_norm(g), "||grad P||", iteration)
     if norm_g == 0.0:
         raise ZeroGradientError("grad P vanished; improvement step undefined")
     mu = norm_v / norm_g
-    return mu * g.samples, mu
+    return mu * g.samples, mu, g
 
 
 def improvement_step(v: Profile, kernel: Kernel, nl: Nonlinearity):
     """One application of T: returns (T(V), mu).  T preserves the L2 norm
     and never decreases P; raises ZeroGradientError when grad P vanishes
     and NumericalOverflowError when its norm overflows."""
-    t, mu = _step(kernel.convolve(v), l2_norm(v), kernel, nl, 1)
+    t, mu, _ = _step(kernel.convolve(v), l2_norm(v), kernel, nl, 1)
     return Profile(v.grid, t), mu
 
 
@@ -212,10 +217,10 @@ def _cone_deviation(v: Profile) -> float:
 # Mixing engages once the plain residuals shrink by less than
 # _GATE_RATE per step over the last _GATE_WINDOW steps.  Newton-CG no longer
 # needs the gate to save work: with the rate at 0 (three plain steps, then
-# Newton) it takes sweep-k's K = 1 ... 32 in 8/8/8/7/8/8 steps and
-# 83/83/85/66/83/74 FFTs, and from the first step in 6/5/5/5/6/6 steps and
-# 90/69/71/69/80/72 FFTs, where the plain map takes 149/96/62/36/29/22 steps
-# and 600/388/252/148/120/92 FFTs.  The gate stays because decay, mixed,
+# Newton) it takes sweep-k's K = 1 ... 32 in 7/7/7/6/7/7 steps and
+# 66/66/68/51/66/59 FFTs, and from the first step in 5/4/4/4/5/5 steps and
+# 69/52/54/52/63/57 FFTs, where the plain map takes 148/95/61/35/28/21 steps
+# and 596/384/248/144/116/88 FFTs.  The gate stays because decay, mixed,
 # converges its 1e-10 solve further into the tail, which the benchmark reads
 # as a worse tail gap against an unconverged tail.
 # Measured plain rates: sweep-k 0.948/0.920/0.876/0.813/... from K = 0.25
@@ -223,10 +228,11 @@ def _cone_deviation(v: Profile) -> float:
 # So 0.9 mixes sweep-k's two smallest K and the small-K sweep and leaves
 # decay plain.  The largest single-step ratio of a plain solve is 0.893 on
 # decay and 0.876 on sweep-k's K = 1, so no window opens the gate there.
-# Three steps, because the small-K sweep's first plain steps contract at
-# 0.984-0.996 and gain almost nothing (windows of 10/5/3/2/1 steps took that
-# sweep 56/42/36/34/31 steps), and a mean over three ratios does not open on
-# one transient ratio.
+# The small-K sweep's first plain steps contract at 0.984-0.996 and gain
+# almost nothing, so a short window pays there: without the seeded rule
+# below, windows of 10/5/3/2/1 steps take that sweep 34/19/13/11/8 steps.
+# Three, not fewer, because a mean over three ratios does not open on one
+# transient ratio.
 #
 # A seeded solve need not fill the window: the gate also opens on any step
 # where f'(0)/sigma shows the plain map slow and the iterate is near a fixed
@@ -238,8 +244,8 @@ def _cone_deviation(v: Profile) -> float:
 # clause keeps a cold start out of Newton until it nears the maximizer: the
 # small-K sweep's seeds start at residuals of 3.8e-6 or less, while a switch
 # at 0.05 sent a cold start at K = 0.03 (gaussian width 1, exp, L 25,
-# n 2000) to a saddle, where it took 472 steps, 227 of them rejected,
-# against 17 through the window.
+# n 2000) to a saddle, where it took 471 steps, 227 of them rejected,
+# against 16 through the window.
 _GATE_WINDOW = 3
 _GATE_RATE = 0.9
 _SEEDED_RESIDUAL = 1e-3
@@ -247,9 +253,11 @@ _RATE_WINDOW = 10  # steps behind Solution.contraction_rate
 
 # A mixed candidate's allowance, in place of a plain step's
 # monotonicity_slack: 64 eps relative to |P|, P's rounding near convergence.
-# The small-K sweep's candidates "lowered" P by 2e-16 to 8e-15 relative;
-# turning each down cost a plain step that gained nothing.  It is fixed, so
-# an infinite slack leaves the safeguard on.
+# A candidate near a fixed point "lowers" P by rounding: solved to 1e-14,
+# the small-K sweep's eps = 0.2 point lowers it by 6.5e-16 relative on its
+# third candidate (at 1e-10 no candidate of that sweep or of sweep-k lowers
+# P).  Turning such a candidate down costs a plain step that gains nothing.
+# It is fixed, so an infinite slack leaves the safeguard on.
 _P_ROUNDING = 64 * np.finfo(np.float64).eps
 
 
@@ -265,12 +273,14 @@ def _keeps_cone(candidate: Profile, g: Profile) -> bool:
 # _FLOOR_MULTIPLE times P's rounding floor at the new iterate: a plain step
 # that does so raises, a candidate that does so is turned down.  Near the
 # pole of a singular f the floor nears the slack: 7.8e-13 relative at delta
-# 0.002, where drops of 1.03-1.28e-12, beyond the slack, were 1.3-1.7 times
-# the floor (at most 1.4 times near delta 0.001 and 0.0005).  At small K it
-# passes 64 eps: exp at K 1e-15 (gaussian width 1, L 25, n 512) turned down
-# 707 candidates and took 1922 steps when a candidate's drop was judged
-# against 64 eps alone, 1 and 511 against both.  A wrong F or a lost
-# symmetrization drops P by far more.
+# 0.002.  Solved to 1e-11, 2 of 150 deltas within 1e-6 relative of 0.002
+# lowered P on their third, plain step by 1.06-1.12e-12, beyond the slack,
+# at 1.36-1.44 times the floor; solved to 1e-10, none does.  Near delta
+# 0.001 and 0.0005 (grids of 2^16 points) 1 and 3 of 20 do, at 0.34-0.67
+# times the floor.  At small K it passes 64 eps: exp at K 1e-15 (gaussian
+# width 1, L 25, n 512) turned down 706 candidates and took 1921 steps when
+# a candidate's drop was judged against 64 eps alone, none and 510 against
+# both.  A wrong F or a lost symmetrization drops P by far more.
 _FLOOR_MULTIPLE = 4
 
 
@@ -402,7 +412,12 @@ def _check_below_k_max(K: float, kernel: Kernel, nl: Nonlinearity) -> None:
 
 def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     """Iterate the improvement map at fixed K until the relative fixed-point
-    residual ||T(V) - V|| / ||V|| drops below tol_residual.
+    residual ||T(V) - V|| / ||V|| is at most tol_residual.
+
+    Each pass measures the residual of the current iterate from its
+    gradient, and returns that iterate when the residual is at most
+    tol_residual or max_iter steps have been taken; sigma and el_residual
+    are read off the same gradient.  Otherwise it takes a step.
 
     Each step is one proposal, one evaluation and one acceptance.  The
     proposal is the plain step G(V), the even part of T(V) on the sphere, or,
@@ -452,11 +467,18 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     resting = False  # set by a rejected candidate: the next step is plain
     accelerated = rejected = 0
 
-    for iterations in range(1, cfg.max_iter + 1):  # max_iter >= 1: residual is bound
-        t_samples, mu = _step(u, target_norm, kernel, nl, iterations)
+    for iterations in itertools.count():  # the steps taken so far
+        t_samples, mu, grad = _step(u, target_norm, kernel, nl, iterations + 1)
         ffts.count += 2  # grad P's convolution
         residual = norm(t_samples - v.samples, grid) / target_norm
         recent.append(residual)
+        if residual <= cfg.tol_residual or iterations == cfg.max_iter:
+            # Rayleigh-type quotient and Euler-Lagrange residual of the returned V
+            norm_v = l2_norm(v)
+            sigma = l2_norm(grad) / norm_v
+            el_residual = norm(sigma * v.samples - grad.samples, grid) / (sigma * norm_v)
+            break
+        del grad  # no n-length array lives through the evaluation's convolution
         if not mixing:
             mixing = ((nl.alpha * mu > _GATE_RATE and residual < _SEEDED_RESIDUAL)
                       or (len(recent) > _GATE_WINDOW
@@ -476,7 +498,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         u_next = kernel.convolve(proposal)
         ffts.count += 2  # the proposal's
         with np.errstate(over="ignore", invalid="ignore"):
-            p_next = _finite(p_of_u(u_next, nl), "P", iterations)
+            p_next = _finite(p_of_u(u_next, nl), "P", iterations + 1)
 
         # acceptance: P is lowered when it falls by more than both the
         # proposal's allowance and _FLOOR_MULTIPLE times its rounding floor
@@ -488,7 +510,7 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         if lowered and proposal is g:
             raise MonotonicityViolationError(
                 f"P decreased from {p_prev:.17g} to {p_next:.17g} at iteration "
-                f"{iterations}; slack {cfg.monotonicity_slack:g} and "
+                f"{iterations + 1}; slack {cfg.monotonicity_slack:g} and "
                 f"{_FLOOR_MULTIPLE} times P's rounding floor {floor:.3g} exceeded"
             )
         if not lowered:
@@ -504,16 +526,6 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
             trace_res.append(residual)
             trace_kerr.append(abs(eval_K(v) / cfg.K - 1.0))
             trace_cone.append(_cone_deviation(v))
-
-        if residual <= cfg.tol_residual:
-            break
-
-    # final Rayleigh-type quotient and Euler-Lagrange residual at the last iterate
-    g = grad_p_of_u(u, kernel, nl)
-    ffts.count += 2  # the result's gradient
-    norm_v = l2_norm(v)
-    sigma = l2_norm(g) / norm_v
-    el_residual = norm(sigma * v.samples - g.samples, grid) / (sigma * norm_v)
 
     trace = None
     if cfg.record_trace:

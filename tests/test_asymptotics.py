@@ -201,7 +201,7 @@ def test_oversized_family_grid_fails_before_any_solve(monkeypatch, experiment, a
 def test_kdv_experiment_records_per_eps_failures():
     res = kdv_experiment(
         KernelSpec(kind="gaussian", width=1.0), exp_nonlinearity(), [0.25],
-        max_iter=2,
+        max_iter=1,
     )
     assert res.entries[0].error is not None
     assert "convergence" in res.entries[0].error

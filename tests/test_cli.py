@@ -114,11 +114,11 @@ def test_solve_overflow_exits_3(tmp_path, capsys):
 
 def test_flat_start_solution_is_flagged(tmp_path, capsys):
     # a start wider than the cell is flat, and the constant profile is an
-    # exact periodic fixed point: the solve converges, and meta.json says
-    # what it converged to
+    # exact periodic fixed point: the solve converges before its first step,
+    # and meta.json says what it converged to
     code, out = _run(tmp_path, "solve", _solve_config(init_width=1e200))
     assert code == 0
-    assert capsys.readouterr().out == "sigma = 1.1070137908 after 1 iterations\n"
+    assert capsys.readouterr().out == "sigma = 1.1070137908 after 0 iterations\n"
     assert json.loads((out / "meta.json").read_text())["warnings"] == [
         "V is constant on the cell: a periodic fixed point, not a localized profile"]
     # below the cell's branch point K_b = 0.02507 the solution is the
@@ -478,7 +478,7 @@ def test_fixed_grid_fractions_are_unknown_keys(tmp_path, capsys, command, key):
 
 def test_solver_counters_go_to_meta_json_only(tmp_path, monkeypatch):
     keys = ["K", "accelerated_steps", "contraction_rate", "iterations",
-            "max_p_drop", "rejected_steps", "transforms"]
+            "max_p_drop", "rejected_steps", "residual", "transforms"]
     _, out = _run(tmp_path, "solve", _solve_config(), name="solve")
     (counters,) = json.loads((out / "meta.json").read_text())["solves"]
     assert sorted(counters) == keys

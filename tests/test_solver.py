@@ -90,6 +90,23 @@ def test_converged_solution_is_a_fixed_point(reference_solution):
     assert mu == pytest.approx(1.0 / sol.sigma, rel=1e-9)
 
 
+def test_solution_describes_its_own_v(reference_solution):
+    # residual and el_residual are measured on the returned V, not on the
+    # iterate one step before it: a plain solve, the seeded small-K eps = 0.2
+    # solve and a solve stopped by max_iter
+    spec, eps = KernelSpec(kind="gaussian", width=1.0), 0.2
+    seeded = kdv_experiment(spec, NL, [eps]).entries[0].solution
+    stopped = solve(SolverConfig(K=1.0, max_iter=20), KERNEL, NL)
+    assert not stopped.converged and stopped.iterations == 20
+    small_k_kernel = spec.build(KdvGridPolicy().grid_for(eps, spec.length_scale))
+    for sol, kernel in ((reference_solution, KERNEL), (seeded, small_k_kernel),
+                        (stopped, KERNEL)):
+        t, _ = improvement_step(sol.V, kernel, NL)
+        own = l2_norm(Profile(sol.V.grid, t.samples - sol.V.samples)) / l2_norm(sol.V)
+        assert sol.residual == pytest.approx(own, rel=1e-3)
+        assert sol.el_residual == pytest.approx(own, rel=1e-3)
+
+
 def test_solve_regression_pin(reference_solution):
     sol = reference_solution
     # frozen after first computation on this grid; guards against drift
@@ -116,7 +133,7 @@ def test_fast_contraction_takes_only_plain_steps(reference_solution):
     # so the solve takes exactly the plain iteration's steps
     sol = reference_solution
     assert sol.accelerated_steps == 0 and sol.rejected_steps == 0
-    assert sol.iterations == 149
+    assert sol.iterations == 148
     assert sol.contraction_rate < solver._GATE_RATE
 
 
@@ -294,15 +311,17 @@ def test_candidate_lowering_p_is_rejected_under_infinite_slack(monkeypatch):
 
 
 def test_accepted_candidate_drops_stay_within_p_rounding():
-    # the small-K sweep's eps = 0.2 point, traced: one accepted candidate
-    # lowers P by rounding, which max_p_drop records like a plain step's drop
+    # the small-K sweep's eps = 0.2 point, traced and solved to 1e-14: its
+    # third candidate lowers P by rounding (6.5e-16 relative), which
+    # max_p_drop records like a plain step's drop
     spec, nl, eps = KernelSpec(kind="gaussian", width=1.0), exp_nonlinearity(), 0.2
     predictors = kdv_experiment(spec, nl, [eps]).predictors
     grid = KdvGridPolicy().grid_for(eps, spec.length_scale)
     kernel = spec.build(grid)
     init = Profile(grid, eps**2 * kdv_profile(predictors["kappa1"], predictors["kappa2"],
                                               eps * grid.nodes))
-    sol = solve(SolverConfig(K=eps**3, init_profile=init, record_trace=True), kernel, nl)
+    sol = solve(SolverConfig(K=eps**3, init_profile=init, record_trace=True, tol_residual=1e-14),
+                kernel, nl)
     assert sol.converged and sol.rejected_steps == 0
     p0 = eval_P(Profile(grid, solver._on_sphere(init.samples, grid, eps**3)), kernel, nl)
     p = np.concatenate(([p0], sol.trace.p_values))
@@ -555,13 +574,14 @@ def test_monotonicity_guard_fires_for_far_off_center_start():
 
 
 def test_drop_within_p_rounding_at_the_pole_does_not_raise():
-    # at this delta near the pole of the singular f, the third plain step
-    # lowers P by 1.06e-12 relative: beyond the slack of 1e-12, but 1.4 times
-    # P's rounding floor eps h sum|U f(U)| / |P| = 7.8e-13, so the solve
-    # converges and its entry warns of the drop instead of raising
+    # at this delta near the pole of the singular f, solved to 1e-11, the
+    # third plain step lowers P by 1.06e-12 relative: beyond the slack of
+    # 1e-12, but 1.4 times P's rounding floor eps h sum|U f(U)| / |P| =
+    # 7.8e-13, so the solve converges and its entry warns of the drop
+    # instead of raising
     delta = 0.0019999990961935546
     result = high_energy_experiment(KernelSpec(kind="gaussian", width=1.0),
-                                    singular_nonlinearity(4.0), [delta])
+                                    singular_nonlinearity(4.0), [delta], tol_residual=1e-11)
     (entry,) = result.entries
     assert entry.error is None and entry.solution.converged
     assert entry.warnings() == [f"{point_label('delta', delta)}: energy decreased by "
