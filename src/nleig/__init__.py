@@ -70,7 +70,6 @@ from .nonlinearity import (
 )
 from .functionals import eval_K, eval_P, eval_Q, grad_P
 from .solver import (
-    IterationTrace,
     Solution,
     SolverConfig,
     SweepEntry,

@@ -139,13 +139,13 @@ def _declared(command: str, value):
     return value
 
 
-# the solve sets init_profile itself, and the CLI writes no trace
-_SOLVER_FIELDS = fields_table(SolverConfig, "init_profile", "record_trace")
+# the solve sets init_profile itself
+_SOLVER_FIELDS = fields_table(SolverConfig, "init_profile")
 
 # the family experiments set K and the initial profile per point, and keep
 # the solver's default slack
 _FAMILY_SOLVER_FIELDS = fields_table(SolverConfig, "K", "init_profile", "init_width",
-                                     "monotonicity_slack", "record_trace")
+                                     "monotonicity_slack")
 
 
 @dataclass(frozen=True)
@@ -394,7 +394,7 @@ _COMMANDS = {
     "solve": _Command(_run_solve, _SOLVER_FIELDS),
     "sweep-k": _Command(
         _run_sweep,
-        fields_table(SolverConfig, "K", "init_profile", "record_trace"),
+        fields_table(SolverConfig, "K", "init_profile"),
         {"k_list": (_points, REQUIRED), "warm_start": (flag, False)},
     ),
     "kdv": _family("kdv_experiment", "eps_list", KdvGridPolicy, "kdv.csv", "kdv sweep"),

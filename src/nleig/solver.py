@@ -35,7 +35,7 @@ from .errors import (
     NumericalOverflowError,
     ZeroGradientError,
 )
-from .functionals import eval_K, grad_p_of_u, p_of_u, q_of_u
+from .functionals import grad_p_of_u, p_of_u, q_of_u
 from .grid import (
     ConeReport,
     Grid,
@@ -71,7 +71,6 @@ class SolverConfig:
     init_profile: Profile | None = None
     init_width: float | None = None
     monotonicity_slack: float = 1e-12
-    record_trace: bool = False  # costs a cone check and a K evaluation per step
 
     def __post_init__(self):
         if not self.K > 0:
@@ -95,18 +94,6 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class IterationTrace:
-    """Per-iteration diagnostics of the iterate each step ends on; a
-    rejected mixed step repeats the unchanged iterate's entry, with the
-    residual it measured."""
-
-    p_values: np.ndarray
-    residuals: np.ndarray
-    constraint_errors: np.ndarray  # |K(V_j)/K - 1|
-    cone_deviations: np.ndarray  # worst cone deviation relative to max V
-
-
-@dataclass(frozen=True)
 class Solution:
     """Converged (or exhausted) state of one solve: residual, el_residual,
     sigma, P, Q and cone all describe the returned V, and contraction_rate
@@ -123,7 +110,6 @@ class Solution:
     iterations: int  # the steps that made V, 0 when the start converged
     converged: bool
     cone: ConeReport
-    trace: IterationTrace | None = None
     max_p_drop: float = 0.0  # largest relative drop of P on an accepted step
     contraction_rate: float = math.nan  # mean residual ratio per step, last 10 steps
     accelerated_steps: int = 0  # accepted mixed candidates
@@ -410,7 +396,7 @@ def _check_below_k_max(K: float, kernel: Kernel, nl: Nonlinearity) -> None:
         )
 
 
-def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
+def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity, observe=None) -> Solution:
     """Iterate the improvement map at fixed K until the relative fixed-point
     residual ||T(V) - V|| / ||V|| is at most tol_residual.
 
@@ -438,6 +424,13 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     would propose it again.  A step counts as one iteration; transforms
     counts every rfft and irfft the solve made.
 
+    observe, when given, is called after each step as
+    observe(iteration, v, p, residual): the step's number, from 1, the
+    iterate it ends on (after a rejected candidate, the same V as before),
+    that iterate's P and the residual the step measured.  The solve reads
+    nothing back from it, and a start that already meets tol_residual takes
+    no step and never calls it.
+
     Returns a Solution with converged=False when max_iter is exhausted; the
     caller decides whether that is fatal.  Raises MonotonicityViolationError
     when a plain step fails the monotonicity guard, DomainBreachError
@@ -460,7 +453,6 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
     with np.errstate(over="ignore", invalid="ignore"):
         p_prev = _finite(p_of_u(u, nl), "P", 0)
 
-    trace_p, trace_res, trace_kerr, trace_cone = [], [], [], []
     max_p_drop = 0.0
     recent = deque(maxlen=_RATE_WINDOW + 1)  # residuals of the last iterates
     mixing = False  # set once the gate has opened
@@ -521,20 +513,9 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
             resting = True
             rejected += 1
 
-        if cfg.record_trace:
-            trace_p.append(p_prev)
-            trace_res.append(residual)
-            trace_kerr.append(abs(eval_K(v) / cfg.K - 1.0))
-            trace_cone.append(_cone_deviation(v))
+        if observe is not None:
+            observe(iterations + 1, v, p_prev, residual)
 
-    trace = None
-    if cfg.record_trace:
-        trace = IterationTrace(
-            p_values=np.asarray(trace_p),
-            residuals=np.asarray(trace_res),
-            constraint_errors=np.asarray(trace_kerr),
-            cone_deviations=np.asarray(trace_cone),
-        )
     return Solution(
         V=v,
         U=u,
@@ -547,7 +528,6 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity) -> Solution:
         iterations=iterations,
         converged=residual <= cfg.tol_residual,
         cone=cone_check(v),
-        trace=trace,
         max_p_drop=max_p_drop,
         contraction_rate=_rate(recent, len(recent) - 1) if len(recent) > 1 else math.nan,
         accelerated_steps=accelerated,

@@ -2,14 +2,17 @@
 
 Everything here is deliberately naive: direct O(n^2) sums, Riemann sums,
 central finite differences.  The library must agree with these, not the
-other way around.
+other way around.  observed_solve records a solve's invariants step by step
+through its observer.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
-from nleig import Profile, eval_P
+from nleig import Profile, cone_check, eval_K, eval_P, solve
 
 
 def direct_convolution(kernel_samples: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
@@ -95,3 +98,20 @@ def bisect(fn, lo: float, hi: float, steps: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+Steps = namedtuple("Steps", "p_values residuals constraint_errors cone_deviations")
+
+
+def observed_solve(cfg, kernel, nl):
+    """solve(cfg, kernel, nl) and its Steps: arrays of each step's P,
+    residual, constraint error |K(V)/K - 1| and worst cone deviation
+    relative to max V, for the iterate the step ends on."""
+    rows = []
+
+    def observe(iteration, v, p, residual):
+        rows.append((p, residual, abs(eval_K(v) / cfg.K - 1.0),
+                     cone_check(v).worst / max(v.max, 1e-300)))
+
+    sol = solve(cfg, kernel, nl, observe)
+    return sol, Steps(*np.array(rows, dtype=float).reshape(-1, 4).T)

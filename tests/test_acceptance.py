@@ -29,7 +29,13 @@ from nleig import (
     two_bump_kernel,
     uniqueness_probe,
 )
-from oracles import direct_convolution, fd_grad_p, ode_homoclinic, random_cone_profile
+from oracles import (
+    direct_convolution,
+    fd_grad_p,
+    observed_solve,
+    ode_homoclinic,
+    random_cone_profile,
+)
 
 
 def _report(num, ok, detail):
@@ -53,10 +59,10 @@ def gauss_runs():
     grid = make_grid(25.0, 2000)
     kernel = gaussian_kernel(grid)
     nl = exp_nonlinearity()
-    runs = {}
+    runs, steps = {}, {}
     for K in (0.5, 1.0, 2.0):
-        runs[K] = solve(SolverConfig(K=K, record_trace=True), kernel, nl)
-    return kernel, nl, runs
+        runs[K], steps[K] = observed_solve(SolverConfig(K=K), kernel, nl)
+    return kernel, nl, runs, steps
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +96,7 @@ def test_criterion_01_closed_form_oracle(ode_solution):
 
 
 def test_criterion_02_euler_lagrange_residual(gauss_runs):
-    _, nl, runs = gauss_runs
+    _, nl, runs, _ = gauss_runs
     details = []
     ok = True
     for K, sol in runs.items():
@@ -103,14 +109,14 @@ def test_criterion_02_euler_lagrange_residual(gauss_runs):
 
 
 def test_criterion_03_iteration_invariants(gauss_runs):
-    _, _, runs = gauss_runs
+    _, _, _, steps = gauss_runs
     ok = True
     details = []
-    for K, sol in runs.items():
-        p = np.asarray(sol.trace.p_values)
+    for K, tr in steps.items():
+        p = np.asarray(tr.p_values)
         drops = np.min(np.diff(p) + 1e-12 * np.abs(p[:-1]), initial=0.0)
-        worst_constraint = max(sol.trace.constraint_errors)
-        worst_cone = max(sol.trace.cone_deviations)
+        worst_constraint = max(tr.constraint_errors)
+        worst_cone = max(tr.cone_deviations)
         ok &= drops >= 0.0 and worst_constraint <= 1e-12 and worst_cone <= 1e-9
         details.append(
             f"K={K:g}: {len(p)} steps, constraint<={worst_constraint:.1e}, "
@@ -120,7 +126,7 @@ def test_criterion_03_iteration_invariants(gauss_runs):
 
 
 def test_criterion_04_super_quadraticity(gauss_runs, ode_solution):
-    _, nl_g, runs = gauss_runs
+    _, nl_g, runs, _ = gauss_runs
     _, nl_o, sol_o, _ = ode_solution
     pairs = [(nl_g.alpha, sol.P, sol.K) for sol in runs.values()]
     pairs.append((nl_o.alpha, sol_o.P, sol_o.K))
@@ -218,13 +224,12 @@ def test_criterion_08_discrete_oracles():
 
 
 def test_criterion_09_uniqueness_probe(gauss_runs):
-    kernel, nl, _ = gauss_runs
+    kernel, nl, _, _ = gauss_runs
     grid = kernel.profile.grid
-    probe = uniqueness_probe(SolverConfig(K=1.0, record_trace=False), kernel, nl,
+    probe = uniqueness_probe(SolverConfig(K=1.0), kernel, nl,
                              n_starts=5, seed=0)
     two_bump = two_bump_kernel(grid, width=0.6, separation=6.0)
-    explore = SolverConfig(K=4.0, record_trace=False,
-                           monotonicity_slack=float("inf"))
+    explore = SolverConfig(K=4.0, monotonicity_slack=float("inf"))
     counter = uniqueness_probe(explore, two_bump, nl, n_starts=5, seed=0)
     ok = (probe.supports_conjecture and probe.max_l2_distance <= 1e-6
           and probe.n_converged == 5 and not counter.supports_conjecture)

@@ -325,7 +325,7 @@ def test_decay_report_on_ode_oracle():
     g = make_grid(40.0, 4096)
     k = spectral_ode_kernel(g)
     nl = quadratic_nonlinearity(1.0, 2.0)
-    sol = solve(SolverConfig(K=0.95, record_trace=False), k, nl)
+    sol = solve(SolverConfig(K=0.95), k, nl)
     assert sol.converged
     report = decay_report(k, nl, sol)
     assert report.c == pytest.approx(0.5 * (nl.alpha / sol.sigma + 1.0))

@@ -24,7 +24,7 @@ from nleig import (
     singular_nonlinearity,
     solve,
 )
-from oracles import random_cone_profile
+from oracles import observed_solve, random_cone_profile
 
 G = make_grid(16.0, 256)
 
@@ -59,7 +59,7 @@ def test_improvement_step_invariants(width, nl, k_fraction, seed):
 def test_converged_solve_beats_the_linear_problem(width, nl, k_fraction):
     kernel = gaussian_kernel(G, width=width)
     cfg = SolverConfig(K=k_fraction * kernel.k_max_norm, tol_residual=1e-9,
-                       max_iter=5_000, record_trace=False)
+                       max_iter=5_000)
     sol = solve(cfg, kernel, nl)
     # near the branch point of the localized solution (a wide kernel with a
     # weak nonlinearity) the plain map contracts at a rate near 1; the
@@ -81,13 +81,13 @@ def test_mixed_steps_keep_the_invariants(width, alpha, beta, k_fraction):
     kernel = gaussian_kernel(G, width=width)
     nl = quadratic_nonlinearity(alpha, beta)
     cfg = SolverConfig(K=k_fraction * kernel.k_max_norm, tol_residual=1e-9,
-                       max_iter=5_000, record_trace=True)
-    sol = solve(cfg, kernel, nl)
+                       max_iter=5_000)
+    sol, steps = observed_solve(cfg, kernel, nl)
     if sol.accelerated_steps == 0:
         return
-    p = sol.trace.p_values
+    p = steps.p_values
     assert np.all(np.diff(p) >= -1e-12 * np.abs(p[:-1]))
-    assert np.max(sol.trace.constraint_errors) <= 1e-12
-    assert np.max(sol.trace.cone_deviations) <= 1e-12
+    assert np.max(steps.constraint_errors) <= 1e-12
+    assert np.max(steps.cone_deviations) <= 1e-12
     assert sol.sigma > nl.alpha
     assert sol.P > sol.Q

@@ -14,10 +14,13 @@ def _fenced_blocks(language: str) -> list[str]:
 
 
 def test_readme_examples_run(tmp_path, capsys):
-    (quick_start,) = _fenced_blocks("python")
-    exec(compile(quick_start, str(README), "exec"), {})
-    sigma, converged, _ = capsys.readouterr().out.split()
+    outputs = []
+    for block in _fenced_blocks("python"):
+        exec(compile(block, str(README), "exec"), {})
+        outputs.append(capsys.readouterr().out.split())
+    (sigma, converged, _), (observed, iterations, last_is_p) = outputs
     assert converged == "True" and float(sigma) > 1.0
+    assert observed == iterations and last_is_p == "True"
     configs = [json.loads(block) for block in _fenced_blocks("json")]
     assert sorted(config["command"] for config in configs) == ["kdv", "solve"]
     for config in configs:

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -42,7 +42,7 @@ from nleig import (
 from nleig import solver
 from nleig.grid import even_part, mirror
 from nleig.solver import _Transforms, point_label
-from oracles import random_cone_profile
+from oracles import observed_solve, random_cone_profile
 
 G = make_grid(25.0, 2000)
 KERNEL = gaussian_kernel(G, width=1.0)
@@ -50,9 +50,13 @@ NL = exp_nonlinearity()
 
 
 @pytest.fixture(scope="module")
-def reference_solution():
-    cfg = SolverConfig(K=1.0, tol_residual=1e-10, record_trace=True)
-    return solve(cfg, KERNEL, NL)
+def reference_run():
+    return observed_solve(SolverConfig(K=1.0, tol_residual=1e-10), KERNEL, NL)
+
+
+@pytest.fixture(scope="module")
+def reference_solution(reference_run):
+    return reference_run[0]
 
 
 def test_linear_nonlinearity_fixes_constants():
@@ -118,9 +122,9 @@ def test_solve_regression_pin(reference_solution):
     assert sol.cone.in_cone(1e-9 * sol.V.max)
 
 
-def test_solve_trace_shapes(reference_solution):
-    tr = reference_solution.trace
-    n = reference_solution.iterations
+def test_solve_trace_shapes(reference_run):
+    sol, tr = reference_run
+    n = sol.iterations
     assert tr.p_values.shape == (n,)
     assert tr.residuals.shape == (n,)
     assert tr.constraint_errors.shape == (n,)
@@ -168,7 +172,7 @@ def test_plain_step_is_the_even_part_of_t_on_the_sphere(monkeypatch):
 
 
 def test_accelerated_solve_keeps_the_invariants():
-    # the small-K sweep's eps = 0.2 and 0.05 points, traced: the plain map
+    # the small-K sweep's eps = 0.2 and 0.05 points, observed: the plain map
     # contracts at a rate near 1 there (1855 and 13191 plain steps to
     # converge), so the solve mixes, and its Newton steps converge in 6
     spec, nl = KernelSpec(kind="gaussian", width=1.0), exp_nonlinearity()
@@ -178,16 +182,14 @@ def test_accelerated_solve_keeps_the_invariants():
         init = Profile(grid, eps**2 * kdv_profile(family.predictors["kappa1"],
                                                   family.predictors["kappa2"],
                                                   eps * grid.nodes))
-        sol = solve(SolverConfig(K=eps**3, init_profile=init, max_iter=300_000,
-                                 record_trace=True),
-                    spec.build(grid), nl)
+        sol, tr = observed_solve(SolverConfig(K=eps**3, init_profile=init, max_iter=300_000),
+                                 spec.build(grid), nl)
         assert sol.converged and sol.accelerated_steps > 0
         assert sol.iterations <= 6
-        # the trace changes nothing along the path
-        untraced = family.entries[0].solution
-        assert (sol.iterations, sol.sigma) == (untraced.iterations, untraced.sigma)
-        assert sol.accelerated_steps == untraced.accelerated_steps
-        tr = sol.trace
+        # the observer changes nothing along the path
+        unobserved = family.entries[0].solution
+        assert (sol.iterations, sol.sigma) == (unobserved.iterations, unobserved.sigma)
+        assert sol.accelerated_steps == unobserved.accelerated_steps
         assert tr.p_values.shape == (sol.iterations,)
         assert np.all(np.diff(tr.p_values) >= -1e-12 * np.abs(tr.p_values[:-1]))
         assert np.max(tr.cone_deviations) <= 1e-12
@@ -311,7 +313,7 @@ def test_candidate_lowering_p_is_rejected_under_infinite_slack(monkeypatch):
 
 
 def test_accepted_candidate_drops_stay_within_p_rounding():
-    # the small-K sweep's eps = 0.2 point, traced and solved to 1e-14: its
+    # the small-K sweep's eps = 0.2 point, observed and solved to 1e-14: its
     # third candidate lowers P by rounding (6.5e-16 relative), which
     # max_p_drop records like a plain step's drop
     spec, nl, eps = KernelSpec(kind="gaussian", width=1.0), exp_nonlinearity(), 0.2
@@ -320,11 +322,11 @@ def test_accepted_candidate_drops_stay_within_p_rounding():
     kernel = spec.build(grid)
     init = Profile(grid, eps**2 * kdv_profile(predictors["kappa1"], predictors["kappa2"],
                                               eps * grid.nodes))
-    sol = solve(SolverConfig(K=eps**3, init_profile=init, record_trace=True, tol_residual=1e-14),
-                kernel, nl)
+    sol, steps = observed_solve(SolverConfig(K=eps**3, init_profile=init, tol_residual=1e-14),
+                                kernel, nl)
     assert sol.converged and sol.rejected_steps == 0
     p0 = eval_P(Profile(grid, solver._on_sphere(init.samples, grid, eps**3)), kernel, nl)
-    p = np.concatenate(([p0], sol.trace.p_values))
+    p = np.concatenate(([p0], steps.p_values))
     drops = -np.diff(p) / np.maximum(np.abs(p[:-1]), 1e-300)
     assert sol.max_p_drop == max(np.max(drops), 0.0)
     assert 0.0 < sol.max_p_drop <= solver._P_ROUNDING
@@ -358,13 +360,13 @@ def test_seeded_small_k_solves_take_candidates_from_the_first_step():
         kernel = spec.build(grid)
         init = Profile(grid, eps**2 * kdv_profile(predictors["kappa1"], predictors["kappa2"],
                                                   eps * grid.nodes))
-        sol = solve(SolverConfig(K=eps**3, init_profile=init, record_trace=True), kernel, nl)
+        sol, steps = observed_solve(SolverConfig(K=eps**3, init_profile=init), kernel, nl)
         assert sol.converged and sol.rejected_steps == 0
-        assert sol.trace.residuals[0] < solver._SEEDED_RESIDUAL
+        assert steps.residuals[0] < solver._SEEDED_RESIDUAL
         assert nl.alpha / sol.sigma > solver._GATE_RATE
         assert sol.accelerated_steps == sol.iterations
         p0 = eval_P(Profile(grid, solver._on_sphere(init.samples, grid, eps**3)), kernel, nl)
-        p = np.concatenate(([p0], sol.trace.p_values))
+        p = np.concatenate(([p0], steps.p_values))
         assert np.all(np.diff(p) >= -solver._P_ROUNDING * np.abs(p[:-1]))
 
 
@@ -374,11 +376,11 @@ def test_cold_start_near_the_branch_point_waits_for_the_window():
     # maximizer: a residual switch of 0.05 in place of _SEEDED_RESIDUAL sent
     # Newton to a saddle and the solve took 472 steps, 227 of them rejected.
     # Through the rate window it takes 17
-    sol = solve(SolverConfig(K=0.03, record_trace=True), KERNEL, NL)
+    sol, steps = observed_solve(SolverConfig(K=0.03), KERNEL, NL)
     assert sol.converged and sol.iterations <= 30
     assert sol.rejected_steps == 0 and sol.accelerated_steps > 0
     assert NL.alpha / sol.sigma > solver._GATE_RATE
-    assert sol.trace.residuals[0] > solver._SEEDED_RESIDUAL
+    assert steps.residuals[0] > solver._SEEDED_RESIDUAL
 
 
 def test_seeded_rule_stays_shut_where_the_plain_map_contracts_fast():
@@ -415,14 +417,15 @@ def _shifted_a_quarter_period(v, g, u, plain, residual, kernel, nl, K, ffts):
 
 def test_transforms_count_every_fft(reference_solution, monkeypatch):
     # a plain solve makes 4 FFTs per step (the gradient's convolution and
-    # the new iterate's) and 4 for the first iterate and the result
+    # the new iterate's) and 4 for the first iterate and the result, and an
+    # observed solve makes the same ones
     sol = reference_solution
     assert sol.transforms == 4 * (sol.iterations + 1)
     grid = make_grid(16.0, 256)
     kernel = gaussian_kernel(grid, width=1.5234375)
     nl = quadratic_nonlinearity(1.71875, 1.0)
     ffts = _count_ffts(monkeypatch)
-    plain = solve(SolverConfig(K=1.0, tol_residual=1e-10, record_trace=True), KERNEL, NL)
+    plain, _ = observed_solve(SolverConfig(K=1.0, tol_residual=1e-10), KERNEL, NL)
     assert len(ffts) == plain.transforms == sol.transforms
     ffts.clear()
     mixed = solve(SolverConfig(K=0.75 * kernel.k_max_norm, tol_residual=1e-9), kernel, nl)
@@ -434,6 +437,47 @@ def test_transforms_count_every_fft(reference_solution, monkeypatch):
     rested = solve(SolverConfig(K=0.1), KERNEL, NL)
     assert rested.rejected_steps > 0 and rested.accelerated_steps == 0
     assert len(ffts) == rested.transforms
+
+
+def _assert_same_solution(a, b):
+    for field in fields(solver.Solution):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, Profile):
+            assert np.array_equal(x.samples, y.samples), field.name
+        else:
+            assert x == y or (x != x and y != y), field.name
+
+
+def test_observer_sees_each_step_and_changes_nothing(reference_solution, monkeypatch):
+    # one call per step, numbered from 1, on a plain, a mixed and a resting
+    # solve; each changes no field of the Solution, transforms included
+    grid = make_grid(16.0, 256)
+    kernel = gaussian_kernel(grid, width=1.5234375)
+    nl = quadratic_nonlinearity(1.71875, 1.0)
+    mixed_cfg = SolverConfig(K=0.75 * kernel.k_max_norm, tol_residual=1e-9)
+    runs = [(SolverConfig(K=1.0, tol_residual=1e-10), KERNEL, NL), (mixed_cfg, kernel, nl)]
+    for cfg, kern, nonlin in runs:
+        calls = []
+        observed = solve(cfg, kern, nonlin, lambda *step: calls.append(step))
+        assert [call[0] for call in calls] == list(range(1, observed.iterations + 1))
+        assert calls[-1][1] is observed.V and calls[-1][2] == observed.P
+        _assert_same_solution(observed, solve(cfg, kern, nonlin))
+    # a rejected candidate passes the unchanged V and its P again
+    monkeypatch.setattr(solver, "_candidate", _shifted_a_quarter_period)
+    calls = []
+    rested = solve(SolverConfig(K=0.1), KERNEL, NL, lambda *step: calls.append(step))
+    assert rested.rejected_steps > 0 and rested.accelerated_steps == 0
+    assert len(calls) == rested.iterations
+    repeats = [(before, after) for before, after in zip(calls, calls[1:])
+               if after[1] is before[1]]
+    assert len(repeats) == rested.rejected_steps
+    assert all(after[2] == before[2] for before, after in repeats)
+    _assert_same_solution(rested, solve(SolverConfig(K=0.1), KERNEL, NL))
+    # a start that already meets tol_residual takes no step and calls nothing
+    calls = []
+    start = solve(SolverConfig(K=1.0, tol_residual=1e-6, init_profile=reference_solution.V),
+                  KERNEL, NL, lambda *step: calls.append(step))
+    assert start.converged and start.iterations == 0 and calls == []
 
 
 def test_fallback_leaving_the_cone_is_never_evaluated(monkeypatch):
@@ -667,7 +711,7 @@ def test_energy_slope_in_k_is_the_multiplier_sigma(nl, K):
     assert 3.0 <= errors[0] / errors[1] <= 5.0
 
 
-def test_energy_drop_is_recorded_with_the_trace_off():
+def test_energy_drop_is_recorded_without_an_observer():
     # F with the wrong sign: T raises the true P, so the P the solver
     # checks falls at every step
     wrong_f = Nonlinearity(
@@ -675,17 +719,15 @@ def test_energy_drop_is_recorded_with_the_trace_off():
         f=np.expm1, f_prime=np.exp, antiderivative=lambda r: r - np.expm1(r),
     )
     init = Profile(G, np.exp(-G.nodes * G.nodes / 8.0))
-    cfg = SolverConfig(K=1.0, max_iter=20, init_profile=init,
-                       monotonicity_slack=np.inf, record_trace=False)
+    cfg = SolverConfig(K=1.0, max_iter=20, init_profile=init, monotonicity_slack=np.inf)
     quiet = solve(cfg, KERNEL, wrong_f)
-    assert quiet.trace is None
     assert quiet.max_p_drop > 1e-12
-    traced = solve(replace(cfg, record_trace=True), KERNEL, wrong_f)
+    observed, steps = observed_solve(cfg, KERNEL, wrong_f)
     p0 = eval_P(init.scaled(np.sqrt(2.0) / l2_norm(init)), KERNEL, wrong_f)
-    p = np.concatenate(([p0], traced.trace.p_values))
+    p = np.concatenate(([p0], steps.p_values))
     drops = -np.diff(p) / np.maximum(np.abs(p[:-1]), 1e-300)
-    assert traced.max_p_drop == pytest.approx(max(np.max(drops), 0.0), rel=1e-12)
-    assert traced.max_p_drop == quiet.max_p_drop
+    assert observed.max_p_drop == pytest.approx(max(np.max(drops), 0.0), rel=1e-12)
+    assert observed.max_p_drop == quiet.max_p_drop
     with pytest.raises(MonotonicityViolationError):
         solve(SolverConfig(K=1.0, max_iter=20, init_profile=init), KERNEL, wrong_f)
 
@@ -738,7 +780,6 @@ def test_attempt_records_each_outcome_in_the_entry():
     converged = attempt(cfg, KERNEL, NL)
     assert converged.K == 1.0 and converged.error is None
     assert converged.solution.converged
-    assert converged.solution.trace is None  # the trace is opt-in
     # an exhausted solve keeps its solution
     exhausted = attempt(cfg, KERNEL, NL, max_iter=3)
     assert not exhausted.solution.converged
@@ -782,7 +823,7 @@ def test_entry_warnings_follow_one_rule(reference_solution):
 
 
 def test_sweep_warm_start_converges_faster():
-    cfg = SolverConfig(K=0.5, record_trace=False)
+    cfg = SolverConfig(K=0.5)
     ks = [0.5, 0.6]
     cold = sweep_K(ks, cfg, KERNEL, NL, warm_start=False)
     warm = sweep_K(ks, cfg, KERNEL, NL, warm_start=True)
@@ -791,7 +832,7 @@ def test_sweep_warm_start_converges_faster():
 
 
 def test_uniqueness_probe_singleton_and_small():
-    cfg = SolverConfig(K=1.0, record_trace=False)
+    cfg = SolverConfig(K=1.0)
     one = uniqueness_probe(cfg, KERNEL, NL, n_starts=1, seed=3)
     assert one.n_converged == 1
     # one converged start has no pair to compare
