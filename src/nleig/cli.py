@@ -30,7 +30,6 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
-    TAIL_WINDOW,
     BlowUpBounded,
     HighEnergyGridPolicy,
     KdvGridPolicy,
@@ -47,6 +46,7 @@ from .config import (
     fields_table,
     flag,
     integer,
+    keyword_table,
     optional_number,
     read_fields,
 )
@@ -395,7 +395,7 @@ _COMMANDS = {
     "sweep-k": _Command(
         _run_sweep,
         fields_table(SolverConfig, "K", "init_profile"),
-        {"k_list": (_points, REQUIRED), "warm_start": (flag, False)},
+        {"k_list": (_points, REQUIRED), **keyword_table(sweep_K, warm_start=flag)},
     ),
     "kdv": _family("kdv_experiment", "eps_list", KdvGridPolicy, "kdv.csv", "kdv sweep"),
     "high-energy": _family("high_energy_experiment", "delta_list", HighEnergyGridPolicy,
@@ -403,16 +403,15 @@ _COMMANDS = {
     "decay": _Command(
         _run_decay,
         _SOLVER_FIELDS,
-        {"c": (_decay_c, None), "window": (_window, list(TAIL_WINDOW))},
+        keyword_table(decay_report, c=_decay_c, window=_window),
     ),
     "validate-kernel": _Command(_run_validate),
     "uniqueness-probe": _Command(
         _run_probe,
         _SOLVER_FIELDS,
         # checked at read, as numpy's error for a negative seed names no key
-        {"n_starts": (partial(integer, least=1), 5),
-         "seed": (partial(integer, least=0), 0),
-         "distance_tol": (_distance_tol, 1e-6)},
+        keyword_table(uniqueness_probe, n_starts=partial(integer, least=1),
+                      seed=partial(integer, least=0), distance_tol=_distance_tol),
     ),
 }
 

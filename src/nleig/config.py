@@ -1,10 +1,13 @@
 """The one reader of JSON config objects.  A fields table maps each key of an
 object to (parse, default), and a default of REQUIRED makes the key
 mandatory; read_fields checks an object's type, keys and values by it.
+fields_table and keyword_table take the defaults from the dataclass or the
+function the values go to, so each is declared once.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import MISSING, fields
 
@@ -86,3 +89,11 @@ def fields_table(cls, *omit) -> dict:
     annotations) and defaults to the field's default, or is required."""
     return {f.name: (_PARSES[f.type], REQUIRED if f.default is MISSING else f.default)
             for f in fields(cls) if f.name not in omit}
+
+
+def keyword_table(function, **parses) -> dict:
+    """The fields table of some keyword parameters of a function, each of
+    which has a default: each key of parses parses by its value and
+    defaults to the parameter's own default."""
+    parameters = inspect.signature(function).parameters
+    return {name: (parse, parameters[name].default) for name, parse in parses.items()}

@@ -55,6 +55,17 @@ class Grid:
         k.flags.writeable = False
         return k
 
+    @cached_property
+    def rfft_multiplicity(self) -> np.ndarray:
+        """How often each rfft mode appears among all n modes: 1 for k = 0
+        and the Nyquist mode (n is even), 2 for each other mode, which
+        stands for its conjugate too.  So sum(a b) over the nodes is
+        (1/n) sum(m Re(a_hat conj(b_hat))) over the rfft modes."""
+        m = np.full(self.point_count // 2 + 1, 2.0)
+        m[0] = m[-1] = 1.0
+        m.flags.writeable = False
+        return m
+
     @property
     def nyquist(self) -> float:
         return np.pi / self.spacing

@@ -99,12 +99,7 @@ def samples_from_symbol(grid: Grid, symbol: np.ndarray) -> np.ndarray:
 
 def _a_pp0_from_symbol(grid: Grid, symbol: np.ndarray) -> float:
     # a''(0) = -(1/2L) * sum over all modes of k^2 bhat(k)^2
-    k = grid.rfft_frequencies
-    weights = np.full(k.shape, 2.0)
-    weights[0] = 1.0
-    if grid.point_count % 2 == 0:
-        weights[-1] = 1.0  # Nyquist mode appears once
-    total = np.sum(weights * (k * symbol) ** 2)
+    total = np.sum(grid.rfft_multiplicity * (grid.rfft_frequencies * symbol) ** 2)
     return float(-total / (2.0 * grid.half_period))
 
 

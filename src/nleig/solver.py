@@ -95,9 +95,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Solution:
-    """Converged (or exhausted) state of one solve: residual, el_residual,
-    sigma, P, Q and cone all describe the returned V, and contraction_rate
-    is NaN when no step was taken."""
+    """Converged (or exhausted) state of one solve: residual, sigma, P, Q
+    and cone all describe the returned V, and contraction_rate is NaN when
+    no step was taken."""
 
     V: Profile
     U: Profile
@@ -106,7 +106,6 @@ class Solution:
     P: float  # P(V), the last accepted p_of_u(U)
     Q: float  # Q(V), q_of_u(U)
     residual: float  # ||T(V) - V|| / ||V||
-    el_residual: float  # ||sigma V - grad P(V)|| / (sigma ||V||)
     iterations: int  # the steps that made V, 0 when the start converged
     converged: bool
     cone: ConeReport
@@ -115,6 +114,13 @@ class Solution:
     accelerated_steps: int = 0  # accepted mixed candidates
     rejected_steps: int = 0  # mixed candidates turned down for lowering P
     transforms: int = 0  # rfft and irfft calls the solve made
+
+    @property
+    def el_residual(self) -> float:
+        """The Euler-Lagrange residual ||sigma V - grad P(V)|| / (sigma ||V||),
+        which is residual: with sigma = ||grad P(V)|| / ||V|| = 1/mu, the
+        quotient is ||V - mu grad P(V)|| / ||V|| = ||V - T(V)|| / ||V||."""
+        return self.residual
 
     @property
     def error(self) -> str | None:
@@ -150,16 +156,16 @@ def _finite(value: float, name: str, iteration: int) -> float:
 
 
 def _step(u: Profile, norm_v: float, kernel: Kernel, nl: Nonlinearity, iteration: int):
-    """Samples of T(V) = mu grad P(V), mu = ||V|| / ||grad P(V)|| and grad P(V),
-    from U = b*V and norm_v = ||V||.  An overflow is named by f(U)'s Profile
-    check or by _finite, not warned about."""
+    """Samples of T(V) = mu grad P(V), mu = ||V|| / ||grad P(V)|| and
+    ||grad P(V)||, from U = b*V and norm_v = ||V||.  An overflow is named by
+    f(U)'s Profile check or by _finite, not warned about."""
     with np.errstate(over="ignore", invalid="ignore"):
         g = grad_p_of_u(u, kernel, nl)
         norm_g = _finite(l2_norm(g), "||grad P||", iteration)
     if norm_g == 0.0:
         raise ZeroGradientError("grad P vanished; improvement step undefined")
     mu = norm_v / norm_g
-    return mu * g.samples, mu, g
+    return mu * g.samples, mu, norm_g
 
 
 def improvement_step(v: Profile, kernel: Kernel, nl: Nonlinearity):
@@ -316,9 +322,8 @@ def _newton(g: np.ndarray, v: np.ndarray, u: Profile, residual: float, kernel: K
     m = sigma - nl.alpha * kernel.symbol**2
     if not np.min(m) > 0.0:
         return None, None
-    # an even profile's rfft is real, and sum(a b) = sum(weights a_hat b_hat)
-    weights = np.full(m.shape, 2.0 / ffts.n)
-    weights[0] = weights[-1] = 1.0 / ffts.n
+    # an even profile's rfft is real, so sum(a b) = sum(weights a_hat b_hat)
+    weights = kernel.grid.rfft_multiplicity / ffts.n
 
     def inner(a, b):
         return np.float64(dot(weights * a, b))
@@ -402,8 +407,8 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity, observe=None) -> 
 
     Each pass measures the residual of the current iterate from its
     gradient, and returns that iterate when the residual is at most
-    tol_residual or max_iter steps have been taken; sigma and el_residual
-    are read off the same gradient.  Otherwise it takes a step.
+    tol_residual or max_iter steps have been taken; sigma is read off the
+    same gradient's norm.  Otherwise it takes a step.
 
     Each step is one proposal, one evaluation and one acceptance.  The
     proposal is the plain step G(V), the even part of T(V) on the sphere, or,
@@ -460,17 +465,13 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity, observe=None) -> 
     accelerated = rejected = 0
 
     for iterations in itertools.count():  # the steps taken so far
-        t_samples, mu, grad = _step(u, target_norm, kernel, nl, iterations + 1)
+        t_samples, mu, norm_grad = _step(u, target_norm, kernel, nl, iterations + 1)
         ffts.count += 2  # grad P's convolution
         residual = norm(t_samples - v.samples, grid) / target_norm
         recent.append(residual)
         if residual <= cfg.tol_residual or iterations == cfg.max_iter:
-            # Rayleigh-type quotient and Euler-Lagrange residual of the returned V
-            norm_v = l2_norm(v)
-            sigma = l2_norm(grad) / norm_v
-            el_residual = norm(sigma * v.samples - grad.samples, grid) / (sigma * norm_v)
+            sigma = norm_grad / l2_norm(v)  # the Rayleigh-type quotient of the returned V
             break
-        del grad  # no n-length array lives through the evaluation's convolution
         if not mixing:
             mixing = ((nl.alpha * mu > _GATE_RATE and residual < _SEEDED_RESIDUAL)
                       or (len(recent) > _GATE_WINDOW
@@ -524,7 +525,6 @@ def solve(cfg: SolverConfig, kernel: Kernel, nl: Nonlinearity, observe=None) -> 
         P=p_prev,
         Q=q_of_u(u, nl.alpha),
         residual=residual,
-        el_residual=el_residual,
         iterations=iterations,
         converged=residual <= cfg.tol_residual,
         cone=cone_check(v),

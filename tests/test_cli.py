@@ -1,6 +1,7 @@
 """End-to-end checks of the batch front end (in-process, per-command)."""
 
 import copy
+import inspect
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nleig.asymptotics
 import nleig.cli
 import nleig.errors
 import nleig.solver
@@ -890,6 +892,33 @@ def test_decay_rejects_a_window_without_three_nodes_before_any_solve(tmp_path, c
     err = capsys.readouterr().err
     assert "tail window [0.5, 0.505] = [12.5, 12.62] contains fewer than 3 grid points" in err
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("command, function, left_out, extras", [
+    ("sweep-k", nleig.solver.sweep_K, ["warm_start"], {"k_list": [1.0]}),
+    ("decay", nleig.asymptotics.decay_report, ["c", "window"], {}),
+    ("uniqueness-probe", nleig.solver.uniqueness_probe, ["n_starts", "seed", "distance_tol"],
+     {}),
+])
+def test_left_out_extras_echo_the_library_defaults(tmp_path, command, function, left_out,
+                                                   extras):
+    config = {**_solve_config(), **extras}
+    if command == "sweep-k":
+        del config["solver"]["K"]
+    code, out = _run(tmp_path, command, config)
+    assert code == 0
+    echo = json.loads((out / "meta.json").read_text())["config"]
+    parameters = inspect.signature(function).parameters
+    for key in left_out:
+        default = parameters[key].default
+        if key == "c":
+            # decay_report's None is the midpoint of (alpha/sigma, 1), and
+            # meta.json echoes the c used (exp: alpha = 1)
+            assert default is None
+            sigma = json.loads((out / "solution.json").read_text())["sigma"]
+            assert echo["c"] == 0.5 * (1.0 / sigma + 1.0)
+        else:
+            assert echo[key] == (list(default) if isinstance(default, tuple) else default)
 
 
 def test_uniqueness_probe_command(tmp_path, capsys):

@@ -35,6 +35,13 @@ def test_make_grid_basics():
     # rfft frequency step is pi / L on a 2L-periodic grid
     assert g.rfft_frequencies[1] == pytest.approx(np.pi / 10.0)
     assert g.rfft_frequencies.size == 33
+    # each rfft mode weighs as often as it appears among all n modes: Parseval
+    m = g.rfft_multiplicity
+    assert m.size == 33 and m[0] == m[-1] == 1.0 and np.all(m[1:-1] == 2.0)
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal(64), rng.standard_normal(64)
+    parseval = np.sum(m * (np.fft.rfft(a) * np.conj(np.fft.rfft(b))).real) / 64
+    assert np.sum(a * b) == pytest.approx(parseval, rel=1e-12)
 
 
 def test_make_grid_rejects_bad_arguments():

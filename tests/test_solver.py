@@ -109,6 +109,8 @@ def test_solution_describes_its_own_v(reference_solution):
         own = l2_norm(Profile(sol.V.grid, t.samples - sol.V.samples)) / l2_norm(sol.V)
         assert sol.residual == pytest.approx(own, rel=1e-3)
         assert sol.el_residual == pytest.approx(own, rel=1e-3)
+        # the Euler-Lagrange residual is the fixed-point residual, term for term
+        assert sol.el_residual == sol.residual
 
 
 def test_solve_regression_pin(reference_solution):
